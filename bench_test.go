@@ -898,25 +898,21 @@ func BenchmarkGradeDetections(b *testing.B) {
 
 // --- ATPG generation benches ---------------------------------------------
 
-// BenchmarkATPGGenerate is the committed evidence for the word-parallel
-// PODEM core: the same deterministic generation run (every clka fault,
-// dynamic compaction, random fill) through the scalar oracle engine, the
-// packed speculative engine, and the packed engine with the epoch-sharded
-// generator on all cores. All three produce bit-identical pattern sets
-// (spec_test.go proves it); the scalar and packed variants run serial
-// (GenWorkers=1) on the same host so ns/fault and waves/pattern are the
-// direct engine-vs-engine comparison.
+// BenchmarkATPGGenerate prices one deterministic generation run (every
+// clka fault, dynamic compaction, random fill) serially and with the
+// epoch-sharded generator on all cores. Both produce bit-identical
+// pattern sets (TestRunShardedBitIdentical proves it), so ns/fault is the
+// sharding comparison and waves/pattern and backtracks are exact work
+// counts for any host.
 func BenchmarkATPGGenerate(b *testing.B) {
 	r := benchRunner(b)
 	sys := r.Sys
 	for _, v := range []struct {
 		name    string
-		engine  atpg.EngineKind
 		workers int
 	}{
-		{"scalar", atpg.EngineScalar, 1},
-		{"packed", atpg.EnginePacked, 1},
-		{"packed-sharded", atpg.EnginePacked, 0},
+		{"serial", 1},
+		{"sharded", 0},
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
@@ -930,9 +926,7 @@ func BenchmarkATPGGenerate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				l := sys.NewFaultList()
 				var err error
-				res, err = sys.ATPG(l, atpg.Options{
-					Dom: 0, Fill: atpg.FillRandom, Seed: 5, Engine: v.engine,
-				})
+				res, err = sys.ATPG(l, atpg.Options{Dom: 0, Fill: atpg.FillRandom, Seed: 5})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -942,7 +936,6 @@ func BenchmarkATPGGenerate(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(targeted), "ns/fault")
 			b.ReportMetric(float64(g.Waves)/float64(len(res.Patterns)), "waves/pattern")
 			b.ReportMetric(float64(g.Backtracks), "backtracks")
-			b.ReportMetric(float64(g.BacktracksAvoided), "bt-wave-avoided")
 			b.ReportMetric(float64(len(res.Patterns)), "patterns")
 		})
 	}

@@ -6,13 +6,12 @@
 // Usage:
 //
 //	atpg [-scale N] [-flow conventional|new|single] [-dom D] [-fill random|fill0|fill1|adjacent]
-//	     [-mode LOC|LOS] [-max M] [-workers W] [-engine packed|scalar]
+//	     [-mode LOC|LOS] [-max M] [-workers W]
 //	     [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
 //
 // -workers shards test generation (and the fault-dropping sweeps) across
 // the worker pool; the pattern set is bit-identical for every worker
-// count. -engine selects the PODEM implication core for -flow single:
-// the packed speculative engine (default) or the scalar oracle.
+// count.
 package main
 
 import (
@@ -38,7 +37,6 @@ func main() {
 	modeName := flag.String("mode", "LOC", "launch mode: LOC | LOS")
 	maxPats := flag.Int("max", 0, "pattern limit for -flow single (0 = unlimited)")
 	workers := flag.Int("workers", 0, "generation + fault-sim workers (0 = all cores, 1 = serial)")
-	engineName := flag.String("engine", "packed", "PODEM implication core for -flow single: packed | scalar")
 	outPath := flag.String("o", "", "write the generated pattern set to this file")
 	obsFlags := obs.RegisterFlags()
 	flag.Parse()
@@ -60,13 +58,6 @@ func main() {
 	}
 	if err := parallel.ValidateWorkers(*workers); err != nil {
 		fmt.Fprintln(os.Stderr, "atpg:", err)
-		os.Exit(2)
-	}
-	engine, ok := map[string]atpg.EngineKind{
-		"packed": atpg.EnginePacked, "scalar": atpg.EngineScalar,
-	}[*engineName]
-	if !ok {
-		fmt.Fprintln(os.Stderr, "atpg: unknown engine", *engineName)
 		os.Exit(2)
 	}
 
@@ -102,14 +93,13 @@ func main() {
 		var res *atpg.Result
 		res, err = sys.ATPG(l, atpg.Options{
 			Dom: *dom, Fill: fill, Mode: mode, Seed: 1, MaxPatterns: *maxPats,
-			Engine: engine,
 		})
 		if err == nil {
 			c := res.Counts
-			fmt.Printf("single run (%v, %v, %v engine): %d patterns\n", mode, fill, engine, len(res.Patterns))
+			fmt.Printf("single run (%v, %v): %d patterns\n", mode, fill, len(res.Patterns))
 			if g := res.Gen; g.Waves > 0 && len(res.Patterns) > 0 {
-				fmt.Printf("  implication: %d waves (%d speculative), %d decisions, %d backtracks (%d avoided)\n",
-					g.Waves, g.SpecWaves, g.Decisions, g.Backtracks, g.BacktracksAvoided)
+				fmt.Printf("  implication: %d waves, %d decisions, %d backtracks\n",
+					g.Waves, g.Decisions, g.Backtracks)
 			}
 			fmt.Printf("  faults: %d targeted, %d detected, %d aborted, %d untestable\n",
 				c.Total, c.Detected, c.Aborted, c.Untestable)

@@ -45,6 +45,10 @@ func main() {
 	flag.Parse()
 
 	die(parallel.ValidateWorkers(*workers))
+	if *flow != "conventional" && *flow != "new" {
+		fmt.Fprintln(os.Stderr, "scap: unknown flow", *flow)
+		os.Exit(2)
+	}
 	if *screen < 0 || *screen > 1 {
 		fmt.Fprintln(os.Stderr, "scap: -screen must be in [0, 1]")
 		os.Exit(2)

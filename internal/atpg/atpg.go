@@ -24,11 +24,7 @@ var (
 	cFillExpand    = obs.NewCounter("atpg.fill_expansions")
 	cFillBusyNs    = obs.NewCounter("atpg.fill_busy_ns")
 	cGenWaves      = obs.NewCounter("atpg.implication_waves")
-	cSpecWaves     = obs.NewCounter("atpg.spec_waves")
-	cSlotsCommit   = obs.NewCounter("atpg.slots_committed")
-	cSlotsPrune    = obs.NewCounter("atpg.slots_pruned")
 	cGenBacktracks = obs.NewCounter("atpg.backtracks")
-	cBTAvoided     = obs.NewCounter("atpg.backtracks_avoided")
 )
 
 // tkFaults is the per-fault attribution table: the faults whose PODEM
@@ -37,7 +33,7 @@ var (
 // deterministic per (fault, status snapshot) — so the table is
 // bit-identical for any GenWorkers value. Recorded in the serial merge.
 var tkFaults = obs.NewTopK("atpg.fault_hotspots", 16, "waves",
-	"backtracks", "decisions", "spec_waves", "secondaries", "pattern")
+	"backtracks", "decisions", "secondaries", "pattern")
 
 func init() {
 	obs.RegisterDerived("atpg.waves_per_pattern", func(c map[string]int64) (float64, bool) {
@@ -46,44 +42,13 @@ func init() {
 		}
 		return float64(c["atpg.implication_waves"]) / float64(c["atpg.patterns"]), true
 	})
-	obs.RegisterDerived("atpg.spec_commit_share", func(c map[string]int64) (float64, bool) {
-		tot := c["atpg.slots_committed"] + c["atpg.slots_pruned"]
-		if tot <= 0 {
-			return 0, false
-		}
-		return float64(c["atpg.slots_committed"]) / float64(tot), true
-	})
-	obs.RegisterDerived("atpg.backtracks_avoided_share", func(c map[string]int64) (float64, bool) {
-		if c["atpg.backtracks"] <= 0 {
-			return 0, false
-		}
-		return float64(c["atpg.backtracks_avoided"]) / float64(c["atpg.backtracks"]), true
-	})
-}
-
-// EngineKind selects the PODEM implication core.
-type EngineKind uint8
-
-// Engine kinds. The packed speculative core is the default; the scalar
-// core is retained as its cross-validation oracle (both produce
-// bit-identical pattern sets, property-tested under -race).
-const (
-	EnginePacked EngineKind = iota
-	EngineScalar
-)
-
-// String names the engine kind.
-func (k EngineKind) String() string {
-	if k == EngineScalar {
-		return "scalar"
-	}
-	return "packed"
 }
 
 // Options configures one ATPG run.
 type Options struct {
-	// Dom is the target clock domain; patterns launch and capture only its
-	// flops (the paper generates transition patterns per clock domain).
+	// Dom is the target clock domain, an index into the design's
+	// Domains; patterns launch and capture only its flops (the paper
+	// generates transition patterns per clock domain).
 	Dom int
 	// Mode selects launch-off-capture (default) or launch-off-shift.
 	Mode LaunchMode
@@ -116,9 +81,6 @@ type Options struct {
 	// unbounded cube would cover a large fraction of a small block and
 	// defeat the fill-0 quieting that full-size designs get for free.
 	CareBudget int
-	// Engine selects the PODEM implication core: packed speculative
-	// (default) or the scalar oracle.
-	Engine EngineKind
 	// GenWorkers shards test generation itself across per-worker cloned
 	// engines (0 = all cores, 1 = serial). Epoch-based scheduling keeps
 	// the generated pattern set bit-identical for any worker count.
@@ -144,22 +106,11 @@ type Pattern struct {
 // per-fault additive sums over all worker engines, so they are
 // deterministic and independent of the worker count.
 type GenStats struct {
-	// Waves counts two-frame implication waves, scalar and packed alike.
+	// Waves counts two-frame implication waves.
 	Waves int64
-	// SpecWaves counts packed speculative pair waves (each prices a
-	// decision value and its complement in one wave).
-	SpecWaves int64
 	// Decisions and Backtracks mirror the classical PODEM effort metrics.
 	Decisions  int64
 	Backtracks int64
-	// SlotsCommitted / SlotsPruned split speculative slots into the ones
-	// materialized onto the committed state and the ones killed by the
-	// conflict mask.
-	SlotsCommitted int64
-	SlotsPruned    int64
-	// BacktracksAvoided counts flips resolved from an already-computed
-	// slot instead of a dedicated discovery-plus-flip wave pair.
-	BacktracksAvoided int64
 }
 
 // Result is the outcome of one ATPG run.
@@ -183,6 +134,9 @@ type Result struct {
 func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result, error) {
 	defer obs.StartSpan("atpg").End()
 	d := l.D
+	if opts.Dom < 0 || opts.Dom >= len(d.Domains) {
+		return nil, fmt.Errorf("atpg: domain %d out of range [0, %d)", opts.Dom, len(d.Domains))
+	}
 	if opts.BacktrackLimit <= 0 {
 		opts.BacktrackLimit = 64
 	}
@@ -213,10 +167,9 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	}
 
 	cfg := engineConfig{
-		dom:    opts.Dom,
-		mode:   opts.Mode,
-		limit:  opts.BacktrackLimit,
-		packed: opts.Engine == EnginePacked,
+		dom:   opts.Dom,
+		mode:  opts.Mode,
+		limit: opts.BacktrackLimit,
 	}
 	if opts.Blocks != nil {
 		cfg.prefer = map[int]bool{}
@@ -320,8 +273,7 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 			recordFault := func(outcome string, patIdx int) {
 				tkFaults.Record(int64(fi), po.stats.waves, outcome,
 					float64(po.stats.backtracks), float64(po.stats.decisions),
-					float64(po.stats.specWaves), float64(len(po.secondaries)),
-					float64(patIdx))
+					float64(len(po.secondaries)), float64(patIdx))
 			}
 			if l.Status[fi] != fault.Undetected {
 				// Generated, then detected as an earlier primary's
@@ -389,12 +341,8 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 
 	for _, en := range engines {
 		res.Gen.Waves += en.stats.waves
-		res.Gen.SpecWaves += en.stats.specWaves
 		res.Gen.Decisions += en.stats.decisions
 		res.Gen.Backtracks += en.stats.backtracks
-		res.Gen.SlotsCommitted += en.stats.slotsCommit
-		res.Gen.SlotsPruned += en.stats.slotsPrune
-		res.Gen.BacktracksAvoided += en.stats.avoided
 	}
 
 	cATPGRuns.Add(1)
@@ -402,11 +350,7 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	cFillExpand.Add(int64(len(res.Patterns)))
 	cFillBusyNs.Add(fillBusy)
 	cGenWaves.Add(res.Gen.Waves)
-	cSpecWaves.Add(res.Gen.SpecWaves)
-	cSlotsCommit.Add(res.Gen.SlotsCommitted)
-	cSlotsPrune.Add(res.Gen.SlotsPruned)
 	cGenBacktracks.Add(res.Gen.Backtracks)
-	cBTAvoided.Add(res.Gen.BacktracksAvoided)
 	res.Counts = l.CountOf(subset)
 	return res, nil
 }
@@ -469,13 +413,9 @@ func genOne(eng *engine, l *fault.List, subset []int, pos, lane, nLanes, scanBas
 // statsDelta subtracts two engine-stat snapshots field-wise.
 func statsDelta(after, before genStats) genStats {
 	return genStats{
-		waves:       after.waves - before.waves,
-		specWaves:   after.specWaves - before.specWaves,
-		decisions:   after.decisions - before.decisions,
-		backtracks:  after.backtracks - before.backtracks,
-		slotsCommit: after.slotsCommit - before.slotsCommit,
-		slotsPrune:  after.slotsPrune - before.slotsPrune,
-		avoided:     after.avoided - before.avoided,
+		waves:      after.waves - before.waves,
+		decisions:  after.decisions - before.decisions,
+		backtracks: after.backtracks - before.backtracks,
 	}
 }
 

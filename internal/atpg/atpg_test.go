@@ -511,3 +511,17 @@ func TestRunAndCompactParallelBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+func TestRunRejectsDomainOutOfRange(t *testing.T) {
+	r := newRig(t, 96)
+	for _, dom := range []int{-1, len(r.d.Domains)} {
+		if _, err := Run(r.fs, r.l, r.sc, Options{Dom: dom, Fill: FillRandom, Seed: 1}); err == nil {
+			t.Errorf("Dom %d with %d domains: no error", dom, len(r.d.Domains))
+		}
+	}
+	for fi, st := range r.l.Status {
+		if st != fault.Undetected {
+			t.Fatalf("rejected run touched fault %d: status %v", fi, st)
+		}
+	}
+}

@@ -87,13 +87,9 @@ type objective struct {
 // totals summed over all worker engines at the end of a Run are
 // independent of the worker count and of which worker ran which fault.
 type genStats struct {
-	waves       int64 // implication waves, scalar and packed together
-	specWaves   int64 // packed speculative pair waves
-	decisions   int64 // decisions committed to the stack
-	backtracks  int64 // decision flips
-	slotsCommit int64 // speculative slots materialized onto the trail
-	slotsPrune  int64 // speculative slots killed by the conflict mask
-	avoided     int64 // flips resolved from an already-computed slot
+	waves      int64 // implication waves
+	decisions  int64 // decisions committed to the stack
+	backtracks int64 // decision flips
 }
 
 // engine is the two-frame PODEM machine. One engine is reused across all
@@ -148,14 +144,6 @@ type engine struct {
 	// to keep propagation inside them (nil = no preference).
 	prefer map[int]bool
 
-	// spec is the packed speculative overlay (nil selects the scalar
-	// oracle); specOn burst-gates pair speculation within one fault's
-	// search — on at every conflict event, off again at the first clean
-	// slot-0 commit, so pair waves are only paid in the conflict-dense
-	// stretches right after backtracks where they can win.
-	spec   *specState
-	specOn bool
-
 	stats genStats
 }
 
@@ -166,7 +154,6 @@ type engineConfig struct {
 	dom       int
 	mode      LaunchMode
 	limit     int                              // backtrack limit before aborting a fault
-	packed    bool                             // use the packed speculative implication core
 	excludePI map[int]bool                     // PI indexes never used as decisions (scan pins)
 	constPI   map[int]logic.V                  // PI indexes pinned to a constant (scan enable)
 	shiftPrev map[netlist.InstID]netlist.NetID // LOS: flop -> frame-1 source net
@@ -198,9 +185,6 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 		maxLevel: ml,
 		limit:    cfg.limit,
 		prefer:   cfg.prefer,
-	}
-	if cfg.packed {
-		e.spec = newSpecState(d, ml)
 	}
 	for i := range e.val1 {
 		e.val1[i], e.val2[i], e.valf[i] = logic.X, logic.X, logic.X
@@ -439,7 +423,7 @@ func (e *engine) assignInput(in inputRef, v logic.V) {
 // clone returns an engine for another generation worker: all construction
 // state that is read-only after newEngine (design, levels, transfer maps,
 // PI policies, block preferences) is shared, while every mutable search
-// structure (value arrays, trail, decision stack, buckets, overlay) is
+// structure (value arrays, trail, decision stack, buckets) is
 // private. Engines are stateless between faults (teardown restores all-X),
 // so a clone produces bit-identical cubes to its original for any
 // (fault, base) pair — the property the epoch scheduler rests on.
@@ -467,8 +451,5 @@ func (e *engine) clone() *engine {
 	c.b2 = make([][]netlist.InstID, e.maxLevel+2)
 	c.q1 = make([]bool, e.d.NumInsts())
 	c.q2 = make([]bool, e.d.NumInsts())
-	if e.spec != nil {
-		c.spec = newSpecState(e.d, e.maxLevel)
-	}
 	return c
 }

@@ -1,0 +1,112 @@
+package atpg
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"scap/internal/fault"
+	"scap/internal/obs"
+)
+
+// TestRunShardedBitIdentical checks the epoch-sharded generator yields the
+// same patterns, statuses and detection attribution for 1, 2 and 8
+// workers. Run with -race this also exercises the parallel section for
+// data races.
+func TestRunShardedBitIdentical(t *testing.T) {
+	var ref *Result
+	var refL *fault.List
+	for _, w := range []int{1, 2, 8} {
+		r := newRig(t, 96)
+		res, err := Run(r.fs, r.l, r.sc, Options{
+			Dom: 0, Fill: FillRandom, Seed: 5, GenWorkers: w,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref, refL = res, r.l
+			continue
+		}
+		t.Run(fmt.Sprintf("workers%d", w), func(t *testing.T) {
+			comparePatternSets(t, ref, res, refL, r.l)
+			if res.Gen != ref.Gen {
+				t.Errorf("generation stats differ: w=1 %+v, w=%d %+v", ref.Gen, w, res.Gen)
+			}
+		})
+	}
+}
+
+func comparePatternSets(t *testing.T, a, b *Result, la, lb *fault.List) {
+	t.Helper()
+	if len(a.Patterns) != len(b.Patterns) {
+		t.Fatalf("pattern count differs: %d vs %d", len(a.Patterns), len(b.Patterns))
+	}
+	for i := range a.Patterns {
+		pa, pb := &a.Patterns[i], &b.Patterns[i]
+		if pa.Target != pb.Target {
+			t.Fatalf("pattern %d target differs: %d vs %d", i, pa.Target, pb.Target)
+		}
+		if len(pa.Secondaries) != len(pb.Secondaries) {
+			t.Fatalf("pattern %d secondary count differs: %v vs %v", i, pa.Secondaries, pb.Secondaries)
+		}
+		for j := range pa.Secondaries {
+			if pa.Secondaries[j] != pb.Secondaries[j] {
+				t.Fatalf("pattern %d secondaries differ: %v vs %v", i, pa.Secondaries, pb.Secondaries)
+			}
+		}
+		for j := range pa.V1 {
+			if pa.V1[j] != pb.V1[j] {
+				t.Fatalf("pattern %d V1[%d] differs: %v vs %v", i, j, pa.V1[j], pb.V1[j])
+			}
+		}
+		for j := range pa.PIs {
+			if pa.PIs[j] != pb.PIs[j] {
+				t.Fatalf("pattern %d PI[%d] differs: %v vs %v", i, j, pa.PIs[j], pb.PIs[j])
+			}
+		}
+	}
+	if len(la.Status) != len(lb.Status) {
+		t.Fatalf("status length differs")
+	}
+	for i := range la.Status {
+		if la.Status[i] != lb.Status[i] {
+			t.Fatalf("fault %d status differs: %v vs %v", i, la.Status[i], lb.Status[i])
+		}
+		if la.DetectedBy[i] != lb.DetectedBy[i] {
+			t.Fatalf("fault %d DetectedBy differs: %d vs %d", i, la.DetectedBy[i], lb.DetectedBy[i])
+		}
+	}
+}
+
+// TestFaultHotspotsWorkerIndependent: the per-fault attribution table is
+// recorded in the serial epoch merge on deterministic costs (implication
+// waves, backtracks), so it must be bit-identical for any GenWorkers
+// value — the hotspot list is part of the determinism contract.
+func TestFaultHotspotsWorkerIndependent(t *testing.T) {
+	run := func(w int) []obs.TopEntry {
+		obs.Reset()
+		obs.Enable()
+		defer func() {
+			obs.Reset()
+			obs.Disable()
+		}()
+		r := newRig(t, 96)
+		if _, err := Run(r.fs, r.l, r.sc, Options{
+			Dom: 0, Fill: FillRandom, Seed: 5, GenWorkers: w,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return tkFaults.Snapshot()
+	}
+	want := run(1)
+	if len(want) == 0 {
+		t.Fatal("serial run recorded no fault hotspots")
+	}
+	for _, w := range []int{2, 8} {
+		if got := run(w); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: fault hotspot table differs from serial\nserial: %+v\npar:    %+v",
+				w, want, got)
+		}
+	}
+}

@@ -152,6 +152,13 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 	}
 	pool := sys.profPool(workers)
 	scratch := make([]irScratch, workers)
+	// Each meter resets before its next pattern, so its last pattern's
+	// toggles are still unflushed when the pool is dropped.
+	defer func() {
+		for w := range pool {
+			pool[w].meter.FlushToggles()
+		}
+	}()
 
 	// eval simulates pattern i on worker w's scratch and solves both
 	// rails warm-started from the given guesses (nil = cold).

@@ -228,9 +228,7 @@ func ValidMask(n int) uint64 {
 	return uint64(1)<<uint(n) - 1
 }
 
-// ClearSlots returns w with every masked slot forced to X. The packed
-// PODEM engine uses it to erase undone decisions from a speculative slot
-// while the other slots keep their committed values.
+// ClearSlots returns w with every masked slot forced to X.
 func (w Word) ClearSlots(mask uint64) Word {
 	return Word{Zero: w.Zero &^ mask, One: w.One &^ mask}
 }

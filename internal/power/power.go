@@ -26,7 +26,8 @@ import (
 
 // Meter observability: OnToggle sits in the timing simulator's event
 // loop, so toggles are counted in a meter-local field and flushed to
-// the shared counter once per pattern (on Reset and ReportBlocks).
+// the shared counter once per pattern (on Reset and ReportBlocks, or
+// FlushToggles after a meter's last pattern).
 var (
 	cMeterResets   = obs.NewCounter("power.meter_resets")
 	cTogglesMeterd = obs.NewCounter("power.toggles_metered")
@@ -155,7 +156,7 @@ func (m *Meter) Clone() *Meter {
 // everything that escapes.
 func (m *Meter) Reset() {
 	cMeterResets.Add(1)
-	m.flushToggles()
+	m.FlushToggles()
 	m.instEnergy = resetF(m.instEnergy, m.d.NumInsts())
 	m.instEnergyVDD = resetF(m.instEnergyVDD, m.d.NumInsts())
 	m.instEnergyVSS = resetF(m.instEnergyVSS, m.d.NumInsts())
@@ -180,9 +181,11 @@ func resetF(s []float64, n int) []float64 {
 	return s
 }
 
-// flushToggles moves the meter-local toggle count into the shared
-// counter.
-func (m *Meter) flushToggles() {
+// FlushToggles moves the meter-local toggle count into the shared
+// power.toggles_metered counter. Reset and ReportBlocks flush on their
+// own; a caller that drops a meter after its last pattern without either
+// flushes it here, or that pattern's toggles go uncounted.
+func (m *Meter) FlushToggles() {
 	if m.unflushedToggles > 0 {
 		cTogglesMeterd.Add(m.unflushedToggles)
 		m.unflushedToggles = 0
@@ -238,7 +241,7 @@ func (m *Meter) Report(period float64) *Profile {
 // energy-vector copies of Report that the pattern-profiling loop never
 // consumes. The returned slice is independent of the meter.
 func (m *Meter) ReportBlocks(period float64) []BlockPower {
-	m.flushToggles()
+	m.FlushToggles()
 	blocks := make([]BlockPower, len(m.blocks))
 	copy(blocks, m.blocks)
 	for i := range blocks {
