@@ -47,11 +47,13 @@ bench-diff:
 	    -tol-ns 4 -tol-mem 2 -tol-extra 2.5 || exit 1; \
 	done
 
-# CI-style tier-1 verify in one command.
+# CI-style tier-1 verify in one command, plus the benchmark module's tests
+# (the scale-48 paper anchors and worker-count invariance, ~30 s).
 check:
 	go vet ./...
 	go build ./...
 	go test ./...
+	go -C bench test .
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 repro:

@@ -137,20 +137,25 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	if opts.Dom < 0 || opts.Dom >= len(d.Domains) {
 		return nil, fmt.Errorf("atpg: domain %d out of range [0, %d)", opts.Dom, len(d.Domains))
 	}
+	for _, b := range opts.Blocks {
+		if b < 0 || b >= d.NumBlocks {
+			return nil, fmt.Errorf("atpg: block %d out of range [0, %d)", b, d.NumBlocks)
+		}
+	}
 	if opts.BacktrackLimit <= 0 {
 		opts.BacktrackLimit = 64
+	}
+	var prefer blockSet // nil: no block restriction
+	if opts.Blocks != nil {
+		prefer = newBlockSet(d.NumBlocks, opts.Blocks)
 	}
 	subset := opts.Faults
 	if subset == nil {
 		subset = l.InDomain(opts.Dom)
-		if opts.Blocks != nil {
-			want := map[int]bool{}
-			for _, b := range opts.Blocks {
-				want[b] = true
-			}
+		if prefer != nil {
 			filtered := subset[:0:0]
 			for _, fi := range subset {
-				if want[l.Faults[fi].Block] {
+				if prefer.has(l.Faults[fi].Block) {
 					filtered = append(filtered, fi)
 				}
 			}
@@ -166,36 +171,13 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 		}
 	}
 
-	cfg := engineConfig{
-		dom:   opts.Dom,
-		mode:  opts.Mode,
-		limit: opts.BacktrackLimit,
-	}
-	if opts.Blocks != nil {
-		cfg.prefer = map[int]bool{}
-		for _, b := range opts.Blocks {
-			cfg.prefer[b] = true
-		}
-	}
-	cfg.excludePI = map[int]bool{}
-	cfg.constPI = map[int]logic.V{}
-	if sc != nil {
-		cfg.constPI[d.Nets[sc.SE].PI] = logic.Zero
-		for _, si := range sc.SIs {
-			if opts.Mode == LOC {
-				cfg.excludePI[d.Nets[si].PI] = true
-			}
-		}
-		if opts.Mode == LOS {
-			cfg.shiftPrev = shiftSources(d, sc)
-		}
-	}
+	cfg := runConfig(d, sc, opts, prefer)
 	eng, err := newEngine(d, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("atpg: %w", err)
 	}
 	fil := newFiller(d, sc, opts.Fill, opts.Seed+1)
-	fil.targetBlocks = cfg.prefer // FillBlockAware randomizes only these
+	fil.targetBlocks = prefer // FillBlockAware randomizes only these
 
 	res := &Result{Dom: opts.Dom, Mode: opts.Mode, Fill: opts.Fill, Subset: subset}
 
@@ -355,6 +337,32 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	return res, nil
 }
 
+// runConfig derives a run's engine configuration: scan enable pinned to
+// capture, scan-in pins excluded from the decisions under LOC, and the
+// shift transfer under LOS.
+func runConfig(d *netlist.Design, sc *scan.Scan, opts Options, prefer blockSet) engineConfig {
+	cfg := engineConfig{
+		dom:       opts.Dom,
+		mode:      opts.Mode,
+		limit:     opts.BacktrackLimit,
+		prefer:    prefer,
+		excludePI: map[int]bool{},
+		constPI:   map[int]logic.V{},
+	}
+	if sc != nil {
+		cfg.constPI[d.Nets[sc.SE].PI] = logic.Zero
+		for _, si := range sc.SIs {
+			if opts.Mode == LOC {
+				cfg.excludePI[d.Nets[si].PI] = true
+			}
+		}
+		if opts.Mode == LOS {
+			cfg.shiftPrev = shiftSources(d, sc)
+		}
+	}
+	return cfg
+}
+
 // genOut is one epoch primary's generation product, merged serially.
 type genOut struct {
 	cube        Cube
@@ -382,7 +390,12 @@ func genOne(eng *engine, l *fault.List, subset []int, pos, lane, nLanes, scanBas
 		return out
 	}
 	// Dynamic compaction over this lane's stride of the undetected tail,
-	// until a failure streak or the secondary budget is hit.
+	// until a failure streak or the secondary budget is hit. The primary's
+	// cube is pinned once as the base every secondary is searched on, then
+	// only the new bits of each accepted secondary; the engine unpins back
+	// to rest at the end.
+	rest := len(eng.trail)
+	eng.pin(cube)
 	streak := 0
 	for sj := scanBase + lane; sj < len(subset) && len(out.secondaries) < maxSec && streak < 8; sj += nLanes {
 		if careBudget > 0 && len(cube.State) >= careBudget {
@@ -392,7 +405,7 @@ func genOne(eng *engine, l *fault.List, subset []int, pos, lane, nLanes, scanBas
 		if l.Status[fj] != fault.Undetected {
 			continue
 		}
-		c2, d2 := eng.generateWith(&l.Faults[fj], cube)
+		c2, d2 := eng.generate(&l.Faults[fj])
 		if d2 != genSuccess {
 			streak++
 			continue
@@ -404,8 +417,10 @@ func genOne(eng *engine, l *fault.List, subset []int, pos, lane, nLanes, scanBas
 		for k, v := range c2.PIs {
 			cube.PIs[k] = v
 		}
+		eng.pin(c2)
 		out.secondaries = append(out.secondaries, fj)
 	}
+	eng.undoTo(rest)
 	out.stats = statsDelta(eng.stats, before)
 	return out
 }

@@ -525,3 +525,17 @@ func TestRunRejectsDomainOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+func TestRunRejectsBlockOutOfRange(t *testing.T) {
+	r := newRig(t, 96)
+	for _, b := range []int{-1, r.d.NumBlocks} {
+		if _, err := Run(r.fs, r.l, r.sc, Options{Dom: 0, Fill: Fill0, Seed: 1, Blocks: []int{soc.B1, b}}); err == nil {
+			t.Errorf("Blocks {B1, %d} with %d blocks: no error", b, r.d.NumBlocks)
+		}
+	}
+	for fi, st := range r.l.Status {
+		if st != fault.Undetected {
+			t.Fatalf("rejected run touched fault %d: status %v", fi, st)
+		}
+	}
+}

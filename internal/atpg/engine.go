@@ -95,6 +95,12 @@ type genStats struct {
 // engine is the two-frame PODEM machine. One engine is reused across all
 // faults of one (domain, mode) run; clone() gives each generation worker
 // its own.
+//
+// Between faults an engine rests at all-X plus what the pinned primary-input
+// constants (scan enable) imply; that state is committed at construction,
+// so the trail is empty at rest and no fault re-implies it. Dynamic
+// compaction pins a pattern's cube on top of the resting state, searches
+// each secondary fault over it and undoes back to it (genOne).
 type engine struct {
 	d      *netlist.Design
 	dom    int
@@ -108,29 +114,51 @@ type engine struct {
 	trail []trailEnt
 	decs  []decision
 
-	// xfer maps a frame-1 net to the flops whose V2 output follows it
-	// (capture D-net for LOC, predecessor Q / scan-in for LOS); xferSrc is
-	// the inverse used by backward traversal.
-	xfer    map[netlist.NetID][]netlist.InstID
-	xferSrc map[netlist.InstID]netlist.NetID
-	hold    map[netlist.InstID]bool // flops that keep V1 in frame 2
+	// Construction state below, up to the per-fault state, is read-only
+	// after newEngine and shared by clones.
 
-	flopIdx map[netlist.InstID]int
+	// combLoads lists each net's combinational loads. Flop pins are left
+	// out: a flop's inputs are consumed by the frame transfer, not by
+	// propagation.
+	combLoads [][]netlist.InstID
+	// topo is the design's TopoOrder and topoPos its inverse, by instance.
+	topo    []netlist.InstID
+	topoPos []int32
+	// obsD marks the nets that feed the D pin of a target-domain flop: the
+	// places a fault effect is captured.
+	obsD []bool
+
+	// xfer maps a frame-1 net to the Q nets of the flops whose V2 output
+	// follows it (capture D-net for LOC, predecessor Q / scan-in for LOS);
+	// xferSrc is the inverse by flop, used by backward traversal. A flop
+	// with xferSrc NoNet holds its V1 in frame 2.
+	xfer    [][]netlist.NetID
+	xferSrc []netlist.NetID
+
+	flopIdx []int32 // by instance: index into d.Flops, -1 for gates
 
 	decidablePI []bool // per PI index: usable as a decision variable
 	piConst     map[int]logic.V
 
+	// prefer marks the blocks the run is targeting: the D-frontier tries
+	// to keep propagation inside them (nil = no preference).
+	prefer blockSet
+
 	// per-fault state
-	site  netlist.NetID
+	site  netlist.NetID // NoNet while no fault is installed
 	stuck logic.V
 	cone  []netlist.InstID // frame-2 fanout cone, topo order
 	obs   []netlist.NetID  // observable D nets (dom flops) in the cone
 
-	// obsSeen/obsGen dedup observable endpoints in setupFault: a net is
-	// "seen this fault" when its stamp equals the current generation, so
-	// resetting between faults is a single counter bump.
-	obsSeen []uint32
-	obsGen  uint32
+	// coneMark stamps the gates of the installed fault's cone: a gate is
+	// in the cone when its stamp equals gen, so starting a new cone is a
+	// single counter bump. The stamps of the last fault stay after
+	// teardown; with no fault installed the faulty rail equals the good
+	// one on every net, so evaluating it on a stale cone is redundant but
+	// exact.
+	coneMark []uint32
+	gen      uint32
+	conePos  []int32 // scratch for sorting the cone into topo order
 
 	// propagation buckets, one per level and frame
 	b1, b2   [][]netlist.InstID
@@ -140,12 +168,22 @@ type engine struct {
 	backtracks int
 	limit      int
 
-	// prefer marks the blocks the run is targeting: the D-frontier tries
-	// to keep propagation inside them (nil = no preference).
-	prefer map[int]bool
-
 	stats genStats
 }
+
+// blockSet marks floorplan blocks by index; nil is the empty set.
+type blockSet []bool
+
+func newBlockSet(numBlocks int, blocks []int) blockSet {
+	s := make(blockSet, numBlocks)
+	for _, b := range blocks {
+		s[b] = true
+	}
+	return s
+}
+
+// has reports whether block b (possibly NoBlock) is in the set.
+func (s blockSet) has(b int) bool { return b >= 0 && b < len(s) && s[b] }
 
 // engineConfig parameterizes engine construction. The search itself is
 // fully deterministic — no randomness enters between a (fault, base)
@@ -157,11 +195,15 @@ type engineConfig struct {
 	excludePI map[int]bool                     // PI indexes never used as decisions (scan pins)
 	constPI   map[int]logic.V                  // PI indexes pinned to a constant (scan enable)
 	shiftPrev map[netlist.InstID]netlist.NetID // LOS: flop -> frame-1 source net
-	prefer    map[int]bool                     // blocks to keep fault propagation inside
+	prefer    blockSet                         // blocks to keep fault propagation inside
 }
 
 func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 	lv, err := d.Levels()
+	if err != nil {
+		return nil, err
+	}
+	topo, err := d.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
@@ -173,28 +215,40 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 	}
 	e := &engine{
 		d: d, dom: cfg.dom, mode: cfg.mode, levels: lv,
-		val1:     make([]logic.V, d.NumNets()),
-		val2:     make([]logic.V, d.NumNets()),
-		valf:     make([]logic.V, d.NumNets()),
-		obsSeen:  make([]uint32, d.NumNets()),
-		xfer:     make(map[netlist.NetID][]netlist.InstID),
-		xferSrc:  make(map[netlist.InstID]netlist.NetID),
-		hold:     make(map[netlist.InstID]bool),
-		flopIdx:  make(map[netlist.InstID]int, len(d.Flops)),
+		topo:     topo,
+		topoPos:  make([]int32, d.NumInsts()),
+		obsD:     make([]bool, d.NumNets()),
+		xfer:     make([][]netlist.NetID, d.NumNets()),
+		xferSrc:  make([]netlist.NetID, d.NumInsts()),
+		flopIdx:  make([]int32, d.NumInsts()),
 		piConst:  cfg.constPI,
 		maxLevel: ml,
 		limit:    cfg.limit,
 		prefer:   cfg.prefer,
 	}
-	for i := range e.val1 {
-		e.val1[i], e.val2[i], e.valf[i] = logic.X, logic.X, logic.X
+	for pos, id := range topo {
+		e.topoPos[id] = int32(pos)
+	}
+	e.combLoads = make([][]netlist.InstID, d.NumNets())
+	for i := range d.Nets {
+		for _, ld := range d.Nets[i].Loads {
+			inst := &d.Insts[ld.Inst]
+			if !inst.IsFlop() {
+				e.combLoads[i] = append(e.combLoads[i], ld.Inst)
+			} else if ld.Pin == 0 && inst.Domain == cfg.dom {
+				e.obsD[i] = true
+			}
+		}
+	}
+	for i := range e.xferSrc {
+		e.xferSrc[i] = netlist.NoNet
+		e.flopIdx[i] = -1
 	}
 	for i, f := range d.Flops {
-		e.flopIdx[f] = i
+		e.flopIdx[f] = int32(i)
 		inst := d.Inst(f)
 		if inst.Domain != cfg.dom {
-			e.hold[f] = true
-			continue
+			continue // holds
 		}
 		var src netlist.NetID
 		switch cfg.mode {
@@ -204,11 +258,10 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 			var ok bool
 			src, ok = cfg.shiftPrev[f]
 			if !ok {
-				e.hold[f] = true
-				continue
+				continue // holds
 			}
 		}
-		e.xfer[src] = append(e.xfer[src], f)
+		e.xfer[src] = append(e.xfer[src], inst.Out)
 		e.xferSrc[f] = src
 	}
 	e.decidablePI = make([]bool, len(d.PIs))
@@ -218,11 +271,33 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 			e.decidablePI[i] = false
 		}
 	}
-	e.b1 = make([][]netlist.InstID, ml+2)
-	e.b2 = make([][]netlist.InstID, ml+2)
-	e.q1 = make([]bool, d.NumInsts())
-	e.q2 = make([]bool, d.NumInsts())
+	e.allocState()
 	return e, nil
+}
+
+// allocState allocates the mutable search state of a new engine and brings
+// it to rest: every net X except what the pinned primary-input constants
+// imply. The trail is then cleared, so undoing to mark 0 returns to rest.
+// The constants' wave is construction work and is not counted.
+func (e *engine) allocState() {
+	n := e.d.NumNets()
+	e.val1 = make([]logic.V, n)
+	e.val2 = make([]logic.V, n)
+	e.valf = make([]logic.V, n)
+	for i := range e.val1 {
+		e.val1[i], e.val2[i], e.valf[i] = logic.X, logic.X, logic.X
+	}
+	e.coneMark = make([]uint32, e.d.NumInsts())
+	e.b1 = make([][]netlist.InstID, e.maxLevel+2)
+	e.b2 = make([][]netlist.InstID, e.maxLevel+2)
+	e.q1 = make([]bool, e.d.NumInsts())
+	e.q2 = make([]bool, e.d.NumInsts())
+	e.site = netlist.NoNet
+	for pi, v := range e.piConst {
+		e.place(inputRef{isPI: true, idx: pi}, v)
+	}
+	e.wave()
+	e.trail = e.trail[:0]
 }
 
 // --- value setting with trail -------------------------------------------
@@ -262,31 +337,24 @@ func (e *engine) undoTo(mark int) {
 // --- event-driven two-frame propagation ----------------------------------
 
 func (e *engine) schedule1(n netlist.NetID) {
-	for _, ld := range e.d.Nets[n].Loads {
-		inst := &e.d.Insts[ld.Inst]
-		if inst.IsFlop() || e.q1[ld.Inst] {
-			continue
+	for _, g := range e.combLoads[n] {
+		if !e.q1[g] {
+			e.q1[g] = true
+			e.b1[e.levels[g]] = append(e.b1[e.levels[g]], g)
 		}
-		e.q1[ld.Inst] = true
-		e.b1[e.levels[ld.Inst]] = append(e.b1[e.levels[ld.Inst]], ld.Inst)
 	}
 	// Frame boundary: flops fed from this net launch its value in frame 2.
-	if flops, ok := e.xfer[n]; ok {
-		v := e.val1[n]
-		for _, f := range flops {
-			e.set2both(e.d.Insts[f].Out, v)
-		}
+	for _, q := range e.xfer[n] {
+		e.set2both(q, e.val1[n])
 	}
 }
 
 func (e *engine) schedule2(n netlist.NetID) {
-	for _, ld := range e.d.Nets[n].Loads {
-		inst := &e.d.Insts[ld.Inst]
-		if inst.IsFlop() || e.q2[ld.Inst] {
-			continue
+	for _, g := range e.combLoads[n] {
+		if !e.q2[g] {
+			e.q2[g] = true
+			e.b2[e.levels[g]] = append(e.b2[e.levels[g]], g)
 		}
-		e.q2[ld.Inst] = true
-		e.b2[e.levels[ld.Inst]] = append(e.b2[e.levels[ld.Inst]], ld.Inst)
 	}
 }
 
@@ -305,96 +373,61 @@ func (e *engine) set2both(n netlist.NetID, v logic.V) {
 
 // wave drains frame-1 then frame-2 buckets in level order. Kleene logic is
 // monotone under input refinement, so one level-ordered pass settles each
-// wave.
+// wave: levels strictly increase along combinational edges, so a gate's
+// fanout always sits in a later bucket of the same frame, and frame 1
+// feeds frame 2 (through the transfer) but never the reverse.
 func (e *engine) wave() {
-	var buf [4]logic.V
 	for lv := int32(1); lv <= e.maxLevel; lv++ {
 		bucket := e.b1[lv]
 		e.b1[lv] = bucket[:0]
 		for _, g := range bucket {
 			e.q1[g] = false
 			inst := &e.d.Insts[g]
-			in := buf[:len(inst.In)]
-			for p, n := range inst.In {
-				in[p] = e.val1[n]
-			}
-			v := cell.Eval(inst.Kind, in)
-			if v != e.val1[inst.Out] {
+			if v := cell.EvalPacked(inst.Kind, packIndex(e.val1, inst.In)); v != e.val1[inst.Out] {
 				e.set(0, inst.Out, v)
 				e.schedule1(inst.Out)
 			}
 		}
 	}
-	var buf2 [4]logic.V
 	for lv := int32(1); lv <= e.maxLevel; lv++ {
 		bucket := e.b2[lv]
 		e.b2[lv] = bucket[:0]
 		for _, g := range bucket {
 			e.q2[g] = false
 			inst := &e.d.Insts[g]
-			in := buf[:len(inst.In)]
-			inF := buf2[:len(inst.In)]
-			for p, n := range inst.In {
-				in[p] = e.val2[n]
-				inF[p] = e.valf[n]
+			vG := cell.EvalPacked(inst.Kind, packIndex(e.val2, inst.In))
+			if e.coneMark[g] != e.gen {
+				// Outside the fault's cone no input carries the fault
+				// effect, so the faulty machine equals the good one.
+				e.set2both(inst.Out, vG)
+				continue
 			}
-			vG := cell.Eval(inst.Kind, in)
-			vF := cell.Eval(inst.Kind, inF)
 			if vG != e.val2[inst.Out] {
 				e.set(1, inst.Out, vG)
 				e.schedule2(inst.Out)
 			}
-			if inst.Out != e.site && vF != e.valf[inst.Out] {
+			// A cone gate never drives the site: the logic is acyclic.
+			if vF := cell.EvalPacked(inst.Kind, packIndex(e.valf, inst.In)); vF != e.valf[inst.Out] {
 				e.set(2, inst.Out, vF)
 				e.schedule2(inst.Out)
 			}
 		}
 	}
-	// Frame-2 updates can re-populate earlier levels only via the frame
-	// boundary, which happens in frame-1 scheduling; within frame 2 the
-	// graph is acyclic and level-ordered, but a second pass is needed when
-	// good and faulty values interleave scheduling. Drain until stable.
-	for e.dirty2() {
-		var buf3 [4]logic.V
-		for lv := int32(1); lv <= e.maxLevel; lv++ {
-			bucket := e.b2[lv]
-			e.b2[lv] = bucket[:0]
-			for _, g := range bucket {
-				e.q2[g] = false
-				inst := &e.d.Insts[g]
-				in := buf[:len(inst.In)]
-				inF := buf3[:len(inst.In)]
-				for p, n := range inst.In {
-					in[p] = e.val2[n]
-					inF[p] = e.valf[n]
-				}
-				vG := cell.Eval(inst.Kind, in)
-				vF := cell.Eval(inst.Kind, inF)
-				if vG != e.val2[inst.Out] {
-					e.set(1, inst.Out, vG)
-					e.schedule2(inst.Out)
-				}
-				if inst.Out != e.site && vF != e.valf[inst.Out] {
-					e.set(2, inst.Out, vF)
-					e.schedule2(inst.Out)
-				}
-			}
-		}
-	}
 }
 
-func (e *engine) dirty2() bool {
-	for lv := int32(1); lv <= e.maxLevel; lv++ {
-		if len(e.b2[lv]) > 0 {
-			return true
-		}
+// packIndex packs the values of the nets in, two bits per pin, into the
+// index cell.EvalPacked takes.
+func packIndex(vals []logic.V, in []netlist.NetID) uint32 {
+	idx := uint32(0)
+	for p, n := range in {
+		idx |= uint32(vals[n]) << (2 * uint(p))
 	}
-	return false
+	return idx
 }
 
 // place writes one input-variable value into both frames and schedules
 // its fanout without settling it — callers batch several placements into
-// one wave (applyBaseBatch) or settle immediately (assignInput).
+// one wave (pin, allocState) or settle immediately (assignInput).
 func (e *engine) place(in inputRef, v logic.V) {
 	if in.isPI {
 		n := e.d.PIs[in.idx]
@@ -406,7 +439,7 @@ func (e *engine) place(in inputRef, v logic.V) {
 		q := e.d.Insts[f].Out
 		e.set(0, q, v)
 		e.schedule1(q)
-		if e.hold[f] {
+		if e.xferSrc[f] == netlist.NoNet { // holds V1 in frame 2
 			e.set2both(q, v)
 		}
 	}
@@ -421,35 +454,29 @@ func (e *engine) assignInput(in inputRef, v logic.V) {
 }
 
 // clone returns an engine for another generation worker: all construction
-// state that is read-only after newEngine (design, levels, transfer maps,
-// PI policies, block preferences) is shared, while every mutable search
-// structure (value arrays, trail, decision stack, buckets) is
-// private. Engines are stateless between faults (teardown restores all-X),
-// so a clone produces bit-identical cubes to its original for any
-// (fault, base) pair — the property the epoch scheduler rests on.
+// state that is read-only after newEngine (design, levels, load lists,
+// transfer maps, PI policies, block preferences) is shared, while every
+// mutable search structure (value arrays, trail, decision stack, cone
+// stamps, buckets) is private. Every engine rests in the same state
+// between faults (generate undoes to the mark it started from, genOne
+// unpins its base), so a clone produces bit-identical cubes to its original
+// for any (fault, base) pair — the property the epoch scheduler rests on.
 func (e *engine) clone() *engine {
 	c := &engine{
 		d: e.d, dom: e.dom, mode: e.mode, levels: e.levels,
-		val1:        make([]logic.V, len(e.val1)),
-		val2:        make([]logic.V, len(e.val2)),
-		valf:        make([]logic.V, len(e.valf)),
-		obsSeen:     make([]uint32, len(e.obsSeen)),
+		combLoads:   e.combLoads,
+		topo:        e.topo,
+		topoPos:     e.topoPos,
+		obsD:        e.obsD,
 		xfer:        e.xfer,
 		xferSrc:     e.xferSrc,
-		hold:        e.hold,
 		flopIdx:     e.flopIdx,
 		decidablePI: e.decidablePI,
 		piConst:     e.piConst,
+		prefer:      e.prefer,
 		maxLevel:    e.maxLevel,
 		limit:       e.limit,
-		prefer:      e.prefer,
 	}
-	for i := range c.val1 {
-		c.val1[i], c.val2[i], c.valf[i] = logic.X, logic.X, logic.X
-	}
-	c.b1 = make([][]netlist.InstID, e.maxLevel+2)
-	c.b2 = make([][]netlist.InstID, e.maxLevel+2)
-	c.q1 = make([]bool, e.d.NumInsts())
-	c.q2 = make([]bool, e.d.NumInsts())
+	c.allocState()
 	return c
 }

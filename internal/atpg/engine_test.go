@@ -81,3 +81,56 @@ func TestEngineJustifiesAndTree(t *testing.T) {
 		t.Fatalf("STF hv disposition %v, want untestable", disp)
 	}
 }
+
+// TestGenOneReturnsToRest runs genOne, with dynamic compaction, over a
+// sample of scale-96 faults and checks after every call that the engine is
+// back in its resting state: no trail, no decisions, no installed fault,
+// the value rails of a freshly built engine and empty propagation buckets.
+// Pinning the base and undoing to a trail mark is only sound if every call
+// leaves the engine exactly where it found it.
+func TestGenOneReturnsToRest(t *testing.T) {
+	r := newRig(t, 96)
+	cfg := runConfig(r.d, r.sc, Options{Dom: 0, BacktrackLimit: 64}, nil)
+	eng, err := newEngine(r.d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := newEngine(r.d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subset []int
+	for _, fi := range r.l.InDomain(0) {
+		if r.d.Nets[r.l.Faults[fi].Net].PI < 0 {
+			subset = append(subset, fi)
+		}
+	}
+	const nLanes = 4
+	calls, secondaries := 0, 0
+	for pos := 0; pos < len(subset); pos += 3 {
+		out := genOne(eng, r.l, subset, pos, pos%nLanes, nLanes, pos+1, 32, 0)
+		calls++
+		secondaries += len(out.secondaries)
+		if len(eng.trail) != 0 || len(eng.decs) != 0 || eng.site != netlist.NoNet {
+			t.Fatalf("fault %s: %d trail entries, %d decisions, site %d after genOne",
+				r.l.String(subset[pos]), len(eng.trail), len(eng.decs), eng.site)
+		}
+		for n := range eng.val1 {
+			if eng.val1[n] != fresh.val1[n] || eng.val2[n] != fresh.val2[n] || eng.valf[n] != fresh.valf[n] {
+				t.Fatalf("fault %s: net %s rests at %v/%v/%v, fresh engine %v/%v/%v",
+					r.l.String(subset[pos]), r.d.Nets[n].Name, eng.val1[n], eng.val2[n], eng.valf[n],
+					fresh.val1[n], fresh.val2[n], fresh.valf[n])
+			}
+		}
+		for lv := range eng.b1 {
+			if len(eng.b1[lv]) != 0 || len(eng.b2[lv]) != 0 {
+				t.Fatalf("fault %s: level %d buckets hold %d/%d gates",
+					r.l.String(subset[pos]), lv, len(eng.b1[lv]), len(eng.b2[lv]))
+			}
+		}
+	}
+	t.Logf("%d genOne calls merged %d secondaries", calls, secondaries)
+	if secondaries == 0 {
+		t.Fatal("no secondary was merged: the pinned-base path did not run")
+	}
+}

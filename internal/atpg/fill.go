@@ -56,7 +56,7 @@ type filler struct {
 
 	// targetBlocks marks the blocks that get random fill under
 	// FillBlockAware; everything else fills with 0.
-	targetBlocks map[int]bool
+	targetBlocks blockSet
 }
 
 func newFiller(d *netlist.Design, sc *scan.Scan, kind Fill, seed int64) *filler {
@@ -113,7 +113,7 @@ func (f *filler) Expand(c Cube) (v1 []logic.V, pis []logic.V) {
 			if v1[i] != logic.X {
 				continue
 			}
-			if f.targetBlocks[d.Inst(d.Flops[i]).Block] {
+			if f.targetBlocks.has(d.Inst(d.Flops[i]).Block) {
 				v1[i] = logic.FromBool(f.rng.Intn(2) == 1)
 			} else {
 				v1[i] = logic.Zero

@@ -1,17 +1,18 @@
 package atpg
 
 import (
+	"slices"
+
 	"scap/internal/cell"
 	"scap/internal/fault"
 	"scap/internal/logic"
 	"scap/internal/netlist"
 )
 
-// setupFault installs fault f into the engine: computes the frame-2 fanout
-// cone and observable endpoints, injects the stuck value into the faulty
-// machine, and applies pinned primary-input constants (e.g. scan enable).
-// It returns false when the fault has no observable endpoint in this
-// domain.
+// setupFault installs fault f into the engine: collects the frame-2
+// fanout cone and observable endpoints, and injects the stuck value into
+// the faulty machine. It returns false when the fault has no observable
+// endpoint in this domain.
 func (e *engine) setupFault(f *fault.Fault) bool {
 	e.site = f.Net
 	if f.Type == fault.STR {
@@ -19,36 +20,19 @@ func (e *engine) setupFault(f *fault.Fault) bool {
 	} else {
 		e.stuck = logic.One
 	}
-	cone, err := e.d.FanoutCone(f.Net)
-	if err != nil {
-		return false
-	}
-	e.cone = cone
+	e.collectCone(f.Net)
 
 	// Observable endpoints: D nets of target-domain flops fed by the site
-	// or by cone gates. Dedup via the engine's generation-stamped net
-	// marks: bumping the generation invalidates every stale stamp at once,
-	// so this runs allocation-free once per fault across the whole list.
+	// or by cone gates. Each net has one driver, so the list has no
+	// duplicates.
 	e.obs = e.obs[:0]
-	e.obsGen++
-	if e.obsGen == 0 { // stamp wrapped: clear the slate once
-		for i := range e.obsSeen {
-			e.obsSeen[i] = 0
-		}
-		e.obsGen = 1
+	if e.obsD[f.Net] {
+		e.obs = append(e.obs, f.Net)
 	}
-	addObsOf := func(n netlist.NetID) {
-		for _, ld := range e.d.Nets[n].Loads {
-			inst := &e.d.Insts[ld.Inst]
-			if inst.IsFlop() && ld.Pin == 0 && inst.Domain == e.dom && e.obsSeen[n] != e.obsGen {
-				e.obsSeen[n] = e.obsGen
-				e.obs = append(e.obs, n)
-			}
+	for _, g := range e.cone {
+		if out := e.d.Insts[g].Out; e.obsD[out] {
+			e.obs = append(e.obs, out)
 		}
-	}
-	addObsOf(f.Net)
-	for _, g := range cone {
-		addObsOf(e.d.Insts[g].Out)
 	}
 	if len(e.obs) == 0 {
 		return false
@@ -60,17 +44,55 @@ func (e *engine) setupFault(f *fault.Fault) bool {
 	e.set(2, e.site, e.stuck)
 	e.schedule2(e.site)
 	e.wave()
-	for pi, v := range e.piConst {
-		e.assignInput(inputRef{isPI: true, idx: pi}, v)
-	}
 	return true
 }
 
-// teardown restores the all-X state after a fault.
-func (e *engine) teardown() {
-	e.undoTo(0)
+// collectCone sets e.cone to the combinational gates reachable from net
+// site, in TopoOrder. It walks only the cone: a worklist over the load
+// lists, with gates deduplicated by generation stamps. The sort matters
+// beyond tidiness: the D-frontier scans the cone deepest-first, so the
+// order decides which objective PODEM pursues.
+func (e *engine) collectCone(site netlist.NetID) {
+	e.gen++
+	if e.gen == 0 { // stamps wrapped: clear them once
+		clear(e.coneMark)
+		e.gen = 1
+	}
+	cone := e.markLoads(e.cone[:0], site)
+	for i := 0; i < len(cone); i++ {
+		cone = e.markLoads(cone, e.d.Insts[cone[i]].Out)
+	}
+	pos := e.conePos[:0]
+	for _, g := range cone {
+		pos = append(pos, e.topoPos[g])
+	}
+	slices.Sort(pos)
+	for i, p := range pos {
+		cone[i] = e.topo[p]
+	}
+	e.cone, e.conePos = cone, pos
+}
+
+// markLoads stamps the combinational loads of net n not yet in the cone
+// and appends them to it.
+func (e *engine) markLoads(cone []netlist.InstID, n netlist.NetID) []netlist.InstID {
+	for _, g := range e.combLoads[n] {
+		if e.coneMark[g] != e.gen {
+			e.coneMark[g] = e.gen
+			cone = append(cone, g)
+		}
+	}
+	return cone
+}
+
+// teardown uninstalls the fault: it undoes every assignment made since
+// mark, the trail length when generate started, so whatever was pinned
+// before (the resting state, a compaction base) stays.
+func (e *engine) teardown(mark int) {
+	e.undoTo(mark)
 	e.decs = e.decs[:0]
 	e.backtracks = 0
+	e.site = netlist.NoNet
 }
 
 // excited reports whether the launch transition is fully justified: the
@@ -143,7 +165,7 @@ func (e *engine) frontierObjective(preferredOnly bool) (objective, bool) {
 	for i := len(e.cone) - 1; i >= 0; i-- {
 		g := e.cone[i]
 		inst := &e.d.Insts[g]
-		if preferredOnly && !e.prefer[inst.Block] {
+		if preferredOnly && !e.prefer.has(inst.Block) {
 			continue
 		}
 		if e.diverged(inst.Out) {
@@ -303,23 +325,19 @@ func (e *engine) backtrace(obj objective) (inputRef, logic.V, bool) {
 			return inputRef{isPI: true, idx: net.PI}, v, true
 		}
 		drv := net.Driver
-		inst := &e.d.Insts[drv]
-		if inst.IsFlop() {
-			fi := e.flopIdx[drv]
-			if fr == frame1 || e.hold[drv] {
-				if e.val1[inst.Out] != logic.X {
+		if fi := e.flopIdx[drv]; fi >= 0 {
+			src := e.xferSrc[drv]
+			if fr == frame1 || src == netlist.NoNet {
+				if e.val1[n] != logic.X {
 					return inputRef{}, 0, false
 				}
-				return inputRef{isPI: false, idx: fi}, v, true
+				return inputRef{isPI: false, idx: int(fi)}, v, true
 			}
 			// Frame-2 flop output: cross the frame boundary to its source.
-			src, ok := e.xferSrc[drv]
-			if !ok {
-				return inputRef{}, 0, false
-			}
 			fr, n = frame1, src
 			continue
 		}
+		inst := &e.d.Insts[drv]
 		// Combinational gate: flip the target value through inverting
 		// kinds and descend into an X-valued input.
 		if inversion(inst.Kind) {
@@ -383,22 +401,18 @@ func (e *engine) backtrack() bool {
 	return false
 }
 
-// generate runs PODEM for fault f and returns the cube on success.
+// generate runs PODEM for fault f on top of whatever the engine has pinned
+// (nothing beyond the resting state for a primary target; the pattern's
+// cube so far for a compaction secondary) and returns the cube on success.
+// The cube contains only the new decisions (plus the pinned PI constants);
+// by Kleene monotonicity a base's earlier detection proofs survive any
+// extension. A base conflict surfaces as untestable-under-base. generate
+// undoes everything it assigned before it returns.
 func (e *engine) generate(f *fault.Fault) (Cube, engineResult) {
-	return e.generateWith(f, Cube{})
-}
-
-// generateWith runs PODEM for fault f on top of pinned base assignments
-// (dynamic compaction: the base is the cube accumulated for earlier
-// targets of the same pattern). The returned cube contains only the new
-// decisions; by Kleene monotonicity the base's earlier detection proofs
-// survive any extension. A base conflict surfaces as untestable-under-base.
-func (e *engine) generateWith(f *fault.Fault, base Cube) (Cube, engineResult) {
-	defer e.teardown()
+	defer e.teardown(len(e.trail))
 	if !e.setupFault(f) {
 		return Cube{}, genUntestable
 	}
-	e.applyBaseBatch(base)
 	return e.search()
 }
 
@@ -425,31 +439,32 @@ func (e *engine) search() (Cube, engineResult) {
 	}
 }
 
-// applyBaseBatch pins earlier-cube assignments without putting them on
-// the decision stack, so backtracking never undoes them. It places every
-// still-unassigned care bit of the base and settles them in one
-// implication wave; under dynamic compaction a wave per base bit would
-// dominate the engine's wave count. The result is the fixpoint a wave
+// pin places every still-unassigned care bit of c without putting it on
+// the decision stack, and settles them in one implication wave; a wave per
+// bit would dominate the engine's wave count under dynamic compaction.
+// Pinned bits survive every search on top of them until the caller undoes
+// to a trail mark taken before the pin. The result is the fixpoint a wave
 // per bit reaches: Kleene implication is monotone and confluent, so the
 // closure of a set of root assignments is independent of application
 // order and of whether a bit another bit already implies is written as a
-// root or derived by the wave. Base cubes are mutually consistent by
+// root or derived by the wave. For the same reason pinning a base before a
+// fault is installed reaches the state that installing the fault first and
+// pinning after it would. Cubes pinned together are mutually consistent by
 // construction (they were jointly committed when earlier targets accepted
-// them) and the frame-1/frame-2 good rails carry no fault-dependent
-// state, so a bit can never arrive implied to the opposite value.
-// Iteration order is free to be the map's: each (rail, net) pair is
-// written at most once per batch, so trail restoration is
-// order-independent too.
-func (e *engine) applyBaseBatch(base Cube) {
+// them) and the frame-1/frame-2 good rails carry no fault-dependent state,
+// so a bit can never arrive implied to the opposite value. Iteration order
+// is free to be the map's: each (rail, net) pair is written at most once
+// per batch, so trail restoration is order-independent too.
+func (e *engine) pin(c Cube) {
 	placed := 0
-	for idx, v := range base.State {
+	for idx, v := range c.State {
 		f := e.d.Flops[idx]
 		if e.val1[e.d.Insts[f].Out] == logic.X {
 			e.place(inputRef{isPI: false, idx: idx}, v)
 			placed++
 		}
 	}
-	for idx, v := range base.PIs {
+	for idx, v := range c.PIs {
 		n := e.d.PIs[idx]
 		if e.val1[n] == logic.X {
 			e.place(inputRef{isPI: true, idx: idx}, v)

@@ -141,28 +141,6 @@ func TestDoubleDrivePanics(t *testing.T) {
 	d.AddInst("g", cell.Inv, []NetID{a}, a, 0)
 }
 
-func TestFanoutCone(t *testing.T) {
-	d := buildToy(t)
-	// Cone from n1 (g1 output) should include g2 and g3 but not g1.
-	n1 := NetID(-1)
-	for i := range d.Nets {
-		if d.Nets[i].Name == "n1" {
-			n1 = d.Nets[i].ID
-		}
-	}
-	cone, err := d.FanoutCone(n1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, id := range cone {
-		names[d.Inst(id).Name] = true
-	}
-	if !names["g2"] || !names["g3"] || names["g1"] || len(names) != 2 {
-		t.Fatalf("cone = %v", names)
-	}
-}
-
 func TestFaninCone(t *testing.T) {
 	d := buildToy(t)
 	var n3 NetID

@@ -112,39 +112,6 @@ func (d *Design) MaxLevel() (int32, error) {
 	return max, nil
 }
 
-// FanoutCone returns the set of combinational instances reachable from net
-// start through combinational logic (flops stop propagation), in
-// topological order relative to the design's TopoOrder.
-func (d *Design) FanoutCone(start NetID) ([]InstID, error) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	inCone := make([]bool, len(d.Insts))
-	netIn := make([]bool, len(d.Nets))
-	netIn[start] = true
-	cone := make([]InstID, 0, 64)
-	for _, id := range order {
-		inst := &d.Insts[id]
-		if inst.IsFlop() {
-			continue
-		}
-		hit := false
-		for _, in := range inst.In {
-			if in != NoNet && netIn[in] {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			inCone[id] = true
-			netIn[inst.Out] = true
-			cone = append(cone, id)
-		}
-	}
-	return cone, nil
-}
-
 // FaninCone returns the set of instances (combinational gates and the flops
 // or primary inputs at the frontier) in the transitive fanin of net start.
 // Flops are included but not traversed through.
