@@ -20,15 +20,15 @@ test-race:
 bench:
 	go test -bench . -benchtime 1x -run ^$$ ./...
 
-# Machine-readable perf trajectory: run the power-grid solver and
+# Machine-readable perf trajectory: run the power-grid solve and
 # profiling-pipeline benchmarks with -benchmem and emit BENCH_pgrid.json,
 # then the timing-simulation benchmarks into BENCH_sim.json (ns/op, B/op,
 # allocs/op and extra metrics per benchmark) so regressions are comparable
-# across PRs. The GridScale sweep (solve time vs node count per solver
-# tier, n=32..2048, with grid_nodes as an extra metric) runs once per
-# size (-benchtime 1x) and lands in the same BENCH_pgrid.json.
+# across PRs. The GridScale sweep (solve time vs node count, n=32..512,
+# with grid_nodes as an extra metric) runs once per size (-benchtime 1x)
+# and lands in the same BENCH_pgrid.json.
 bench-json:
-	{ go test -run '^$$' -bench 'Solve|Factor|Pgrid|IRDrop|ProfilePatterns' -benchmem . && \
+	{ go test -run '^$$' -bench 'Solve|Factor|IRDrop|ProfilePatterns' -benchmem . && \
 	  go test -run '^$$' -bench 'GridScale' -benchtime 1x -benchmem . ; } | go run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_pgrid.json
 	go test -run '^$$' -bench 'Launch|TimingSimulation' -benchmem . | go run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_sim.json
 	go test -run '^$$' -bench '^BenchmarkDrop$$|DetectionCounts|GradeFaultSim|GradeDetections|ScreenPatterns|ProfilePatternsSerial' -benchmem . | go run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_faultsim.json

@@ -235,15 +235,18 @@ func BenchmarkAblationGridResolution(b *testing.B) {
 				b.Fatal(err)
 			}
 			inj := g.InjectInstCurrents(sys.D, cur)
+			if _, err := g.Factor(); err != nil { // once per grid: keep it out of the loop
+				b.Fatal(err)
+			}
+			var sol *pgrid.Solution
+			var scratch pgrid.SolveScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := g.Solve(inj)
-				if err != nil {
+				if sol, err = g.Solve(inj, sol, &scratch); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(sol.Worst*1000, "worst-mV")
-				b.ReportMetric(float64(sol.Iterations), "iters")
 			}
+			b.ReportMetric(sol.Worst*1000, "worst-mV")
 		})
 	}
 }
@@ -404,8 +407,8 @@ func benchProfilePatterns(b *testing.B, workers int) {
 func BenchmarkProfilePatternsSerial(b *testing.B)   { benchProfilePatterns(b, 1) }
 func BenchmarkProfilePatternsParallel(b *testing.B) { benchProfilePatterns(b, 0) }
 
-// BenchmarkDynamicIRDropAll measures the batched warm-started pipeline
-// over the whole conventional flow (serial vs all cores).
+// BenchmarkDynamicIRDropAll measures the batched pipeline over the
+// whole conventional flow (serial vs all cores).
 func BenchmarkDynamicIRDropAll(b *testing.B) {
 	r := benchRunner(b)
 	conv, _, err := r.Conventional()
@@ -425,26 +428,18 @@ func BenchmarkDynamicIRDropAll(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sums, err := sys.DynamicIRDropAll(conv, core.ModelSCAP)
-				if err != nil {
+				if _, err := sys.DynamicIRDropAll(conv, core.ModelSCAP); err != nil {
 					b.Fatal(err)
 				}
-				iters := 0
-				for j := range sums {
-					iters += sums[j].IterVDD
-				}
-				b.ReportMetric(float64(iters)/float64(len(sums)), "sweeps/pattern")
 			}
 		})
 	}
 }
 
-// benchSolveInputs prepares the acceptance workload shared by the
-// solver benchmarks: the default calibrated VDD grid, a statistical
-// injection perturbed the way per-pattern injections drift, and a
-// converged baseline usable as a warm start.
-func benchSolveInputs(b *testing.B) (*pgrid.Grid, []float64, []float64) {
-	b.Helper()
+// BenchmarkSolve prices one per-pattern rail solve: the default
+// calibrated VDD grid under its statistical half-cycle injection,
+// solved against the cached factorization with caller-owned buffers.
+func BenchmarkSolve(b *testing.B) {
 	r := benchRunner(b)
 	sys := r.Sys
 	cur := power.StatCurrents(sys.D, sys.Cfg.ToggleProb, sys.Period/2)
@@ -453,39 +448,7 @@ func benchSolveInputs(b *testing.B) (*pgrid.Grid, []float64, []float64) {
 	}
 	g := sys.GridVDD
 	inj := g.InjectInstCurrents(sys.D, cur)
-	base, err := g.Solve(inj)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inj2 := append([]float64(nil), inj...)
-	for i := range inj2 {
-		inj2[i] *= 1.05
-	}
-	return g, inj2, base.Drop
-}
-
-// BenchmarkSolveWarm / BenchmarkSolveFactored are the headline pair of
-// the cached banded-Cholesky solver: the same injection on the same
-// default grid, solved by warm-started SOR vs two factored triangular
-// sweeps. The factored path must be >= 5x cheaper in ns/op.
-func BenchmarkSolveWarm(b *testing.B) {
-	g, inj, warm := benchSolveInputs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sol *pgrid.Solution
-	for i := 0; i < b.N; i++ {
-		var err error
-		sol, err = g.SolveWarm(inj, warm, sol)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(sol.Iterations), "sweeps")
-	}
-}
-
-func BenchmarkSolveFactored(b *testing.B) {
-	g, inj, _ := benchSolveInputs(b)
-	if _, err := g.Factor(); err != nil { // amortized once per grid: keep it out of the loop
+	if _, err := g.Factor(); err != nil { // once per grid: keep it out of the loop
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -494,15 +457,15 @@ func BenchmarkSolveFactored(b *testing.B) {
 	var scratch pgrid.SolveScratch
 	for i := 0; i < b.N; i++ {
 		var err error
-		sol, err = g.SolveFactored(inj, sol, &scratch)
+		sol, err = g.Solve(inj, sol, &scratch)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFactor prices the one-time banded LDLᵀ factorization that
-// SolveFactored amortizes across every solve of a grid's lifetime.
+// BenchmarkFactor prices the one-time sparse LDLᵀ factorization that
+// Solve amortizes across every solve of a grid's lifetime.
 func BenchmarkFactor(b *testing.B) {
 	r := benchRunner(b)
 	p := r.Sys.GridVDD.P
@@ -517,51 +480,6 @@ func BenchmarkFactor(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPgridWarmStart quantifies the warm-start win on the SOR
-// solver itself: the same slightly-perturbed injection solved cold vs
-// warm-started from the neighbouring solution.
-func BenchmarkPgridWarmStart(b *testing.B) {
-	r := benchRunner(b)
-	sys := r.Sys
-	cur := power.StatCurrents(sys.D, sys.Cfg.ToggleProb, sys.Period/2)
-	for i := range cur {
-		cur[i] /= 2
-	}
-	g := sys.GridVDD
-	inj := g.InjectInstCurrents(sys.D, cur)
-	base, err := g.Solve(inj)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Perturb ~ the pattern-to-pattern variation of the dynamic flow.
-	inj2 := append([]float64(nil), inj...)
-	for i := range inj2 {
-		inj2[i] *= 1.05
-	}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sol, err := g.Solve(inj2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(sol.Iterations), "sweeps")
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		var sol *pgrid.Solution
-		for i := 0; i < b.N; i++ {
-			var err error
-			sol, err = g.SolveWarm(inj2, base.Drop, sol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(sol.Iterations), "sweeps")
-		}
-	})
 }
 
 // --- grid-scale sweep -----------------------------------------------------
@@ -600,123 +518,34 @@ func gridScaleGrid(b *testing.B, n int) (*pgrid.Grid, []float64) {
 	return g, inj
 }
 
-// BenchmarkGridScale is the asymptotic-crossover sweep behind the
-// sparse and multigrid solver tiers (DESIGN.md "Solver hierarchy"):
-// per-pattern solve time versus node count for each tier, n=32 through
-// 2048 (4.2M nodes). The banded tier stops at n=256 — at n=512 its
-// factor alone stores nn·bw ≈ 1 GB and costs O(N·bw²) ≈ 7e10 flops —
-// SOR stops at n=128, and the sparse tier at n=512, where its factor
-// build already dominates; only the factor-free multigrid tiers run
-// the full range (mg cold-starts every solve, mg-warm warm-starts from
-// the converged base of the same injection, the per-pattern pipeline's
-// regime — the same split as sor vs a hypothetical sor-cold). The name
+// BenchmarkGridScale prices the per-pattern solve against node count,
+// n=32 through 512 (262,144 nodes), with grid_nodes as an extra metric.
+// The factor is built once per size, outside the timed loop. The name
 // deliberately avoids the 'Solve|Factor' bench-json regex so the timed
 // bench-json pass doesn't run the sweep twice.
 func BenchmarkGridScale(b *testing.B) {
-	tiers := []struct {
-		name  string
-		maxN  int
-		solve func(b *testing.B, g *pgrid.Grid, inj []float64)
-	}{
-		{"sparse", 512, func(b *testing.B, g *pgrid.Grid, inj []float64) {
-			if _, err := g.SparseFactor(); err != nil {
-				b.Fatal(err)
-			}
-			var sol *pgrid.Solution
-			var scratch pgrid.SolveScratch
-			var err error
-			if sol, err = g.SolveSparse(inj, sol, &scratch); err != nil { // warm the scratch
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sol, err = g.SolveSparse(inj, sol, &scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"banded", 256, func(b *testing.B, g *pgrid.Grid, inj []float64) {
+	for _, n := range []int{32, 64, 128, 256, 512} {
+		n := n
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g, inj := gridScaleGrid(b, n)
 			if _, err := g.Factor(); err != nil {
 				b.Fatal(err)
 			}
 			var sol *pgrid.Solution
 			var scratch pgrid.SolveScratch
 			var err error
-			if sol, err = g.SolveFactored(inj, sol, &scratch); err != nil {
+			if sol, err = g.Solve(inj, sol, &scratch); err != nil { // warm the scratch
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if sol, err = g.SolveFactored(inj, sol, &scratch); err != nil {
+				if sol, err = g.Solve(inj, sol, &scratch); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}},
-		{"sor-warm", 128, func(b *testing.B, g *pgrid.Grid, inj []float64) {
-			base, err := g.Solve(inj)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := append([]float64(nil), base.Drop...)
-			var sol *pgrid.Solution
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sol, err = g.SolveWarm(inj, warm, sol); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"mg", 2048, func(b *testing.B, g *pgrid.Grid, inj []float64) {
-			if _, err := g.MG(); err != nil {
-				b.Fatal(err)
-			}
-			var sol *pgrid.Solution
-			var scratch pgrid.SolveScratch
-			var err error
-			if sol, err = g.SolveMultigrid(inj, nil, sol, &scratch); err != nil { // warm the scratch
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sol, err = g.SolveMultigrid(inj, nil, sol, &scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"mg-warm", 2048, func(b *testing.B, g *pgrid.Grid, inj []float64) {
-			var scratch pgrid.SolveScratch
-			base, err := g.SolveMultigrid(inj, nil, nil, &scratch) // warm the scratch
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := append([]float64(nil), base.Drop...)
-			sol := base
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sol, err = g.SolveMultigrid(inj, warm, sol, &scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-	}
-	for _, n := range []int{32, 64, 128, 256, 512, 1024, 2048} {
-		for _, tier := range tiers {
-			if n > tier.maxN {
-				continue
-			}
-			tier := tier
-			n := n
-			b.Run(fmt.Sprintf("%s/n=%d", tier.name, n), func(b *testing.B) {
-				g, inj := gridScaleGrid(b, n)
-				tier.solve(b, g, inj)
-				b.ReportMetric(float64(n*n), "grid_nodes")
-			})
-		}
+			b.ReportMetric(float64(n*n), "grid_nodes")
+		})
 	}
 }
 

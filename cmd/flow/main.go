@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	flow [-scale N] [-out dir] [-workers W] [-solver factored|sparse|mg|sor|auto] [-screen F]
+//	flow [-scale N] [-out dir] [-workers W] [-screen F]
 //	     [-cpuprofile F] [-memprofile F] [-report F.json] [-metrics-addr :6060]
 //	     [-trace F.json] [-trace-sample N] [-snapshot-interval D]
 //
@@ -38,7 +38,6 @@ func main() {
 	scale := flag.Int("scale", 8, "design scale divisor")
 	out := flag.String("out", "flow_out", "artifact directory")
 	workers := flag.Int("workers", 0, "pattern-analysis and ATPG-generation workers (0 = all cores, 1 = serial)")
-	solverName := flag.String("solver", "factored", core.SolverFlagUsage)
 	screen := flag.Float64("screen", 0, "packed zero-delay pre-screen: exactly profile only this top fraction of patterns (0 disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole flow to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at flow end to this file")
@@ -50,8 +49,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flow: -screen must be in [0, 1]")
 		os.Exit(2)
 	}
-	solver, err := core.ParseSolver(*solverName)
-	die(err)
 	die(obsFlags.Setup())
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -69,7 +66,6 @@ func main() {
 	}
 	cfg := core.DefaultConfig(*scale)
 	cfg.Workers = *workers
-	cfg.Solver = solver
 	sys, err := core.Build(cfg)
 	die(err)
 

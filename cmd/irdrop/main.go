@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	irdrop [-scale N] [-dynamic] [-all] [-mc T] [-pattern P] [-model CAP|SCAP] [-map] [-workers W] [-solver factored|sparse|mg|sor|auto]
+//	irdrop [-scale N] [-dynamic] [-all] [-mc T] [-pattern P] [-model CAP|SCAP] [-map] [-workers W]
 //	       [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
 package main
 
@@ -25,14 +25,13 @@ import (
 func main() {
 	scale := flag.Int("scale", 8, "design scale divisor")
 	dynamic := flag.Bool("dynamic", false, "run the dynamic per-pattern analysis too")
-	all := flag.Bool("all", false, "batch-solve IR drop for every pattern of the flow (worker pool + warm starts)")
+	all := flag.Bool("all", false, "batch-solve IR drop for every pattern of the flow (worker pool)")
 	mc := flag.Int("mc", 0, "Monte-Carlo statistical trials (0 = off)")
 	pattern := flag.Int("pattern", -1, "conventional-flow pattern to analyze (-1 = hottest)")
 	modelName := flag.String("model", "SCAP", "power model for the dynamic analysis: CAP | SCAP")
 	showMap := flag.Bool("map", false, "render the VDD drop heatmap")
 	doFTAS := flag.Bool("ftas", false, "run the faster-than-at-speed overkill sweep")
 	workers := flag.Int("workers", 0, "analysis workers (0 = all cores, 1 = serial)")
-	solverName := flag.String("solver", "factored", core.SolverFlagUsage)
 	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 
@@ -46,16 +45,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "irdrop: unknown model", *modelName)
 		os.Exit(2)
 	}
-	solver, err := core.ParseSolver(*solverName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "irdrop:", err)
-		os.Exit(2)
-	}
 
 	t0 := time.Now()
 	cfg := core.DefaultConfig(*scale)
 	cfg.Workers = *workers
-	cfg.Solver = solver
 	sys, err := core.Build(cfg)
 	die(err)
 	// irdrop returns early from several analysis tiers; the deferred finish
@@ -80,8 +73,8 @@ func main() {
 		t1 := time.Now()
 		res, err := sys.MonteCarloIRDrop(*mc, sys.Cfg.Seed)
 		die(err)
-		fmt.Printf("\nMonte-Carlo statistical analysis: %d trials, half-cycle window (%v, %s solver, mean %.1f sweeps/trial):\n",
-			res.Trials, time.Since(t1).Round(time.Millisecond), solver, res.MeanIters)
+		fmt.Printf("\nMonte-Carlo statistical analysis: %d trials, half-cycle window (%v):\n",
+			res.Trials, time.Since(t1).Round(time.Millisecond))
 		fmt.Printf("%-6s %10s %10s %10s\n", "block", "mean [V]", "p95 [V]", "max [V]")
 		for b := 0; b <= sys.D.NumBlocks; b++ {
 			name := "Chip"
@@ -105,15 +98,14 @@ func main() {
 		sums, err := sys.DynamicIRDropAll(fr, model)
 		die(err)
 		nb := sys.D.NumBlocks
-		worstP, iterSum := 0, 0
+		worstP := 0
 		for i := range sums {
-			iterSum += sums[i].IterVDD
 			if sums[i].WorstVDD[nb] > sums[worstP].WorstVDD[nb] {
 				worstP = i
 			}
 		}
-		fmt.Printf("\nbatched %v-model analysis: %d patterns solved in %v (%s solver, mean %.1f VDD sweeps/pattern)\n",
-			model, len(sums), time.Since(t1).Round(time.Millisecond), solver, float64(iterSum)/float64(len(sums)))
+		fmt.Printf("\nbatched %v-model analysis: %d patterns solved in %v\n",
+			model, len(sums), time.Since(t1).Round(time.Millisecond))
 		fmt.Printf("  worst pattern #%d: VDD %.3f V, VSS %.3f V (STW %.2f ns)\n",
 			worstP, sums[worstP].WorstVDD[nb], sums[worstP].WorstVSS[nb], sums[worstP].STW)
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	scap [-scale N] [-flow conventional|new] [-block B5] [-top K] [-plot] [-workers W]
-//	     [-solver factored|sparse|mg|sor|auto] [-screen F] [-report F.json] [-metrics-addr :6060]
+//	     [-screen F] [-report F.json] [-metrics-addr :6060]
 //	     [-trace F.json] [-trace-sample N] [-snapshot-interval D]
 //
 // With -screen F (0 < F <= 1) the packed zero-delay pre-screen ranks all
@@ -39,7 +39,6 @@ func main() {
 	plot := flag.Bool("plot", false, "render the SCAP scatter plot")
 	waveform := flag.Bool("waveform", false, "render the hottest pattern's instantaneous power waveform")
 	workers := flag.Int("workers", 0, "pattern-profiling workers (0 = all cores, 1 = serial)")
-	solverName := flag.String("solver", "factored", core.SolverFlagUsage)
 	screen := flag.Float64("screen", 0, "packed zero-delay pre-screen: exactly profile only this top fraction of patterns (0 disables)")
 	obsFlags := obs.RegisterFlags()
 	flag.Parse()
@@ -51,11 +50,6 @@ func main() {
 	}
 	if *screen < 0 || *screen > 1 {
 		fmt.Fprintln(os.Stderr, "scap: -screen must be in [0, 1]")
-		os.Exit(2)
-	}
-	solver, err := core.ParseSolver(*solverName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scap:", err)
 		os.Exit(2)
 	}
 	die(obsFlags.Setup())
@@ -74,7 +68,6 @@ func main() {
 	t0 := time.Now()
 	cfg := core.DefaultConfig(*scale)
 	cfg.Workers = *workers
-	cfg.Solver = solver
 	sys, err := core.Build(cfg)
 	die(err)
 	stat, err := sys.Statistical()

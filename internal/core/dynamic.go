@@ -38,7 +38,7 @@ func (m PowerModel) String() string {
 // nanovolts). Solved drops are exact deterministic products of the
 // pattern, so the table is bit-identical for any worker count.
 var tkIRDrop = obs.NewTopK("core.irdrop_hotspots", 16, "drop_nv",
-	"vdd_mv", "vss_mv", "stw_ns", "iter_vdd", "iter_vss")
+	"vdd_mv", "vss_mv", "stw_ns")
 
 // DynamicIR is one pattern's dynamic IR-drop analysis.
 type DynamicIR struct {
@@ -85,7 +85,7 @@ func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, mode
 	solve := func(g *pgrid.Grid, energy []float64) (*pgrid.Solution, []float64, error) {
 		cur = power.InstCurrentsInto(cur, d, energy, window)
 		inj = g.InjectInstCurrentsInto(inj, d, cur)
-		sol, err := sys.solveRail(g, inj, nil, nil, nil)
+		sol, err := g.Solve(inj, nil, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: dynamic solve: %w", err)
 		}
@@ -102,23 +102,21 @@ func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, mode
 
 // IRDropSummary is one pattern's result from the batched dynamic
 // analysis: the worst node drop per block (chip entry at index
-// NumBlocks) on each rail, volts, plus the SOR effort that produced it.
-// The full node-by-node maps of DynamicIR are deliberately not kept —
-// screening a whole pattern set only consumes the per-block extremes,
-// and dropping the maps is what lets each worker recycle its solver
-// buffers.
+// NumBlocks) on each rail, volts. The full node-by-node maps of
+// DynamicIR are deliberately not kept — screening a whole pattern set
+// only consumes the per-block extremes, and dropping the maps is what
+// lets each worker recycle its solver buffers.
 type IRDropSummary struct {
-	Index            int
-	Model            PowerModel
-	STW              float64
-	WorstVDD         []float64
-	WorstVSS         []float64
-	IterVDD, IterVSS int
+	Index    int
+	Model    PowerModel
+	STW      float64
+	WorstVDD []float64
+	WorstVSS []float64
 }
 
 // irScratch is one worker's solver state for DynamicIRDropAll: reusable
 // current/injection vectors, a recycled Solution per rail, and the
-// factored solver's forward-substitution scratch.
+// solve's work vector.
 type irScratch struct {
 	cur, inj       []float64
 	solVDD, solVSS *pgrid.Solution
@@ -129,16 +127,10 @@ type irScratch struct {
 // whole flow, fanned across sys.Workers workers (0 = all cores, 1 = the
 // exact serial path).
 //
-// Under the default factored solver every pattern is two exact banded
-// triangular sweeps against the grid's shared read-only factorization,
-// so all patterns fan out immediately and results are bit-identical for
-// any worker count by construction. Under the SOR fallback, pattern 0
-// is solved cold first and its rail solutions become the shared
-// warm-start guess for every remaining pattern — per-pattern injections
-// resemble each other, so SOR converges in a fraction of the cold
-// iteration count, and because the guess is the same for every pattern
-// the results are again identical for any worker count (each solve
-// still runs to the grid's own tolerance).
+// Every pattern is two exact triangular sweeps per rail against the
+// grid's shared read-only factorization, so all patterns fan out at
+// once and results are bit-identical for any worker count by
+// construction.
 func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropSummary, error) {
 	defer obs.StartSpan("dynamic-irdrop-all").End()
 	n := len(fr.Patterns)
@@ -161,8 +153,8 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 	}()
 
 	// eval simulates pattern i on worker w's scratch and solves both
-	// rails warm-started from the given guesses (nil = cold).
-	eval := func(w, i int, warmVDD, warmVSS []float64) error {
+	// rails.
+	eval := func(w, i int) error {
 		p := &fr.Patterns[i]
 		ps, sc := &pool[w], &scratch[w]
 		ps.meter.Reset()
@@ -177,63 +169,36 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 		sum := &out[i]
 		sum.Index, sum.Model, sum.STW = i, model, res.STW
 
-		solve := func(g *pgrid.Grid, energy, warm []float64, reuse *pgrid.Solution) (*pgrid.Solution, []float64, error) {
+		solve := func(g *pgrid.Grid, energy []float64, reuse *pgrid.Solution) (*pgrid.Solution, []float64, error) {
 			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, energy, window)
 			sc.inj = g.InjectInstCurrentsInto(sc.inj, sys.D, sc.cur)
-			sol, err := sys.solveRail(g, sc.inj, warm, reuse, &sc.fs)
+			sol, err := g.Solve(sc.inj, reuse, &sc.fs)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: dynamic solve pattern %d: %w", i, err)
 			}
 			return sol, sol.WorstPerBlock(g, sys.D.NumBlocks), nil
 		}
-		var sol *pgrid.Solution
-		if sol, sum.WorstVDD, err = solve(sys.GridVDD, ps.meter.RawInstEnergyVDD(), warmVDD, sc.solVDD); err != nil {
+		if sc.solVDD, sum.WorstVDD, err = solve(sys.GridVDD, ps.meter.RawInstEnergyVDD(), sc.solVDD); err != nil {
 			return err
 		}
-		sc.solVDD, sum.IterVDD = sol, sol.Iterations
-		if sol, sum.WorstVSS, err = solve(sys.GridVSS, ps.meter.RawInstEnergyVSS(), warmVSS, sc.solVSS); err != nil {
+		if sc.solVSS, sum.WorstVSS, err = solve(sys.GridVSS, ps.meter.RawInstEnergyVSS(), sc.solVSS); err != nil {
 			return err
 		}
-		sc.solVSS, sum.IterVSS = sol, sol.Iterations
 		nb := sys.D.NumBlocks
 		vdd, vss := sum.WorstVDD[nb], sum.WorstVSS[nb]
 		tkIRDrop.Record(int64(i), int64(math.Round((vdd+vss)*1e9)), model.String(),
-			vdd*1e3, vss*1e3, sum.STW, float64(sum.IterVDD), float64(sum.IterVSS))
+			vdd*1e3, vss*1e3, sum.STW)
 		return nil
 	}
 
-	if sys.Solver != SolverSOR {
-		// Direct paths (banded or sparse): the shared factorization makes
-		// every solve exact and independent, so all patterns fan out at
-		// once. Factor both rails up front rather than inside the first
-		// solves, so the one-time cost is not attributed to a worker's
-		// pattern.
-		if err := sys.prefactor(sys.GridVDD); err != nil {
+	// Factor both rails up front rather than inside the first solves, so
+	// the one-time cost is not attributed to a worker's pattern.
+	for _, g := range []*pgrid.Grid{sys.GridVDD, sys.GridVSS} {
+		if _, err := g.Factor(); err != nil {
 			return nil, err
 		}
-		if err := sys.prefactor(sys.GridVSS); err != nil {
-			return nil, err
-		}
-		if err := parallel.For(workers, n, func(w, i int) error {
-			return eval(w, i, nil, nil)
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
 	}
-
-	// SOR fallback. Cold baseline: pattern 0 on worker 0, then copy its
-	// drops out of the recyclable scratch as the shared read-only warm
-	// guess.
-	if err := eval(0, 0, nil, nil); err != nil {
-		return nil, err
-	}
-	warmVDD := append([]float64(nil), scratch[0].solVDD.Drop...)
-	warmVSS := append([]float64(nil), scratch[0].solVSS.Drop...)
-	err := parallel.For(workers, n-1, func(w, i int) error {
-		return eval(w, i+1, warmVDD, warmVSS)
-	})
-	if err != nil {
+	if err := parallel.For(workers, n, eval); err != nil {
 		return nil, err
 	}
 	return out, nil

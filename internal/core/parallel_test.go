@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"scap/internal/pgrid"
 	"scap/internal/soc"
 )
 
@@ -16,14 +15,6 @@ func setWorkers(t *testing.T, sys *System, n int) {
 	old := sys.Workers
 	sys.Workers = n
 	t.Cleanup(func() { sys.Workers = old })
-}
-
-// setSolver temporarily overrides the shared system's solver choice.
-func setSolver(t *testing.T, sys *System, s Solver) {
-	t.Helper()
-	old := sys.Solver
-	sys.Solver = s
-	t.Cleanup(func() { sys.Solver = old })
 }
 
 // TestProfilePatternsDeterministicAcrossWorkers is the concurrency
@@ -65,9 +56,9 @@ func TestProfilePatternsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDynamicIRDropAllDeterministicAcrossWorkers: every pattern past the
-// first warm-starts from the same baseline guess, so the batched
-// analysis is also bit-identical for any worker count.
+// TestDynamicIRDropAllDeterministicAcrossWorkers: every pattern is an
+// exact solve against the shared read-only factorization, so the batched
+// analysis is bit-identical for any worker count.
 func TestDynamicIRDropAllDeterministicAcrossWorkers(t *testing.T) {
 	sys, _, conv, _ := build(t)
 	setWorkers(t, sys, 1)
@@ -85,7 +76,7 @@ func TestDynamicIRDropAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for i := range serial {
 		s, p := &serial[i], &par[i]
-		if s.Index != p.Index || s.STW != p.STW || s.IterVDD != p.IterVDD || s.IterVSS != p.IterVSS {
+		if s.Index != p.Index || s.STW != p.STW {
 			t.Fatalf("pattern %d: %+v vs %+v", i, s, p)
 		}
 		for b := range s.WorstVDD {
@@ -97,9 +88,9 @@ func TestDynamicIRDropAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDynamicIRDropAllMatchesSingle: the batched path must agree with
-// the one-pattern API — exactly on the cold-solved first pattern, to
-// solver tolerance on the warm-started rest.
+// TestDynamicIRDropAllMatchesSingle: the batched path and the
+// one-pattern API make the same exact solve of the same injection, so
+// their drops must be bit-identical on every checked pattern.
 func TestDynamicIRDropAllMatchesSingle(t *testing.T) {
 	sys, _, conv, _ := build(t)
 	all, err := sys.DynamicIRDropAll(conv, ModelSCAP)
@@ -116,148 +107,14 @@ func TestDynamicIRDropAllMatchesSingle(t *testing.T) {
 		if all[i].STW != single.STW {
 			t.Fatalf("pattern %d: STW %v vs %v", i, all[i].STW, single.STW)
 		}
-		tol := 1e-4
-		if i == 0 {
-			tol = 0 // same cold solve, bit-identical
-		}
 		for b := 0; b <= nb; b++ {
-			if d := math.Abs(all[i].WorstVDD[b] - single.WorstVDD[b]); d > tol {
+			if all[i].WorstVDD[b] != single.WorstVDD[b] {
 				t.Fatalf("pattern %d block %d: VDD %v vs %v", i, b, all[i].WorstVDD[b], single.WorstVDD[b])
 			}
-			if d := math.Abs(all[i].WorstVSS[b] - single.WorstVSS[b]); d > tol {
+			if all[i].WorstVSS[b] != single.WorstVSS[b] {
 				t.Fatalf("pattern %d block %d: VSS %v vs %v", i, b, all[i].WorstVSS[b], single.WorstVSS[b])
 			}
 		}
-	}
-}
-
-// TestDynamicIRDropAllSORWarmStart pins the SOR fallback's warm-start
-// contract: later patterns must converge in fewer sweeps than the cold
-// first solve on average.
-func TestDynamicIRDropAllSORWarmStart(t *testing.T) {
-	sys, _, conv, _ := build(t)
-	setSolver(t, sys, SolverSOR)
-	all, err := sys.DynamicIRDropAll(conv, ModelSCAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) <= 2 {
-		t.Skip("too few patterns to compare warm vs cold")
-	}
-	warmSum, n := 0, 0
-	for _, s := range all[1:] {
-		warmSum += s.IterVDD
-		n++
-	}
-	if mean := float64(warmSum) / float64(n); mean >= float64(all[0].IterVDD) {
-		t.Fatalf("warm-started mean %v sweeps not below cold %d", mean, all[0].IterVDD)
-	}
-}
-
-// TestDynamicIRDropAllSolverEquivalence is the cross-solver acceptance
-// contract: the batched analysis must agree field-for-field across all
-// three solver tiers — banded factored, sparse nested-dissection LDLᵀ,
-// and the SOR fallback — within 1e-9 V once SOR runs at a tolerance
-// tight enough to be comparable to an exact solve. (The default 1e-7
-// SOR tolerance is what the direct solvers remove; the grids themselves
-// are identical because calibration is always exact.)
-func TestDynamicIRDropAllSolverEquivalence(t *testing.T) {
-	sys, _, conv, _ := build(t)
-	fac, err := sys.DynamicIRDropAll(conv, ModelSCAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setSolver(t, sys, SolverSparse)
-	sparse, err := sys.DynamicIRDropAll(conv, ModelSCAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The iterative tiers (multigrid, SOR) run at a tolerance tight
-	// enough to compare against the exact solves.
-	for _, g := range []*pgrid.Grid{sys.GridVDD, sys.GridVSS} {
-		oldTol, oldIter := g.P.Tol, g.P.MaxIter
-		g.P.Tol, g.P.MaxIter = 1e-13, 400000
-		t.Cleanup(func() { g.P.Tol, g.P.MaxIter = oldTol, oldIter })
-	}
-	sys.Solver = SolverMG
-	mg, err := sys.DynamicIRDropAll(conv, ModelSCAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Solver = SolverSOR
-	sor, err := sys.DynamicIRDropAll(conv, ModelSCAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const tol = 1e-9
-	compare := func(name string, other []IRDropSummary) {
-		t.Helper()
-		if len(fac) != len(other) {
-			t.Fatalf("%s: lengths %d vs %d", name, len(fac), len(other))
-		}
-		for i := range fac {
-			f, s := &fac[i], &other[i]
-			if f.Index != s.Index || f.Model != s.Model || f.STW != s.STW {
-				t.Fatalf("%s pattern %d: metadata differs: %+v vs %+v", name, i, f, s)
-			}
-			if len(f.WorstVDD) != len(s.WorstVDD) || len(f.WorstVSS) != len(s.WorstVSS) {
-				t.Fatalf("%s pattern %d: block slice lengths differ", name, i)
-			}
-			for b := range f.WorstVDD {
-				if d := math.Abs(f.WorstVDD[b] - s.WorstVDD[b]); d > tol {
-					t.Fatalf("pattern %d block %d: VDD factored %v vs %s %v (|d|=%v)",
-						i, b, f.WorstVDD[b], name, s.WorstVDD[b], d)
-				}
-				if d := math.Abs(f.WorstVSS[b] - s.WorstVSS[b]); d > tol {
-					t.Fatalf("pattern %d block %d: VSS factored %v vs %s %v (|d|=%v)",
-						i, b, f.WorstVSS[b], name, s.WorstVSS[b], d)
-				}
-			}
-		}
-	}
-	compare("sparse", sparse)
-	compare("mg", mg)
-	compare("sor", sor)
-}
-
-// TestSolverAutoResolve pins the auto tier's size thresholds and that
-// concrete tiers pass through Resolve untouched.
-func TestSolverAutoResolve(t *testing.T) {
-	cases := []struct {
-		nodes int
-		want  Solver
-	}{
-		{40 * 40, SolverFactored},
-		{autoSparseNodes, SolverFactored},
-		{autoSparseNodes + 1, SolverSparse},
-		{512 * 512, SolverMG},
-		{autoMGNodes, SolverSparse},
-		{autoMGNodes + 1, SolverMG},
-	}
-	for _, c := range cases {
-		if got := SolverAuto.Resolve(c.nodes); got != c.want {
-			t.Errorf("auto at %d nodes resolved to %v, want %v", c.nodes, got, c.want)
-		}
-	}
-	for _, s := range []Solver{SolverFactored, SolverSparse, SolverMG, SolverSOR} {
-		if got := s.Resolve(1 << 20); got != s {
-			t.Errorf("%v resolved to %v, want unchanged", s, got)
-		}
-	}
-}
-
-// TestSolverParseRoundTrip: every tier's String() parses back to
-// itself, and bad names are rejected.
-func TestSolverParseRoundTrip(t *testing.T) {
-	for _, s := range []Solver{SolverFactored, SolverSparse, SolverMG, SolverSOR, SolverAuto} {
-		got, err := ParseSolver(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseSolver(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseSolver("multigrid"); err == nil {
-		t.Error("ParseSolver accepted an unknown name")
 	}
 }
 

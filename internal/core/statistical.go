@@ -40,11 +40,11 @@ type StatAnalysis struct {
 // Statistical runs the paper's Section 2.2 analysis on both windows.
 func (sys *System) Statistical() (*StatAnalysis, error) {
 	defer obs.StartSpan("statistical").End()
-	// Build the direct factorizations on this goroutine before the rail
-	// solves fan out, so the one-time factor spans nest under
-	// "statistical" rather than inside a pool worker.
+	// Build the factorizations on this goroutine before the rail solves
+	// fan out, so the one-time factor spans nest under "statistical"
+	// rather than inside a pool worker.
 	for _, g := range []*pgrid.Grid{sys.GridVDD, sys.GridVSS} {
-		if err := sys.prefactor(g); err != nil {
+		if _, err := g.Factor(); err != nil {
 			return nil, fmt.Errorf("core: statistical factorization: %w", err)
 		}
 	}
@@ -91,7 +91,7 @@ func (sys *System) statCase(windowNs float64, curBuf *[]float64) (*StatCase, err
 	var worst [2][]float64
 	err := parallel.For(sys.Workers, 2, func(_, r int) error {
 		g := grids[r]
-		sol, err := sys.solveRail(g, g.InjectInstCurrents(d, cur), nil, nil, nil)
+		sol, err := g.Solve(g.InjectInstCurrents(d, cur), nil, nil)
 		if err != nil {
 			return fmt.Errorf("core: statistical solve: %w", err)
 		}
@@ -121,18 +121,13 @@ type MCResult struct {
 	// MeanVDD, P95VDD and MaxVDD hold the per-block (+chip, index
 	// NumBlocks) statistics of the worst VDD-rail node drop, volts.
 	MeanVDD, P95VDD, MaxVDD []float64
-	// MeanIters is the mean solver sweep count per trial: 1 under the
-	// factored solver (every trial is exact), and under the SOR fallback
-	// the warm-started iteration count, far below a cold solve.
-	MeanIters float64
 }
 
 // MonteCarloIRDrop runs the Monte-Carlo loop over the Case-2 (half
 // cycle) window. Trials are independent, so they fan out across
 // sys.Workers workers; each trial seeds its own PRNG from (seed, trial)
-// and solves against the shared read-only factorization (or, under the
-// SOR fallback, warm-starts from the shared deterministic baseline), so
-// the result is identical for any worker count.
+// and solves against the shared read-only factorization, so the result
+// is identical for any worker count.
 func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 	defer obs.StartSpan("monte-carlo-irdrop").End()
 	if trials <= 0 {
@@ -149,24 +144,8 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 		fullCur[i] = d.LoadCap(netlist.InstID(i)) * d.Lib.VDD / window * 1e-3
 	}
 
-	// Deterministic warm-start baseline for the iterative tiers (SOR and
-	// multigrid): the expected injection (the Case-2 VDD solve of the
-	// Statistical analysis), solved by the configured tier itself. The
-	// direct paths need no guess — every trial is an exact solve against
-	// the shared factorization.
 	g := sys.GridVDD
-	var warm []float64
-	if sys.Solver == SolverSOR || sys.Solver == SolverMG {
-		exp := power.StatCurrents(d, prob, window)
-		for i := range exp {
-			exp[i] /= 2
-		}
-		base, err := sys.solveRail(g, g.InjectInstCurrents(d, exp), nil, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: MC baseline: %w", err)
-		}
-		warm = base.Drop
-	} else if err := sys.prefactor(g); err != nil {
+	if _, err := g.Factor(); err != nil {
 		return nil, fmt.Errorf("core: MC factorization: %w", err)
 	}
 
@@ -181,7 +160,6 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 	}
 	scratch := make([]mcScratch, workers)
 	perTrial := make([][]float64, trials)
-	iters := make([]int, trials)
 	err := parallel.For(workers, trials, func(w, t int) error {
 		sc := &scratch[w]
 		if sc.cur == nil {
@@ -196,13 +174,12 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 			}
 		}
 		sc.inj = g.InjectInstCurrentsInto(sc.inj, d, sc.cur)
-		sol, err := sys.solveRail(g, sc.inj, warm, sc.sol, &sc.fs)
+		sol, err := g.Solve(sc.inj, sc.sol, &sc.fs)
 		if err != nil {
 			return fmt.Errorf("core: MC trial %d: %w", t, err)
 		}
 		sc.sol = sol
 		perTrial[t] = sol.WorstPerBlock(g, d.NumBlocks)
-		iters[t] = sol.Iterations
 		return nil
 	})
 	if err != nil {
@@ -234,9 +211,5 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 		}
 		res.P95VDD[b] = vals[idx]
 	}
-	for _, it := range iters {
-		res.MeanIters += float64(it)
-	}
-	res.MeanIters /= float64(trials)
 	return res, nil
 }

@@ -61,15 +61,6 @@ type Config struct {
 	// for any value — workers only own scratch state and write
 	// index-addressed outputs.
 	Workers int
-
-	// Solver picks the power-grid solve path: the cached banded-LDLᵀ
-	// factorization (SolverFactored, the default), the sparse LDLᵀ under
-	// a nested-dissection ordering (SolverSparse), geometric multigrid
-	// (SolverMG), the iterative SOR fallback (SolverSOR), or SolverAuto,
-	// which Build resolves from the mesh node count. Grid calibration
-	// always uses the exact factored solve, so the built grids are
-	// identical across choices.
-	Solver Solver
 }
 
 // DefaultConfig returns the full experiment configuration at the given SOC
@@ -86,7 +77,6 @@ func DefaultConfig(scale int) Config {
 		GridCalibTargetV: 0.11,
 		BacktrackLimit:   64,
 		Seed:             1,
-		Solver:           SolverFactored,
 	}
 }
 
@@ -112,9 +102,6 @@ type System struct {
 	// Workers mirrors Config.Workers and may be changed between calls
 	// (0 = all cores, 1 = exact serial path).
 	Workers int
-
-	// Solver mirrors Config.Solver and may be changed between calls.
-	Solver Solver
 }
 
 // Build constructs the complete system.
@@ -151,17 +138,12 @@ func Build(cfg Config) (*System, error) {
 		Delays:  sdf.Compute(d),
 		Period:  cfg.SOC.TestPeriodNs,
 		Workers: cfg.Workers,
-		Solver:  cfg.Solver,
 	}
-	// Resolve the auto tier against the mesh size before anything solves;
-	// System.Solver always holds a concrete tier after Build.
-	sys.Solver = cfg.Solver.Resolve(cfg.Grid.N * cfg.Grid.N)
 	if err := sys.buildGrids(); err != nil {
 		return nil, err
 	}
-	// Surface the solver tier and mesh geometry in the run report's info
-	// block; the sparse tier adds its factor nnz/fill when it builds.
-	obs.SetRunInfo("solver", sys.Solver.String())
+	// Surface the mesh geometry in the run report's info block; the
+	// factorization adds its nnz/fill when it builds.
 	obs.SetRunInfo("grid_mesh_n", sys.GridVDD.P.N)
 	obs.SetRunInfo("grid_nodes", sys.GridVDD.P.N*sys.GridVDD.P.N)
 	return sys, nil
@@ -186,9 +168,9 @@ func (sys *System) buildGrids() error {
 		return vdd, vss, nil
 	}
 	p := sys.Cfg.Grid
-	// The grids inherit the system's worker knob: it drives the multigrid
-	// passes and the sparse factorization's subtree fan-out (both
-	// bit-identical for any count, so this is purely a scheduling choice).
+	// The grids inherit the system's worker knob: it drives the
+	// factorization's subtree fan-out (bit-identical for any count, so
+	// this is purely a scheduling choice).
 	p.Workers = sys.Cfg.Workers
 	vdd, vss, err := mk(p)
 	if err != nil {
@@ -201,11 +183,7 @@ func (sys *System) buildGrids() error {
 		for i := range cur {
 			cur[i] /= 2 // rising edges only on the VDD rail
 		}
-		// Calibrate with the exact factored solve regardless of the
-		// configured per-pattern solver: the scale factor then carries no
-		// iteration-tolerance noise, so -solver only changes how solves
-		// are computed, never which grids they run on.
-		sol, err := vdd.SolveFactored(vdd.InjectInstCurrents(sys.D, cur), nil, nil)
+		sol, err := vdd.Solve(vdd.InjectInstCurrents(sys.D, cur), nil, nil)
 		if err != nil {
 			return fmt.Errorf("core: grid calibration: %w", err)
 		}

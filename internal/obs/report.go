@@ -17,16 +17,15 @@ import (
 
 // SchemaVersion identifies the run-report JSON layout. Bump it on any
 // structural change; the golden-file test pins the current shape.
-// v2 added the free-form `info` block (solver tier, mesh geometry,
-// sparse-factor fill — see SetRunInfo). v3 added per-unit attribution:
+// v2 added the free-form `info` block (mesh geometry, factor fill —
+// see SetRunInfo). v3 added per-unit attribution:
 // top-K hotspot tables (`hotspots`), periodic metric snapshots
 // (`snapshots`) and p50/p95/p99 quantiles on histograms.
 const SchemaVersion = "scap/run-report/v3"
 
 // runInfo is the process-wide run-information block: small key/value
 // facts about how the run was configured or what the build produced
-// (selected solver tier, mesh edge and node count, sparse factor
-// nnz/fill ratio). Unlike counters these are set-once descriptive
+// (mesh edge and node count, grid factor nnz/fill ratio). Unlike counters these are set-once descriptive
 // values, surfaced both in the JSON report and the exit-time summary.
 var runInfo = struct {
 	mu sync.Mutex

@@ -20,33 +20,21 @@ func buildGoldenReport(t *testing.T) *Report {
 	Enable()
 	timeNow = fakeClock()
 
-	NewCounter("pgrid.factor.calls").Add(7)
-	NewCounter("pgrid.factor.builds").Add(1)
+	NewCounter("pgrid.sparse.factor.calls").Add(7)
+	NewCounter("pgrid.sparse.factor.builds").Add(1)
 	NewGauge("sim.queue_high_water").Max(42)
-	h := NewHistogram("pgrid.sor.final_residual_v")
+	h := NewHistogram("pgrid.sparse.fill_ratio")
 	for _, v := range []float64{0.5, 1, 1.5, 3} {
 		h.Observe(v)
 	}
 	pw := NewPerWorker("parallel.worker_tasks")
 	pw.Add(0, 2)
 	pw.Add(1, 3)
-	RegisterDerived("pgrid.factor.cache_hits", func(c map[string]int64) (float64, bool) {
-		return float64(c["pgrid.factor.calls"] - c["pgrid.factor.builds"]), c["pgrid.factor.calls"] > 0
+	RegisterDerived("pgrid.sparse.factor.cache_hits", func(c map[string]int64) (float64, bool) {
+		calls := c["pgrid.sparse.factor.calls"]
+		return float64(calls - c["pgrid.sparse.factor.builds"]), calls > 0
 	})
-	// The multigrid tier's per-solve family (see pgrid/multigrid.go).
-	NewCounter("pgrid.mg.solves").Add(4)
-	NewCounter("pgrid.mg.vcycles").Add(10)
-	NewGauge("pgrid.mg.levels").Max(3)
-	RegisterDerived("pgrid.mg.cycles_per_solve", func(c map[string]int64) (float64, bool) {
-		solves := c["pgrid.mg.solves"]
-		if solves <= 0 {
-			return 0, false
-		}
-		return float64(c["pgrid.mg.vcycles"]) / float64(solves), true
-	})
-	SetRunInfo("solver", "mg")
 	SetRunInfo("grid_mesh_n", 40)
-	SetRunInfo("mg_levels", 3)
 	SetRunInfo("sparse_fill_ratio", 2.5)
 	tk := NewTopK("atpg.fault_hotspots", 3, "waves", "backtracks", "pattern")
 	tk.Record(11, 400, "detected", 2, 5)
@@ -133,7 +121,7 @@ func TestReportWriteFile(t *testing.T) {
 	if back.Schema != SchemaVersion || back.Tool != "flow" {
 		t.Errorf("round-trip lost header: schema=%q tool=%q", back.Schema, back.Tool)
 	}
-	if back.Counters["pgrid.factor.calls"] != 7 {
+	if back.Counters["pgrid.sparse.factor.calls"] != 7 {
 		t.Errorf("round-trip lost counters: %v", back.Counters)
 	}
 	if err := r.WriteFile(filepath.Join(t.TempDir(), "no", "such", "dir.json")); err == nil {
@@ -146,9 +134,9 @@ func TestSummaryTable(t *testing.T) {
 	s := r.SummaryTable()
 	for _, want := range []string{
 		"stage summary", "flow", "  atpg",
-		"pgrid.factor.cache_hits = 6", "solver = mg", "grid_mesh_n = 40",
-		"pgrid.mg.cycles_per_solve = 2.5", "mg_levels = 3",
-		"histogram quantiles", "pgrid.sor.final_residual_v",
+		"pgrid.sparse.factor.cache_hits = 6", "grid_mesh_n = 40",
+		"sparse_fill_ratio = 2.5",
+		"histogram quantiles", "pgrid.sparse.fill_ratio",
 		"hotspots: atpg.fault_hotspots (top 3 by waves)", "aborted",
 	} {
 		if !strings.Contains(s, want) {

@@ -144,7 +144,7 @@ func traceEpoch() time.Time {
 // start time (or nothing, while tracing is off) and End records it.
 // The zero value's End is a no-op, so call sites stay one line:
 //
-//	defer obs.TraceStart().End("pgrid", "banded-factor")
+//	defer obs.TraceStart().End("sim", "launch")
 type TraceTimer struct {
 	start time.Time
 	on    bool

@@ -40,7 +40,7 @@ func TestTraceRecordsSpansTasksAndInstants(t *testing.T) {
 
 	s := StartSpan("flow")
 	inner := StartSpan("profile")
-	TraceStart().End("pgrid", "banded-factor")
+	TraceStart().End("sim", "launch")
 	TraceInstant("atpg", "epoch-merge")
 	TraceTask(3, "profile", timeNow(), 7*time.Millisecond)
 	inner.End()
@@ -68,8 +68,8 @@ func TestTraceRecordsSpansTasksAndInstants(t *testing.T) {
 	if ev := byName["epoch-merge"]; ev.Ph != "i" || ev.S != "t" {
 		t.Errorf("instant not thread-scoped: %+v", ev)
 	}
-	// Nesting: the banded-factor burst must fall inside the outer span.
-	outer, burst := byName["flow"], byName["banded-factor"]
+	// Nesting: the launch burst must fall inside the outer span.
+	outer, burst := byName["flow"], byName["launch"]
 	if burst.Ts < outer.Ts || burst.Ts+burst.Dur > outer.Ts+outer.Dur {
 		t.Errorf("burst [%g,%g] not nested in outer span [%g,%g]",
 			burst.Ts, burst.Ts+burst.Dur, outer.Ts, outer.Ts+outer.Dur)

@@ -2,11 +2,10 @@
 // IR-drop: a uniform resistive mesh per rail (VDD and VSS have the same
 // topology), fed by pads distributed around the die periphery (the paper's
 // design has 37 VDD and 37 VSS pads), with cell currents injected at their
-// placed locations. The mesh equation G·v = I is solved either by a cached
-// banded LDLᵀ factorization (SolveFactored — the per-pattern hot path,
-// which amortizes the matrix work once per grid) or by successive
-// over-relaxation (Solve/SolveWarm — the iterative fallback and
-// cross-validation oracle).
+// placed locations. The mesh equation G·v = I is solved by a sparse LDLᵀ
+// factorization under a nested-dissection ordering (Solve, see sparse.go):
+// G is factored once per grid and every injection costs two triangular
+// sweeps.
 //
 // Both analyses of the paper run on top of this solver:
 //
@@ -26,26 +25,8 @@ import (
 	"sync"
 
 	"scap/internal/netlist"
-	"scap/internal/obs"
 	"scap/internal/place"
 )
-
-// Solver observability (see DESIGN.md §10): one flush per solve, never
-// per sweep, so the disabled cost is a handful of gated atomic loads
-// against an O(N²·sweeps) or O(N³) solve.
-var (
-	cSORSolves   = obs.NewCounter("pgrid.sor.solves")
-	cSORSweeps   = obs.NewCounter("pgrid.sor.sweeps")
-	hSORResidual = obs.NewHistogram("pgrid.sor.final_residual_v")
-)
-
-func init() {
-	// Cache hits are Factor() calls that found the factorization built.
-	obs.RegisterDerived("pgrid.factor.cache_hits", func(c map[string]int64) (float64, bool) {
-		calls, builds := c["pgrid.factor.calls"], c["pgrid.factor.builds"]
-		return float64(calls - builds), calls > 0
-	})
-}
 
 // Params configures the mesh and solver.
 type Params struct {
@@ -56,12 +37,9 @@ type Params struct {
 	// PadOffset shifts the pads by this fraction of the pad pitch; the
 	// VSS network uses 0.5 so its pads interleave with the VDD pads.
 	PadOffset float64
-	MaxIter   int     // SOR iteration cap
-	Tol       float64 // convergence threshold on max node update, volts
-	Omega     float64 // SOR relaxation factor (1..2)
-	// Workers fans the multigrid smoother/residual/transfer passes across
-	// the internal/parallel pool (<= 0 means all cores, 1 forces the
-	// serial path). Results are bit-identical for any value.
+	// Workers fans the factorization's independent nested-dissection
+	// subtrees across goroutines (<= 0 means all cores, 1 forces the
+	// serial path). The factor is bit-identical for any value.
 	Workers int
 }
 
@@ -70,7 +48,6 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		N: 40, SegRes: 0.55, NumPads: 37, PadRes: 0.4,
-		MaxIter: 20000, Tol: 1e-7, Omega: 1.85,
 	}
 }
 
@@ -85,12 +62,6 @@ func (p Params) Validate() error {
 	if p.NumPads < 1 {
 		return fmt.Errorf("pgrid: need at least one pad")
 	}
-	if p.Omega <= 0 || p.Omega >= 2 {
-		return fmt.Errorf("pgrid: Omega %v outside (0, 2)", p.Omega)
-	}
-	if p.MaxIter < 1 || p.Tol <= 0 {
-		return fmt.Errorf("pgrid: bad solver controls")
-	}
 	return nil
 }
 
@@ -101,25 +72,12 @@ type Grid struct {
 	// padG[i] is the pad conductance attached to node i (0 if none).
 	padG []float64
 
-	// Cached banded LDLᵀ factorization of the conductance matrix (see
-	// factor.go); built lazily on the first SolveFactored/Factor call and
-	// shared read-only by every solve thereafter.
+	// Cached sparse LDLᵀ factorization of the conductance matrix (see
+	// sparse.go); built lazily on the first Solve/Factor call and shared
+	// read-only by every solve thereafter.
 	factOnce sync.Once
 	fact     *Factorization
 	factErr  error
-
-	// Cached sparse LDLᵀ factorization under the nested-dissection
-	// ordering (see sparse.go); same lazy build / shared read-only
-	// discipline as the banded factor.
-	sparseOnce sync.Once
-	sparse     *SparseFactorization
-	sparseErr  error
-
-	// Cached geometric multigrid hierarchy (see multigrid.go); same lazy
-	// build / shared read-only discipline as the two factorizations.
-	mgOnce sync.Once
-	mg     *Multigrid
-	mgErr  error
 }
 
 // New builds the mesh over the floorplan's die.
@@ -209,116 +167,9 @@ func (g *Grid) InjectInstCurrentsInto(inj []float64, d *netlist.Design, cur []fl
 // Solution is a solved rail: per-node voltage drop from the nominal rail
 // voltage (positive volts for both VDD sag and VSS bounce).
 type Solution struct {
-	N          int
-	Drop       []float64 // volts per node
-	Iterations int
-	Worst      float64 // max node drop, volts
-}
-
-// Solve computes node voltage drops for a per-node current injection (mA).
-// The mesh conductances are in 1/Ω, so the raw solution is in mV and is
-// converted to volts. Every call starts SOR from a zero guess; the
-// per-pattern pipelines use SolveWarm instead.
-func (g *Grid) Solve(injMA []float64) (*Solution, error) {
-	return g.SolveWarm(injMA, nil, nil)
-}
-
-// SolveWarm is Solve with two reuse hooks for the per-pattern hot loop:
-//
-//   - warm, when non-nil, is an initial voltage guess in volts (a
-//     previous Solution.Drop for a similar injection). Successive
-//     per-pattern injections resemble each other, so warm-starting cuts
-//     the SOR iteration count sharply. Warm may alias reuse.Drop —
-//     warm-starting a solve in its own buffer is the intended use.
-//   - reuse, when non-nil, is a Solution whose Drop buffer is recycled
-//     instead of allocating N² floats per call (per-worker scratch).
-//
-// The solve runs to the same Tol for any guess, so a warm-started
-// solution agrees with the cold one to solver tolerance. An
-// already-converged guess costs exactly one verification sweep
-// (Iterations == 1): the convergence scan and the final mV→V
-// conversion with its worst-drop pass live outside the iteration path.
-func (g *Grid) SolveWarm(injMA, warm []float64, reuse *Solution) (*Solution, error) {
-	n := g.P.N
-	if len(injMA) != n*n {
-		return nil, fmt.Errorf("pgrid: injection length %d, want %d", len(injMA), n*n)
-	}
-	if warm != nil && len(warm) != n*n {
-		return nil, fmt.Errorf("pgrid: warm-start length %d, want %d", len(warm), n*n)
-	}
-	sol := reuse
-	if sol == nil || cap(sol.Drop) < n*n {
-		sol = &Solution{Drop: make([]float64, n*n)}
-	}
-	sol.N = n
-	sol.Drop = sol.Drop[:n*n]
-	sol.Iterations = 0
-	sol.Worst = 0
-	v := sol.Drop
-	if warm != nil {
-		for i := range v {
-			v[i] = warm[i] * 1e3 // V -> mV (the sweep works in mV)
-		}
-	} else {
-		for i := range v {
-			v[i] = 0
-		}
-	}
-
-	gseg := 1 / g.P.SegRes
-	converged := false
-	lastDelta := 0.0
-	for iter := 1; iter <= g.P.MaxIter; iter++ {
-		maxDelta := 0.0
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < n; ix++ {
-				i := iy*n + ix
-				sumG := g.padG[i]
-				sumGV := 0.0
-				if ix > 0 {
-					sumG += gseg
-					sumGV += gseg * v[i-1]
-				}
-				if ix < n-1 {
-					sumG += gseg
-					sumGV += gseg * v[i+1]
-				}
-				if iy > 0 {
-					sumG += gseg
-					sumGV += gseg * v[i-n]
-				}
-				if iy < n-1 {
-					sumG += gseg
-					sumGV += gseg * v[i+n]
-				}
-				nv := (sumGV + injMA[i]) / sumG
-				nv = v[i] + g.P.Omega*(nv-v[i])
-				if d := math.Abs(nv - v[i]); d > maxDelta {
-					maxDelta = d
-				}
-				v[i] = nv
-			}
-		}
-		sol.Iterations = iter
-		lastDelta = maxDelta * 1e-3 // mV -> V
-		if lastDelta < g.P.Tol {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		return nil, fmt.Errorf("pgrid: SOR did not converge in %d iterations", g.P.MaxIter)
-	}
-	cSORSolves.Add(1)
-	cSORSweeps.Add(int64(sol.Iterations))
-	hSORResidual.Observe(lastDelta)
-	for i := range v {
-		v[i] *= 1e-3 // mV -> V
-		if v[i] > sol.Worst {
-			sol.Worst = v[i]
-		}
-	}
-	return sol, nil
+	N     int
+	Drop  []float64 // volts per node
+	Worst float64   // max node drop, volts
 }
 
 // At samples the solved drop at a die location (nearest node).

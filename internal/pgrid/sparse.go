@@ -10,17 +10,18 @@ import (
 	"scap/internal/parallel"
 )
 
-// Sparse-tier observability, mirroring the pgrid.factor.* family: calls
-// vs builds distinguishes cache hits, each SolveSparse is exactly two
-// sparse triangular sweeps, and the one-time build records the symbolic
-// fill (factor nnz, fill ratio) the ordering achieved.
+// Solver observability (see DESIGN.md §10): calls vs builds
+// distinguishes factor cache hits, each Solve is exactly two sparse
+// triangular sweeps, and the one-time build records the symbolic fill
+// (factor nnz, fill ratio) the ordering achieved. One flush per solve,
+// so the disabled cost is a few gated atomic loads.
 var (
-	cSparseCalls  = obs.NewCounter("pgrid.sparse.factor.calls")
-	cSparseBuild  = obs.NewCounter("pgrid.sparse.factor.builds")
-	cSparseSolves = obs.NewCounter("pgrid.sparse.solves")
-	cSparseSweeps = obs.NewCounter("pgrid.sparse.triangular_sweeps")
-	gSparseNNZ    = obs.NewGauge("pgrid.sparse.factor_nnz")
-	hSparseFill   = obs.NewHistogram("pgrid.sparse.fill_ratio")
+	cFactorCalls  = obs.NewCounter("pgrid.sparse.factor.calls")
+	cFactorBuilds = obs.NewCounter("pgrid.sparse.factor.builds")
+	cSolves       = obs.NewCounter("pgrid.sparse.solves")
+	cSweeps       = obs.NewCounter("pgrid.sparse.triangular_sweeps")
+	gFactorNNZ    = obs.NewGauge("pgrid.sparse.factor_nnz")
+	hFillRatio    = obs.NewHistogram("pgrid.sparse.fill_ratio")
 	// Subtree utilization of the parallel numeric pass: row chunks
 	// eliminated (one per recursion-tree node) vs chunks handed to a
 	// spawned goroutine.
@@ -76,7 +77,7 @@ type ndSpan struct {
 // separators are exact (no graph partitioner needed) and the classic
 // George result applies: the Cholesky factor fills in at O(N·logN)
 // nonzeros and factors in O(N^1.5) flops for N = n² nodes — against
-// O(N^1.5) storage and O(N²) flops for the banded elimination.
+// O(N^1.5) storage and O(N²) flops for a banded elimination.
 func NestedDissection(n int) *Ordering {
 	o := &Ordering{
 		N:     n,
@@ -144,19 +145,19 @@ func NestedDissection(n int) *Ordering {
 	return o
 }
 
-// SparseFactorization is the sparse LDLᵀ (root-free Cholesky)
-// factorization of the mesh conductance matrix under a nested-dissection
-// permutation: P·G·Pᵀ = L·D·Lᵀ with L unit lower triangular, stored
-// compressed by columns. Unlike the banded factor, storage follows the
-// true fill pattern computed by a symbolic pass over the elimination
-// tree, so factor memory is O(N·logN) instead of O(N^1.5).
+// Factorization is the sparse LDLᵀ (root-free Cholesky) factorization
+// of the mesh conductance matrix under a nested-dissection permutation:
+// P·G·Pᵀ = L·D·Lᵀ with L unit lower triangular, stored compressed by
+// columns. Storage follows the true fill pattern computed by a symbolic
+// pass over the elimination tree, so factor memory is O(N·logN) for
+// N = n² nodes.
 //
 // G depends only on the mesh topology and resistances, never on the
 // injection, so both the symbolic and the numeric factorization happen
-// once per Grid; after construction a SparseFactorization is immutable
-// and safe for concurrent use by any number of goroutines (each solve
+// once per Grid; after construction a Factorization is immutable and
+// safe for concurrent use by any number of goroutines (each solve
 // writes only caller-owned buffers).
-type SparseFactorization struct {
+type Factorization struct {
 	n   int // mesh edge: n×n nodes
 	nn  int // node count n·n
 	ord *Ordering
@@ -173,37 +174,33 @@ type SparseFactorization struct {
 
 // NNZ returns the factor's stored nonzero count: the strictly-lower
 // entries of L plus the diagonal of D.
-func (f *SparseFactorization) NNZ() int64 { return int64(len(f.lx)) + int64(f.nn) }
+func (f *Factorization) NNZ() int64 { return int64(len(f.lx)) + int64(f.nn) }
 
 // FillRatio returns NNZ divided by the nonzeros of the lower triangle of
 // G (diagonal included): 1.0 would mean the ordering produced no fill at
 // all.
-func (f *SparseFactorization) FillRatio() float64 { return float64(f.NNZ()) / float64(f.nnzA) }
+func (f *Factorization) FillRatio() float64 { return float64(f.NNZ()) / float64(f.nnzA) }
 
-// Ordering returns the nested-dissection permutation the factorization
-// was computed under.
-func (f *SparseFactorization) Ordering() *Ordering { return f.ord }
-
-// SparseFactor returns the grid's cached sparse LDLᵀ factorization,
-// computing it on first use. Like Factor, the computation is guarded by
-// a sync.Once: concurrent first callers block until one factorization
-// exists and then share it read-only.
-func (g *Grid) SparseFactor() (*SparseFactorization, error) {
-	cSparseCalls.Add(1)
-	g.sparseOnce.Do(func() {
-		cSparseBuild.Add(1)
-		g.sparse, g.sparseErr = sparseFactorize(g)
+// Factor returns the grid's cached sparse LDLᵀ factorization, computing
+// it on first use. The computation is guarded by a sync.Once:
+// concurrent first callers block until one factorization exists and
+// then share it read-only.
+func (g *Grid) Factor() (*Factorization, error) {
+	cFactorCalls.Add(1)
+	g.factOnce.Do(func() {
+		cFactorBuilds.Add(1)
+		g.fact, g.factErr = factorize(g)
 	})
-	return g.sparse, g.sparseErr
+	return g.fact, g.factErr
 }
 
-// sparseFactorize runs the three build stages — ordering, symbolic,
-// numeric — and records their spans and the achieved fill.
-func sparseFactorize(g *Grid) (*SparseFactorization, error) {
+// factorize runs the three build stages — ordering, symbolic, numeric —
+// and records their spans and the achieved fill.
+func factorize(g *Grid) (*Factorization, error) {
 	defer obs.StartSpan("sparse-factor").End()
 	n := g.P.N
 	nn := n * n
-	f := &SparseFactorization{n: n, nn: nn, d: make([]float64, nn)}
+	f := &Factorization{n: n, nn: nn, d: make([]float64, nn)}
 
 	ordSpan := obs.StartSpan("sparse-ordering")
 	f.ord = NestedDissection(n)
@@ -291,8 +288,8 @@ func sparseFactorize(g *Grid) (*SparseFactorization, error) {
 	}
 	numSpan.End()
 
-	gSparseNNZ.Max(f.NNZ())
-	hSparseFill.Observe(f.FillRatio())
+	gFactorNNZ.Max(f.NNZ())
+	hFillRatio.Observe(f.FillRatio())
 	obs.SetRunInfo("sparse_factor_nnz", f.NNZ())
 	obs.SetRunInfo("sparse_fill_ratio", math.Round(f.FillRatio()*1000)/1000)
 	return f, nil
@@ -311,12 +308,12 @@ type factorScratch struct {
 	flag    []int32
 }
 
-// sparseSubtreeMinRows is the smallest child subtree worth handing to
+// subtreeMinRows is the smallest child subtree worth handing to
 // its own goroutine; below it the spawn overhead beats the elimination
 // work. Purely a scheduling choice — the factor is bit-identical for
 // any worker count because independent subtrees own disjoint column
 // ranges (a child row's etree walk stops before any separator index).
-const sparseSubtreeMinRows = 2048
+const subtreeMinRows = 2048
 
 // numericFactor runs the numeric elimination over the nested-dissection
 // recursion tree: the two child regions of every separator are
@@ -326,7 +323,7 @@ const sparseSubtreeMinRows = 2048
 // goroutines, bounded by the workers knob. Shared state is written
 // disjointly: rows of L land in column slots owned by the writing
 // subtree, and d/next entries belong to exactly one subtree.
-func (f *SparseFactorization) numericFactor(workers int, ap []int64, ai []int32, ax []float64, parent []int32) error {
+func (f *Factorization) numericFactor(workers int, ap []int64, ai []int32, ax []float64, parent []int32) error {
 	nn := f.nn
 	workers = parallel.Resolve(workers)
 	next := make([]int64, nn) // next free slot per column of L
@@ -416,7 +413,7 @@ func (f *SparseFactorization) numericFactor(workers int, ap []int64, ai []int32,
 		if nd.left >= 0 {
 			l, r := tree[nd.left], tree[nd.right]
 			if workers > 1 && depth < spawnDepth &&
-				l.hi-l.lo >= sparseSubtreeMinRows && r.hi-r.lo >= sparseSubtreeMinRows {
+				l.hi-l.lo >= subtreeMinRows && r.hi-r.lo >= subtreeMinRows {
 				cSubtreeSpawns.Add(1)
 				var wg sync.WaitGroup
 				wg.Add(1)
@@ -442,20 +439,26 @@ func (f *SparseFactorization) numericFactor(workers int, ap []int64, ai []int32,
 	return nodeErr
 }
 
-// SolveSparse solves G·v = I for a per-node current injection (mA)
-// using the grid's cached sparse LDLᵀ factorization — two sparse
-// triangular sweeps over the O(N·logN) factor instead of the banded
-// path's O(N^1.5) sweeps, and exact to rounding like SolveFactored.
-// Inputs and outputs match Solve (drops in volts, Iterations reported
-// as 1).
+// SolveScratch is caller-owned intermediate storage for Solve: the
+// permuted work vector. One per worker; never shared between concurrent
+// solves.
+type SolveScratch struct {
+	y []float64
+}
+
+// Solve computes node voltage drops (volts) for a per-node current
+// injection (mA) using the grid's cached sparse LDLᵀ factorization: two
+// sparse triangular sweeps over the O(N·logN) factor, exact to rounding.
+// The mesh conductances are in 1/Ω, so the raw solution is in mV and is
+// converted to volts.
 //
 // reuse, when non-nil, recycles a previous Solution's Drop buffer;
 // scratch, when non-nil, recycles the permuted work vector. Both are
-// per-caller state: one SparseFactorization serves any number of
-// concurrent SolveSparse calls as long as each goroutine passes its own
-// reuse/scratch, and the steady-state hot path performs no allocation.
-func (g *Grid) SolveSparse(injMA []float64, reuse *Solution, scratch *SolveScratch) (*Solution, error) {
-	f, err := g.SparseFactor()
+// per-caller state: one Factorization serves any number of concurrent
+// Solve calls as long as each goroutine passes its own reuse/scratch,
+// and the steady-state hot path performs no allocation.
+func (g *Grid) Solve(injMA []float64, reuse *Solution, scratch *SolveScratch) (*Solution, error) {
+	f, err := g.Factor()
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +472,6 @@ func (g *Grid) SolveSparse(injMA []float64, reuse *Solution, scratch *SolveScrat
 	}
 	sol.N = f.n
 	sol.Drop = sol.Drop[:nn]
-	sol.Iterations = 1
 	sol.Worst = 0
 	if scratch == nil {
 		scratch = &SolveScratch{}
@@ -507,7 +509,7 @@ func (g *Grid) SolveSparse(injMA []float64, reuse *Solution, scratch *SolveScrat
 		y[j] = s
 	}
 	// Scatter back to mesh order with the mV→V conversion and the
-	// worst-drop scan, mirroring SolveFactored's final pass.
+	// worst-drop scan.
 	v := sol.Drop
 	for k := 0; k < nn; k++ {
 		d := y[k] * 1e-3
@@ -516,7 +518,7 @@ func (g *Grid) SolveSparse(injMA []float64, reuse *Solution, scratch *SolveScrat
 			sol.Worst = d
 		}
 	}
-	cSparseSolves.Add(1)
-	cSparseSweeps.Add(2)
+	cSolves.Add(1)
+	cSweeps.Add(2)
 	return sol, nil
 }

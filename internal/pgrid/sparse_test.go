@@ -1,6 +1,7 @@
 package pgrid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -35,46 +36,90 @@ func TestNestedDissectionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSparseMatchesOracles cross-validates the sparse tier against the
-// banded factorization and the dense Gaussian oracle on randomized
-// meshes (the same regime as TestSolveFactoredPropertyEquivalence).
+// randGrid builds a randomized mesh: random resolution, segment/pad
+// resistances, pad count and pad offset.
+func randGrid(t *testing.T, rng *rand.Rand) *Grid {
+	t.Helper()
+	p := DefaultParams()
+	p.N = 4 + rng.Intn(12)           // 4..15 -> 16..225 nodes
+	p.SegRes = 0.1 + 2*rng.Float64() // 0.1..2.1 Ω
+	p.PadRes = 0.05 + rng.Float64()  // 0.05..1.05 Ω
+	p.NumPads = 1 + rng.Intn(40)     // 1..40
+	p.PadOffset = rng.Float64() / 2  // 0..0.5
+	g, err := New(place.NewFloorplan(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// randInj draws a sparse-ish random injection (mA) over the mesh.
+func randInj(g *Grid, rng *rand.Rand) []float64 {
+	nn := g.P.N * g.P.N
+	inj := make([]float64, nn)
+	hits := 1 + rng.Intn(nn)
+	for h := 0; h < hits; h++ {
+		inj[rng.Intn(nn)] += 50 * rng.Float64()
+	}
+	return inj
+}
+
+// TestSparseMatchesOracles is the solver's correctness contract: on
+// randomized injections Solve must agree with the dense Gaussian oracle
+// within 1e-9 V on every node and on the worst drop. It covers every
+// mesh edge from 1 to 21 (the degenerate sizes the nested-dissection
+// recursion bottoms out on included) on the square die and on a
+// W × 0.35·W die, where the pads land asymmetrically, plus meshes with
+// random resistances, pad counts and pad offsets.
 func TestSparseMatchesOracles(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
 	const tol = 1e-9
+	check := func(name string, g *Grid, inj []float64) {
+		t.Helper()
+		got, err := g.Solve(inj, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := solveDense(g, inj)
+		if err != nil {
+			t.Fatalf("%s: dense: %v", name, err)
+		}
+		for i := range want.Drop {
+			if d := math.Abs(got.Drop[i] - want.Drop[i]); d > tol {
+				t.Fatalf("%s node %d: Solve %v vs dense %v", name, i, got.Drop[i], want.Drop[i])
+			}
+		}
+		if d := math.Abs(got.Worst - want.Worst); d > tol {
+			t.Fatalf("%s: worst Solve %v vs dense %v", name, got.Worst, want.Worst)
+		}
+	}
+	rng := rand.New(rand.NewSource(99))
+	dies := []struct {
+		name string
+		fp   *place.Floorplan
+	}{
+		{"square", place.NewFloorplan()},
+		{"wide", &place.Floorplan{W: place.DieSize, H: 0.35 * place.DieSize}},
+	}
+	for _, die := range dies {
+		for n := 1; n <= 21; n++ {
+			p := DefaultParams()
+			p.N = n
+			g, err := New(die.fp, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s n=%d", die.name, n), g, randInj(g, rng))
+		}
+	}
 	for trial := 0; trial < 25; trial++ {
 		g := randGrid(t, rng)
-		inj := randInj(g, rng)
-		sp, err := g.SolveSparse(inj, nil, nil)
-		if err != nil {
-			t.Fatalf("trial %d: sparse: %v", trial, err)
-		}
-		fac, err := g.SolveFactored(inj, nil, nil)
-		if err != nil {
-			t.Fatalf("trial %d: factored: %v", trial, err)
-		}
-		direct, err := g.SolveDirect(inj)
-		if err != nil {
-			t.Fatalf("trial %d: direct: %v", trial, err)
-		}
-		for i := range sp.Drop {
-			if d := math.Abs(sp.Drop[i] - fac.Drop[i]); d > tol {
-				t.Fatalf("trial %d node %d: sparse %v vs factored %v (N=%d)",
-					trial, i, sp.Drop[i], fac.Drop[i], g.P.N)
-			}
-			if d := math.Abs(sp.Drop[i] - direct.Drop[i]); d > tol {
-				t.Fatalf("trial %d node %d: sparse %v vs direct %v (N=%d)",
-					trial, i, sp.Drop[i], direct.Drop[i], g.P.N)
-			}
-		}
-		if d := math.Abs(sp.Worst - fac.Worst); d > tol {
-			t.Fatalf("trial %d: worst sparse %v vs factored %v", trial, sp.Worst, fac.Worst)
-		}
+		check(fmt.Sprintf("trial %d (N=%d)", trial, g.P.N), g, randInj(g, rng))
 	}
 }
 
 // TestSparseFactorStats: the symbolic fill bookkeeping must be
 // internally consistent, and the nested-dissection fill must stay far
-// below the banded factor's N³ storage at a representative size.
+// below the N³ storage of a banded factor at a representative size.
 func TestSparseFactorStats(t *testing.T) {
 	p := DefaultParams()
 	p.N = 48
@@ -82,7 +127,7 @@ func TestSparseFactorStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := g.SparseFactor()
+	f, err := g.Factor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,66 +143,81 @@ func TestSparseFactorStats(t *testing.T) {
 		t.Fatalf("sparse fill %d not clearly below banded storage %d", f.NNZ(), banded)
 	}
 	// Cached: a second call returns the same factorization.
-	again, err := g.SparseFactor()
+	again, err := g.Factor()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != f {
-		t.Fatal("SparseFactor did not cache")
+		t.Fatal("Factor did not cache")
 	}
 }
 
-// TestSolveSparseReuseNoAlloc: with caller-owned reuse/scratch the
-// per-pattern sparse solve must not allocate — the same contract the
-// banded SolveFactored hot path holds.
-func TestSolveSparseReuseNoAlloc(t *testing.T) {
+// TestSolveReuseNoAlloc: with caller-owned reuse/scratch the
+// per-pattern solve must recycle both buffers, allocate nothing, and
+// give the same answer as a fresh solve.
+func TestSolveReuseNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randGrid(t, rng)
 	inj := randInj(g, rng)
-	fresh, err := g.SolveSparse(inj, nil, nil)
+	fresh, err := g.Solve(inj, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sol := &Solution{Drop: make([]float64, g.P.N*g.P.N)}
+	buf := sol.Drop
 	var scratch SolveScratch
-	if _, err := g.SolveSparse(inj, sol, &scratch); err != nil { // warm the scratch
+	if _, err := g.Solve(inj, sol, &scratch); err != nil { // warm the scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := g.SolveSparse(inj, sol, &scratch); err != nil {
+		again, err := g.Solve(inj, sol, &scratch)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if again != sol || &again.Drop[0] != &buf[0] {
+			t.Fatal("reuse Solution/Drop buffer was not recycled")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state SolveSparse allocated %v objects/op, want 0", allocs)
+		t.Fatalf("steady-state Solve allocated %v objects/op, want 0", allocs)
 	}
 	for i := range fresh.Drop {
 		if fresh.Drop[i] != sol.Drop[i] {
 			t.Fatalf("node %d: reuse changed the answer: %v vs %v", i, fresh.Drop[i], sol.Drop[i])
 		}
 	}
-	// Undersized reuse must be replaced, not indexed out of range; bad
-	// injection lengths must be rejected.
-	small, err := g.SolveSparse(inj, &Solution{Drop: make([]float64, 2)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(small.Drop) != g.P.N*g.P.N {
-		t.Fatalf("undersized reuse left %d nodes", len(small.Drop))
-	}
-	if _, err := g.SolveSparse(make([]float64, 3), nil, nil); err == nil {
-		t.Fatal("bad injection length accepted")
-	}
 }
 
-// TestSparseFactorizationConcurrentSolves shares one sparse
-// factorization across 8 goroutines (first-touch build race included);
-// run under -race via `make test-race`, answers must be bit-identical
-// to a serial reference, mirroring TestFactorizationConcurrentSolves.
+// TestSparseFactorizationConcurrentSolves shares one factorization
+// across 8 goroutines, each running many solves with its own scratch,
+// and leaves the first-touch build to race among them. Run under -race
+// via `make test-race`, this is the data-race contract of the read-only
+// factor cache; the answers must also be bit-identical to a serial
+// reference computed on a second identical grid.
 func TestSparseFactorizationConcurrentSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
 	p := DefaultParams()
 	p.N = 16
+	concurrentSolves(t, p, 17)
+}
+
+// TestFactorizationConcurrentSolves runs the same first-touch race on a
+// mesh large enough that the factorization fans its subtrees out over
+// Workers goroutines, so the racing solvers wait on the cache while the
+// numeric pass runs in parallel. The serial reference grid factors with
+// one worker.
+func TestFactorizationConcurrentSolves(t *testing.T) {
+	p := DefaultParams()
+	p.N = 96 // children ≈ 4.6k and grandchildren ≈ 2.3k rows, above subtreeMinRows
+	p.Workers = 4
+	concurrentSolves(t, p, 11)
+}
+
+// concurrentSolves solves 48 random injections from 8 goroutines on a
+// fresh grid built from p and checks every drop bit for bit against
+// serial solves on a second grid built from p with one worker.
+func concurrentSolves(t *testing.T, p Params, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	g, err := New(place.NewFloorplan(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -169,12 +229,14 @@ func TestSparseFactorizationConcurrentSolves(t *testing.T) {
 	for i := range injs {
 		injs[i] = randInj(g, rng)
 	}
-	gRef, err := New(place.NewFloorplan(), p)
+	pRef := p
+	pRef.Workers = 1
+	gRef, err := New(place.NewFloorplan(), pRef)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range injs {
-		sol, err := gRef.SolveSparse(injs[i], nil, nil)
+		sol, err := gRef.Solve(injs[i], nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +254,7 @@ func TestSparseFactorizationConcurrentSolves(t *testing.T) {
 			for s := 0; s < solvesEach; s++ {
 				i := w*solvesEach + s
 				var err error
-				sol, err = g.SolveSparse(injs[i], sol, &scratch)
+				sol, err = g.Solve(injs[i], sol, &scratch)
 				if err != nil {
 					errs[w] = err
 					return
@@ -263,8 +325,8 @@ func TestNestedDissectionTreeCoverage(t *testing.T) {
 // produce a bit-identical factor for any worker count, on a mesh large
 // enough that the subtree fan-out actually spawns goroutines.
 func TestSparseParallelFactorBitIdentity(t *testing.T) {
-	const n = 128 // root children ≈ 8k rows each, above sparseSubtreeMinRows
-	factor := func(workers int) *SparseFactorization {
+	const n = 128 // root children ≈ 8k rows each, above subtreeMinRows
+	factor := func(workers int) *Factorization {
 		p := DefaultParams()
 		p.N = n
 		p.Workers = workers
@@ -272,7 +334,7 @@ func TestSparseParallelFactorBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := g.SparseFactor()
+		f, err := g.Factor()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,9 +94,6 @@ type Config struct {
 // DefaultConfig reproduces the paper's design characteristics (Tables 1–2)
 // at the given scale divisor.
 func DefaultConfig(scale int) Config {
-	if scale < 1 {
-		scale = 1
-	}
 	return Config{
 		Seed:          1,
 		Scale:         scale,

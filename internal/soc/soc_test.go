@@ -193,8 +193,10 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero test period accepted")
 	}
-	if DefaultConfig(0).Scale != 1 {
-		t.Error("scale 0 should clamp to 1")
+	for _, scale := range []int{0, -3} {
+		if _, _, err := Generate(DefaultConfig(scale)); err == nil {
+			t.Errorf("scale %d accepted", scale)
+		}
 	}
 }
 
