@@ -6,8 +6,7 @@
 // Usage:
 //
 //	atpg [-scale N] [-flow conventional|new|single] [-dom D] [-fill random|fill0|fill1|adjacent]
-//	     [-mode LOC|LOS] [-max M] [-workers W]
-//	     [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
+//	     [-mode LOC|LOS] [-max M] [-workers W] [-report F.json] [-trace F.json]
 //
 // -workers shards test generation (and the fault-dropping sweeps) across
 // the worker pool; the pattern set is bit-identical for every worker
@@ -17,130 +16,76 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
 	"scap/internal/atpg"
+	"scap/internal/cli"
 	"scap/internal/core"
 	"scap/internal/fault"
-	"scap/internal/obs"
-	"scap/internal/parallel"
 	"scap/internal/pattern"
 	"scap/internal/soc"
 )
 
 func main() {
-	scale := flag.Int("scale", 8, "design scale divisor")
-	flow := flag.String("flow", "conventional", "conventional | new | single")
-	dom := flag.Int("dom", 0, "target clock domain index (0 = clka)")
-	fillName := flag.String("fill", "random", "don't-care fill: random | fill0 | fill1 | adjacent")
-	modeName := flag.String("mode", "LOC", "launch mode: LOC | LOS")
-	maxPats := flag.Int("max", 0, "pattern limit for -flow single (0 = unlimited)")
-	workers := flag.Int("workers", 0, "generation + fault-sim workers (0 = all cores, 1 = serial)")
-	outPath := flag.String("o", "", "write the generated pattern set to this file")
-	obsFlags := obs.RegisterFlags()
-	flag.Parse()
-
-	fill, ok := map[string]atpg.Fill{
+	c := cli.New("atpg", 8, "generation + fault-sim workers (0 = all cores, 1 = serial)")
+	flow := cli.Choice("flow", "conventional", "conventional | new | single",
+		map[string]func(*core.System, int) (*core.FlowResult, error){
+			"conventional": (*core.System).ConventionalFlow,
+			"new":          (*core.System).NewProcedureFlow,
+			"single":       nil, // one ATPG run with -fill, -mode and -max
+		})
+	dom := cli.Int("dom", 0, 0, len(soc.DefaultConfig(1).Domains)-1, "target clock domain index (0 = clka)")
+	fill := cli.Choice("fill", "random", "don't-care fill: random | fill0 | fill1 | adjacent", map[string]atpg.Fill{
 		"random": atpg.FillRandom, "fill0": atpg.Fill0,
 		"fill1": atpg.Fill1, "adjacent": atpg.FillAdjacent,
-	}[*fillName]
-	if !ok {
-		fmt.Fprintln(os.Stderr, "atpg: unknown fill", *fillName)
-		os.Exit(2)
-	}
-	mode := atpg.LOC
-	if *modeName == "LOS" {
-		mode = atpg.LOS
-	} else if *modeName != "LOC" {
-		fmt.Fprintln(os.Stderr, "atpg: unknown mode", *modeName)
-		os.Exit(2)
-	}
-	if err := parallel.ValidateWorkers(*workers); err != nil {
-		fmt.Fprintln(os.Stderr, "atpg:", err)
-		os.Exit(2)
-	}
-
-	if err := obsFlags.Setup(); err != nil {
-		fmt.Fprintln(os.Stderr, "atpg:", err)
-		os.Exit(1)
-	}
+	})
+	mode := cli.Choice("mode", "LOC", "launch mode: LOC | LOS", map[string]atpg.LaunchMode{"LOC": atpg.LOC, "LOS": atpg.LOS})
+	maxPats := cli.Int("max", 0, 0, math.MaxInt, "pattern limit for -flow single (0 = unlimited)")
+	outPath := flag.String("o", "", "write the generated pattern set to this file")
+	flag.Parse()
 
 	t0 := time.Now()
-	cfg := core.DefaultConfig(*scale)
-	cfg.Workers = *workers
-	sys, err := core.Build(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "atpg:", err)
-		os.Exit(1)
-	}
-	finishObs := func() {
-		if err := obsFlags.Finish(os.Stdout, "atpg", sys.Cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "atpg:", err)
-			os.Exit(1)
-		}
-	}
+	sys := c.Build()
 	fmt.Printf("built %d-instance design in %v\n", sys.D.NumInsts(), time.Since(t0).Round(time.Millisecond))
 
-	var fr *core.FlowResult
-	switch *flow {
-	case "conventional":
-		fr, err = sys.ConventionalFlow(*dom)
-	case "new":
-		fr, err = sys.NewProcedureFlow(*dom)
-	case "single":
-		l := sys.NewFaultList()
-		var res *atpg.Result
-		res, err = sys.ATPG(l, atpg.Options{
-			Dom: *dom, Fill: fill, Mode: mode, Seed: 1, MaxPatterns: *maxPats,
+	if *flow == nil {
+		res, err := sys.ATPG(sys.NewFaultList(), atpg.Options{
+			Dom: *dom, Fill: *fill, Mode: *mode, Seed: 1, MaxPatterns: *maxPats,
 		})
-		if err == nil {
-			c := res.Counts
-			fmt.Printf("single run (%v, %v): %d patterns\n", mode, fill, len(res.Patterns))
-			if g := res.Gen; g.Waves > 0 && len(res.Patterns) > 0 {
-				fmt.Printf("  implication: %d waves, %d decisions, %d backtracks\n",
-					g.Waves, g.Decisions, g.Backtracks)
-			}
-			fmt.Printf("  faults: %d targeted, %d detected, %d aborted, %d untestable\n",
-				c.Total, c.Detected, c.Aborted, c.Untestable)
-			fmt.Printf("  test coverage %.2f%%, fault coverage %.2f%%\n",
-				100*c.TestCoverage(), 100*c.FaultCoverage())
-			finishObs()
-			return
+		c.Check(err)
+		cn := res.Counts
+		fmt.Printf("single run (%v, %v): %d patterns\n", *mode, *fill, len(res.Patterns))
+		if g := res.Gen; g.Waves > 0 && len(res.Patterns) > 0 {
+			fmt.Printf("  implication: %d waves, %d decisions, %d backtracks\n",
+				g.Waves, g.Decisions, g.Backtracks)
 		}
-	default:
-		fmt.Fprintln(os.Stderr, "atpg: unknown flow", *flow)
-		os.Exit(2)
+		fmt.Printf("  faults: %d targeted, %d detected, %d aborted, %d untestable\n",
+			cn.Total, cn.Detected, cn.Aborted, cn.Untestable)
+		fmt.Printf("  test coverage %.2f%%, fault coverage %.2f%%\n",
+			100*cn.TestCoverage(), 100*cn.FaultCoverage())
+		c.Finish()
+		return
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "atpg:", err)
-		os.Exit(1)
-	}
+	fr, err := (*flow)(sys, *dom)
+	c.Check(err)
 
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "atpg:", err)
-			os.Exit(1)
-		}
-		if err := pattern.Write(f, sys.D, fr.Patterns); err != nil {
-			fmt.Fprintln(os.Stderr, "atpg:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "atpg:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
+		c.Check(pattern.Write(f, sys.D, fr.Patterns))
+		c.Check(f.Close())
 		fmt.Printf("wrote %d patterns to %s\n", len(fr.Patterns), *outPath)
 	}
 
-	c := fr.Counts
+	cn := fr.Counts
 	fmt.Printf("%s flow, domain %s: %d patterns in %v\n",
 		fr.Name, sys.D.Domains[*dom].Name, len(fr.Patterns), time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("  faults: %d targeted, %d detected, %d aborted, %d untestable\n",
-		c.Total, c.Detected, c.Aborted, c.Untestable)
+		cn.Total, cn.Detected, cn.Aborted, cn.Untestable)
 	fmt.Printf("  test coverage %.2f%%, fault coverage %.2f%%\n",
-		100*c.TestCoverage(), 100*c.FaultCoverage())
+		100*cn.TestCoverage(), 100*cn.FaultCoverage())
 	perStep := map[int]int{}
 	for i := range fr.Patterns {
 		perStep[fr.Patterns[i].Step]++
@@ -164,7 +109,7 @@ func main() {
 		cc := fr.Faults.CountOf(sub)
 		fmt.Printf("    %s: %d/%d\n", soc.BlockName(b), cc.Detected, cc.Total)
 	}
-	finishObs()
+	c.Finish()
 }
 
 func intersect(l *fault.List, subset []int, block int) []int {

@@ -7,60 +7,54 @@
 // Usage:
 //
 //	diagnose [-scale N] [-defect F] [-patterns file] [-top K] [-workers W]
-//	         [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
+//	         [-report F.json] [-trace F.json]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
 	"scap/internal/atpg"
-	"scap/internal/core"
+	"scap/internal/cli"
 	"scap/internal/diagnose"
-	"scap/internal/obs"
-	"scap/internal/parallel"
 	"scap/internal/pattern"
 	"scap/internal/soc"
 )
 
 func main() {
-	scale := flag.Int("scale", 16, "design scale divisor")
-	defect := flag.Int("defect", -1, "fault index to inject (-1 = pick a detected one)")
+	c := cli.New("diagnose", 16, "fault-sim workers (0 = all cores, 1 = serial)")
+	defect := cli.Int("defect", -1, -1, math.MaxInt, "fault index to inject (-1 = pick a detected one)")
 	patPath := flag.String("patterns", "", "pattern file from 'atpg -o' (empty = generate)")
-	top := flag.Int("top", 5, "candidates to report")
-	workers := flag.Int("workers", 0, "fault-sim workers (0 = all cores, 1 = serial)")
-	obsFlags := obs.RegisterFlags()
+	top := cli.Int("top", 5, 1, math.MaxInt, "candidates to report")
 	flag.Parse()
 
-	die(parallel.ValidateWorkers(*workers))
-	die(obsFlags.Setup())
-
 	t0 := time.Now()
-	cfg := core.DefaultConfig(*scale)
-	cfg.Workers = *workers
-	sys, err := core.Build(cfg)
-	die(err)
-	defer func() { die(obsFlags.Finish(os.Stdout, "diagnose", sys.Cfg)) }()
+	sys := c.Build()
+	defer c.Finish()
+	l := sys.NewFaultList() // fresh statuses for diagnosis
+	if *defect >= len(l.Faults) {
+		c.Reject(fmt.Errorf("-defect %d out of range (have %d faults)", *defect, len(l.Faults)))
+	}
 
 	var pats []atpg.Pattern
 	genList := sys.NewFaultList()
 	if *patPath != "" {
 		f, err := os.Open(*patPath)
-		die(err)
+		c.Check(err)
 		pats, err = pattern.Read(f, sys.D)
-		die(err)
-		die(f.Close())
+		c.Check(err)
+		c.Check(f.Close())
 		fmt.Printf("read %d patterns from %s\n", len(pats), *patPath)
 	} else {
 		res, err := sys.ATPG(genList, atpg.Options{Dom: 0, Fill: atpg.FillRandom, Seed: 1})
-		die(err)
+		c.Check(err)
 		pats = res.Patterns
 		fmt.Printf("generated %d patterns\n", len(pats))
 	}
 
-	l := sys.NewFaultList() // fresh statuses for diagnosis
 	pick := *defect
 	if pick < 0 {
 		// Default to a fault the pattern set certainly detects.
@@ -78,7 +72,7 @@ func main() {
 		pick, l.String(pick), soc.BlockName(l.Faults[pick].Block))
 
 	tester, err := diagnose.Observe(sys.FSim, l, pick, pats, 0)
-	die(err)
+	c.Check(err)
 	failingPats, failingFlops := 0, 0
 	for _, ob := range tester {
 		if len(ob.FailingFlops) > 0 {
@@ -94,22 +88,15 @@ func main() {
 	}
 
 	cands, err := diagnose.Run(sys.FSim, l, tester, diagnose.Options{Dom: 0, TopK: *top})
-	die(err)
+	c.Check(err)
 	fmt.Printf("\ntop candidates (%v total):\n", time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("%6s  %-28s %8s %10s %10s %9s\n", "rank", "fault", "score", "matched", "predicted", "observed")
-	for i, c := range cands {
+	for i, cand := range cands {
 		marker := ""
-		if c.Fault == pick {
+		if cand.Fault == pick {
 			marker = "  <-- injected defect"
 		}
 		fmt.Printf("%6d  %-28s %8.1f %10d %10d %9d%s\n",
-			i+1, l.String(c.Fault), c.Score, c.Matched, c.Predicted, c.Observed, marker)
-	}
-}
-
-func die(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "diagnose:", err)
-		os.Exit(1)
+			i+1, l.String(cand.Fault), cand.Score, cand.Matched, cand.Predicted, cand.Observed, marker)
 	}
 }

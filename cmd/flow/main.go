@@ -7,8 +7,8 @@
 // Usage:
 //
 //	flow [-scale N] [-out dir] [-workers W] [-screen F]
-//	     [-cpuprofile F] [-memprofile F] [-report F.json] [-metrics-addr :6060]
-//	     [-trace F.json] [-trace-sample N] [-snapshot-interval D]
+//	     [-cpuprofile F] [-memprofile F] [-report F.json]
+//	     [-trace F.json] [-trace-sample N]
 //
 // With -screen F (0 < F <= 1) the packed zero-delay pre-screen ranks each
 // pattern set by estimated B5 switching and the exact event-driven
@@ -24,9 +24,8 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"scap/internal/cli"
 	"scap/internal/core"
-	"scap/internal/obs"
-	"scap/internal/parallel"
 	"scap/internal/parasitic"
 	"scap/internal/pattern"
 	"scap/internal/sdf"
@@ -35,62 +34,49 @@ import (
 )
 
 func main() {
-	scale := flag.Int("scale", 8, "design scale divisor")
+	c := cli.New("flow", 8, "pattern-analysis and ATPG-generation workers (0 = all cores, 1 = serial)")
 	out := flag.String("out", "flow_out", "artifact directory")
-	workers := flag.Int("workers", 0, "pattern-analysis and ATPG-generation workers (0 = all cores, 1 = serial)")
-	screen := flag.Float64("screen", 0, "packed zero-delay pre-screen: exactly profile only this top fraction of patterns (0 disables)")
+	screen := cli.Float("screen", 0, 0, 1, "packed zero-delay pre-screen: exactly profile only this top fraction of patterns (0 disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole flow to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at flow end to this file")
-	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 
-	die(parallel.ValidateWorkers(*workers))
-	if *screen < 0 || *screen > 1 {
-		fmt.Fprintln(os.Stderr, "flow: -screen must be in [0, 1]")
-		os.Exit(2)
-	}
-	die(obsFlags.Setup())
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		die(err)
-		die(pprof.StartCPUProfile(f))
+		c.Check(err)
+		c.Check(pprof.StartCPUProfile(f))
 		defer func() {
 			pprof.StopCPUProfile()
-			die(f.Close())
+			c.Check(f.Close())
 		}()
 	}
 
 	t0 := time.Now()
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		die(err)
-	}
-	cfg := core.DefaultConfig(*scale)
-	cfg.Workers = *workers
-	sys, err := core.Build(cfg)
-	die(err)
+	c.Check(os.MkdirAll(*out, 0o755))
+	sys := c.Build()
 
 	write := func(name string, fn func(*os.File) error) {
 		f, err := os.Create(filepath.Join(*out, name))
-		die(err)
-		die(fn(f))
-		die(f.Close())
+		c.Check(err)
+		c.Check(fn(f))
+		c.Check(f.Close())
 		fmt.Printf("  wrote %s\n", filepath.Join(*out, name))
 	}
 
 	fmt.Printf("design built (%d instances) in %v\n", sys.D.NumInsts(), time.Since(t0).Round(time.Millisecond))
 	// Chain-integrity signoff before anything else, as manufacturing would.
-	die(sys.SC.FlushTest(sys.Sim, nil))
+	c.Check(sys.SC.FlushTest(sys.Sim, nil))
 	fmt.Printf("  scan flush test: %d chains intact\n", len(sys.SC.Chains))
 	write("design.v", func(f *os.File) error { return verilog.Write(f, sys.D) })
 	write("design.spef", func(f *os.File) error { return parasitic.WriteSPEF(f, sys.D) })
 	write("design.sdf", func(f *os.File) error { return sdf.Write(f, sys.D, sys.Delays) })
 
 	stat, err := sys.Statistical()
-	die(err)
+	c.Check(err)
 	conv, err := sys.ConventionalFlow(0)
-	die(err)
+	c.Check(err)
 	nw, err := sys.NewProcedureFlow(0)
-	die(err)
+	c.Check(err)
 	write("patterns_conventional.pat", func(f *os.File) error {
 		return pattern.Write(f, sys.D, conv.Patterns)
 	})
@@ -101,26 +87,26 @@ func main() {
 	profile := func(fr *core.FlowResult) []core.PatternProfile {
 		if *screen <= 0 {
 			p, err := sys.ProfilePatterns(fr)
-			die(err)
+			c.Check(err)
 			return p
 		}
 		screens, err := sys.ScreenPatterns(fr)
-		die(err)
+		c.Check(err)
 		sel := core.ScreenTop(screens, soc.B5, *screen)
 		fmt.Printf("  %s: pre-screen kept %d of %d patterns for exact profiling\n",
 			fr.Name, len(sel), len(screens))
 		p, err := sys.ProfilePatternsAt(fr, sel)
-		die(err)
+		c.Check(err)
 		return p
 	}
 	convProf := profile(conv)
 	newProf := profile(nw)
 	grade, err := sys.GradeDetections(conv, 2000)
-	die(err)
+	c.Check(err)
 
 	write("report.txt", func(f *os.File) error {
 		thr := stat.ThresholdMW[soc.B5]
-		fmt.Fprintf(f, "scap flow report (scale 1/%d, seed %d)\n\n", *scale, sys.Cfg.Seed)
+		fmt.Fprintf(f, "scap flow report (scale 1/%d, seed %d)\n\n", c.Scale(), sys.Cfg.Seed)
 		fmt.Fprintf(f, "design: %d instances, %d scan flops, %d chains\n",
 			sys.D.NumInsts(), len(sys.D.Flops), len(sys.SC.Chains))
 		fmt.Fprintf(f, "B5 SCAP threshold: %.2f mW (statistical Case 2)\n\n", thr)
@@ -145,19 +131,12 @@ func main() {
 	})
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
-		die(err)
+		c.Check(err)
 		runtime.GC() // settle allocations so the heap profile reflects live data
-		die(pprof.WriteHeapProfile(f))
-		die(f.Close())
+		c.Check(pprof.WriteHeapProfile(f))
+		c.Check(f.Close())
 		fmt.Printf("  wrote %s\n", *memprofile)
 	}
-	die(obsFlags.Finish(os.Stdout, "flow", sys.Cfg))
+	c.Finish()
 	fmt.Printf("flow complete in %v\n", time.Since(t0).Round(time.Millisecond))
-}
-
-func die(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flow:", err)
-		os.Exit(1)
-	}
 }

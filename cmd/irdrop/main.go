@@ -5,57 +5,41 @@
 // Usage:
 //
 //	irdrop [-scale N] [-dynamic] [-all] [-mc T] [-pattern P] [-model CAP|SCAP] [-map] [-workers W]
-//	       [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
+//	       [-report F.json] [-trace F.json]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
+	"math"
 	"time"
 
+	"scap/internal/cli"
 	"scap/internal/core"
 	"scap/internal/ftas"
-	"scap/internal/obs"
-	"scap/internal/parallel"
 	"scap/internal/soc"
 	"scap/internal/textplot"
 )
 
 func main() {
-	scale := flag.Int("scale", 8, "design scale divisor")
+	c := cli.New("irdrop", 8, "analysis workers (0 = all cores, 1 = serial)")
 	dynamic := flag.Bool("dynamic", false, "run the dynamic per-pattern analysis too")
 	all := flag.Bool("all", false, "batch-solve IR drop for every pattern of the flow (worker pool)")
-	mc := flag.Int("mc", 0, "Monte-Carlo statistical trials (0 = off)")
-	pattern := flag.Int("pattern", -1, "conventional-flow pattern to analyze (-1 = hottest)")
-	modelName := flag.String("model", "SCAP", "power model for the dynamic analysis: CAP | SCAP")
+	mc := cli.Int("mc", 0, 0, math.MaxInt, "Monte-Carlo statistical trials (0 = off)")
+	pattern := cli.Int("pattern", -1, -1, math.MaxInt, "conventional-flow pattern to analyze (-1 = hottest)")
+	model := cli.Choice("model", "SCAP", "power model for the dynamic analysis: CAP | SCAP",
+		map[string]core.PowerModel{"CAP": core.ModelCAP, "SCAP": core.ModelSCAP})
 	showMap := flag.Bool("map", false, "render the VDD drop heatmap")
 	doFTAS := flag.Bool("ftas", false, "run the faster-than-at-speed overkill sweep")
-	workers := flag.Int("workers", 0, "analysis workers (0 = all cores, 1 = serial)")
-	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 
-	die(parallel.ValidateWorkers(*workers))
-	die(obsFlags.Setup())
-
-	model := core.ModelSCAP
-	if *modelName == "CAP" {
-		model = core.ModelCAP
-	} else if *modelName != "SCAP" {
-		fmt.Fprintln(os.Stderr, "irdrop: unknown model", *modelName)
-		os.Exit(2)
-	}
-
 	t0 := time.Now()
-	cfg := core.DefaultConfig(*scale)
-	cfg.Workers = *workers
-	sys, err := core.Build(cfg)
-	die(err)
+	sys := c.Build()
 	// irdrop returns early from several analysis tiers; the deferred finish
 	// emits the report/summary on every successful path.
-	defer func() { die(obsFlags.Finish(os.Stdout, "irdrop", sys.Cfg)) }()
+	defer c.Finish()
 	stat, err := sys.Statistical()
-	die(err)
+	c.Check(err)
 	fmt.Printf("statistical vector-less analysis (%v):\n", time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("%-6s %26s %26s\n", "", "Case1 (full cycle)", "Case2 (half cycle)")
 	fmt.Printf("%-6s %12s %13s %12s %13s\n", "block", "P_vdd [mW]", "drop [V]", "P_vdd [mW]", "drop [V]")
@@ -72,7 +56,7 @@ func main() {
 	if *mc > 0 {
 		t1 := time.Now()
 		res, err := sys.MonteCarloIRDrop(*mc, sys.Cfg.Seed)
-		die(err)
+		c.Check(err)
 		fmt.Printf("\nMonte-Carlo statistical analysis: %d trials, half-cycle window (%v):\n",
 			res.Trials, time.Since(t1).Round(time.Millisecond))
 		fmt.Printf("%-6s %10s %10s %10s\n", "block", "mean [V]", "p95 [V]", "max [V]")
@@ -89,14 +73,14 @@ func main() {
 		return
 	}
 	fr, err := sys.ConventionalFlow(0)
-	die(err)
+	c.Check(err)
 	prof, err := sys.ProfilePatterns(fr)
-	die(err)
+	c.Check(err)
 
 	if *all {
 		t1 := time.Now()
-		sums, err := sys.DynamicIRDropAll(fr, model)
-		die(err)
+		sums, err := sys.DynamicIRDropAll(fr, *model)
+		c.Check(err)
 		nb := sys.D.NumBlocks
 		worstP := 0
 		for i := range sums {
@@ -105,7 +89,7 @@ func main() {
 			}
 		}
 		fmt.Printf("\nbatched %v-model analysis: %d patterns solved in %v\n",
-			model, len(sums), time.Since(t1).Round(time.Millisecond))
+			*model, len(sums), time.Since(t1).Round(time.Millisecond))
 		fmt.Printf("  worst pattern #%d: VDD %.3f V, VSS %.3f V (STW %.2f ns)\n",
 			worstP, sums[worstP].WorstVDD[nb], sums[worstP].WorstVSS[nb], sums[worstP].STW)
 	}
@@ -121,13 +105,12 @@ func main() {
 		}
 	}
 	if pick >= len(fr.Patterns) {
-		fmt.Fprintf(os.Stderr, "irdrop: pattern %d out of range (have %d)\n", pick, len(fr.Patterns))
-		os.Exit(2)
+		c.Reject(fmt.Errorf("pattern %d out of range (have %d)", pick, len(fr.Patterns)))
 	}
-	dyn, err := sys.DynamicIRDrop(&fr.Patterns[pick], 0, model)
-	die(err)
+	dyn, err := sys.DynamicIRDrop(&fr.Patterns[pick], 0, *model)
+	c.Check(err)
 	nb := sys.D.NumBlocks
-	fmt.Printf("\ndynamic %v-model analysis of pattern #%d (STW %.2f ns):\n", model, pick, dyn.STW)
+	fmt.Printf("\ndynamic %v-model analysis of pattern #%d (STW %.2f ns):\n", *model, pick, dyn.STW)
 	fmt.Printf("  worst drop: VDD %.3f V, VSS %.3f V\n", dyn.WorstVDD[nb], dyn.WorstVSS[nb])
 	for b := 0; b < nb; b++ {
 		fmt.Printf("  %s: VDD %.3f V, VSS %.3f V\n", soc.BlockName(b), dyn.WorstVDD[b], dyn.WorstVSS[b])
@@ -139,13 +122,13 @@ func main() {
 			fmt.Sprintf("VDD drop map ('@' beyond 10%% VDD = %.2f V)", tenPct)))
 	}
 	imp, _, err := sys.DelayImpact(&fr.Patterns[pick], 0)
-	die(err)
+	c.Check(err)
 	fmt.Printf("\nIR-drop-aware re-simulation: %d endpoints slowed, %d sped up, max slowdown %.1f%%\n",
 		imp.Slowed, imp.Sped, 100*imp.MaxSlowdownFrac)
 
 	if *doFTAS {
 		res, err := ftas.Sweep(imp, sys.Period/4, sys.Period, sys.Period/20, 0)
-		die(err)
+		c.Check(err)
 		fmt.Println("\nfaster-than-at-speed sweep (overkill = good-chip fails caused by IR-drop):")
 		fmt.Printf("%10s %9s %10s %10s %9s\n", "period ns", "freq MHz", "nom-fails", "drop-fails", "overkill")
 		for _, p := range res.Points {
@@ -156,12 +139,5 @@ func main() {
 			fmt.Printf("fastest overkill-free capture: %.2f ns (%.1f MHz)\n",
 				res.MinPeriodNoOverkillNs, res.MaxSafeFreqMHz)
 		}
-	}
-}
-
-func die(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "irdrop:", err)
-		os.Exit(1)
 	}
 }

@@ -3,56 +3,45 @@
 //
 // Usage:
 //
-//	repro [-scale N] [-exp id] [-list] [-workers W]
-//	      [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
+//	repro [-scale N] [-exp id] [-list] [-workers W] [-report F.json] [-trace F.json]
 //
-// With no -exp it runs every experiment (table1..table4, fig1..fig7) and
-// prints the combined report; -scale selects the design scale divisor
-// (default 8, ~2.9K scan flops; 1 is the paper's full ~23K size).
+// With no -exp it runs every experiment (table1..table4, fig1..fig7 and
+// the ext-* extensions) and prints the combined report; -scale selects
+// the design scale divisor (default 4, ~5.8K scan flops; 1 is the
+// paper's full ~23K size).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
-	"scap/internal/obs"
-	"scap/internal/parallel"
+	"scap/internal/cli"
 	"scap/internal/repro"
 )
 
 func main() {
-	scale := flag.Int("scale", 4, "design scale divisor (1 = paper size)")
-	exp := flag.String("exp", "", "experiment id ("+strings.Join(repro.Experiments, ", ")+"); empty = all")
+	c := cli.New("repro", 4, "pattern-analysis workers (0 = all cores, 1 = serial)")
+	ids := map[string]string{"": ""}
+	for _, id := range repro.Experiments {
+		ids[id] = id
+	}
+	exp := cli.Choice("exp", "", "experiment id ("+strings.Join(repro.Experiments, ", ")+"); empty = all", ids)
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	workers := flag.Int("workers", 0, "pattern-analysis workers (0 = all cores, 1 = serial)")
-	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 
-	if err := parallel.ValidateWorkers(*workers); err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(2)
-	}
 	if *list {
 		for _, id := range repro.Experiments {
 			fmt.Println(id)
 		}
 		return
 	}
-	if err := obsFlags.Setup(); err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
 	t0 := time.Now()
-	r, err := repro.NewWorkers(*scale, *workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
+	r, err := repro.NewSystem(c.Build())
+	c.Check(err)
 	fmt.Printf("system built at scale 1/%d in %v: %d instances, %d nets, %d scan flops\n\n",
-		*scale, time.Since(t0).Round(time.Millisecond),
+		c.Scale(), time.Since(t0).Round(time.Millisecond),
 		r.Sys.D.NumInsts(), r.Sys.D.NumNets(), len(r.Sys.D.Flops))
 
 	var out string
@@ -61,14 +50,8 @@ func main() {
 	} else {
 		out, err = r.Run(*exp)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
+	c.Check(err)
 	fmt.Print(out)
 	fmt.Printf("\ntotal runtime %v\n", time.Since(t0).Round(time.Millisecond))
-	if err := obsFlags.Finish(os.Stdout, "repro", r.Sys.Cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
+	c.Finish()
 }

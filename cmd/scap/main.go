@@ -6,8 +6,7 @@
 // Usage:
 //
 //	scap [-scale N] [-flow conventional|new] [-block B5] [-top K] [-plot] [-workers W]
-//	     [-screen F] [-report F.json] [-metrics-addr :6060]
-//	     [-trace F.json] [-trace-sample N] [-snapshot-interval D]
+//	     [-screen F] [-report F.json] [-trace F.json] [-trace-sample N]
 //
 // With -screen F (0 < F <= 1) the packed zero-delay pre-screen ranks all
 // patterns by estimated switching in the profiled block first, and the
@@ -17,14 +16,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"math"
 	"sort"
 	"time"
 
+	"scap/internal/cli"
 	"scap/internal/core"
 	"scap/internal/logic"
-	"scap/internal/obs"
-	"scap/internal/parallel"
 	"scap/internal/power"
 	"scap/internal/sim"
 	"scap/internal/soc"
@@ -32,71 +30,48 @@ import (
 )
 
 func main() {
-	scale := flag.Int("scale", 8, "design scale divisor")
-	flow := flag.String("flow", "conventional", "conventional | new")
-	blockName := flag.String("block", "B5", "block to profile (B1..B6)")
-	top := flag.Int("top", 10, "print the K hottest patterns")
+	c := cli.New("scap", 8, "pattern-profiling workers (0 = all cores, 1 = serial)")
+	flow := cli.Choice("flow", "conventional", "conventional | new",
+		map[string]func(*core.System, int) (*core.FlowResult, error){
+			"conventional": (*core.System).ConventionalFlow,
+			"new":          (*core.System).NewProcedureFlow,
+		})
+	blocks := map[string]int{}
+	for b := 0; b < soc.NumBlocks; b++ {
+		blocks[soc.BlockName(b)] = b
+	}
+	blockFlag := cli.Choice("block", "B5", "block to profile (B1..B6)", blocks)
+	top := cli.Int("top", 10, 1, math.MaxInt, "print the K hottest patterns")
 	plot := flag.Bool("plot", false, "render the SCAP scatter plot")
 	waveform := flag.Bool("waveform", false, "render the hottest pattern's instantaneous power waveform")
-	workers := flag.Int("workers", 0, "pattern-profiling workers (0 = all cores, 1 = serial)")
-	screen := flag.Float64("screen", 0, "packed zero-delay pre-screen: exactly profile only this top fraction of patterns (0 disables)")
-	obsFlags := obs.RegisterFlags()
+	screen := cli.Float("screen", 0, 0, 1, "packed zero-delay pre-screen: exactly profile only this top fraction of patterns (0 disables)")
 	flag.Parse()
-
-	die(parallel.ValidateWorkers(*workers))
-	if *flow != "conventional" && *flow != "new" {
-		fmt.Fprintln(os.Stderr, "scap: unknown flow", *flow)
-		os.Exit(2)
-	}
-	if *screen < 0 || *screen > 1 {
-		fmt.Fprintln(os.Stderr, "scap: -screen must be in [0, 1]")
-		os.Exit(2)
-	}
-	die(obsFlags.Setup())
-
-	block := -1
-	for b := 0; b < soc.NumBlocks; b++ {
-		if soc.BlockName(b) == *blockName {
-			block = b
-		}
-	}
-	if block < 0 {
-		fmt.Fprintln(os.Stderr, "scap: unknown block", *blockName)
-		os.Exit(2)
-	}
+	block := *blockFlag
 
 	t0 := time.Now()
-	cfg := core.DefaultConfig(*scale)
-	cfg.Workers = *workers
-	sys, err := core.Build(cfg)
-	die(err)
+	sys := c.Build()
 	stat, err := sys.Statistical()
-	die(err)
-	var fr *core.FlowResult
-	if *flow == "new" {
-		fr, err = sys.NewProcedureFlow(0)
-	} else {
-		fr, err = sys.ConventionalFlow(0)
-	}
-	die(err)
+	c.Check(err)
+	fr, err := (*flow)(sys, 0)
+	c.Check(err)
 	var prof []core.PatternProfile
 	if *screen > 0 {
 		screens, err := sys.ScreenPatterns(fr)
-		die(err)
+		c.Check(err)
 		sel := core.ScreenTop(screens, block, *screen)
 		fmt.Printf("packed pre-screen: %d patterns triaged, top %.0f%% (%d) kept for exact profiling\n",
 			len(screens), 100**screen, len(sel))
 		prof, err = sys.ProfilePatternsAt(fr, sel)
-		die(err)
+		c.Check(err)
 	} else {
 		prof, err = sys.ProfilePatterns(fr)
-		die(err)
+		c.Check(err)
 	}
 
 	thr := stat.ThresholdMW[block]
 	above := core.AboveThreshold(prof, block, thr)
 	fmt.Printf("%s flow: %d patterns profiled in %v\n", fr.Name, len(prof), time.Since(t0).Round(time.Millisecond))
-	fmt.Printf("%s statistical threshold (Case 2, VDD): %.2f mW\n", *blockName, thr)
+	fmt.Printf("%s statistical threshold (Case 2, VDD): %.2f mW\n", soc.BlockName(block), thr)
 	fmt.Printf("patterns above threshold: %d of %d (%.1f%%)\n",
 		above, len(prof), 100*float64(above)/float64(len(prof)))
 
@@ -107,7 +82,7 @@ func main() {
 	sort.Slice(idx, func(a, b int) bool {
 		return prof[idx[a]].BlockSCAPVdd[block] > prof[idx[b]].BlockSCAPVdd[block]
 	})
-	fmt.Printf("\nhottest %d patterns in %s:\n", *top, *blockName)
+	fmt.Printf("\nhottest %d patterns in %s:\n", *top, soc.BlockName(block))
 	fmt.Printf("%8s %6s %10s %10s %8s %8s\n", "pattern", "step", "SCAP mW", "CAP mW", "STW ns", "toggles")
 	for k := 0; k < *top && k < len(idx); k++ {
 		p := &prof[idx[k]]
@@ -121,7 +96,7 @@ func main() {
 		}
 		fmt.Println()
 		fmt.Print(textplot.Scatter(ys, thr, 76, 16,
-			fmt.Sprintf("%s SCAP (VDD), %s flow", *blockName, fr.Name), "mW"))
+			fmt.Sprintf("%s SCAP (VDD), %s flow", soc.BlockName(block), fr.Name), "mW"))
 	}
 	if *waveform {
 		hot := prof[idx[0]].Index
@@ -132,9 +107,9 @@ func main() {
 		p := &fr.Patterns[hot]
 		nf := len(sys.D.Flops)
 		v2, err := sys.LaunchStateInto(ls, make([]logic.V, nf), make([]logic.V, nf), p.V1, p.PIs, 0)
-		die(err)
+		c.Check(err)
 		if _, err := tm.LaunchInto(ls, p.V1, v2, p.PIs, sys.Period, meter.OnToggle); err != nil {
-			die(err)
+			c.Check(err)
 		}
 		w := meter.WaveformOf()
 		rep := meter.Report(sys.Period)
@@ -144,12 +119,5 @@ func main() {
 				hot, w.PeakMW(), rep.Chip().CAPVdd+rep.Chip().CAPVss,
 				rep.Chip().SCAPVdd+rep.Chip().SCAPVss), "mW"))
 	}
-	die(obsFlags.Finish(os.Stdout, "scap", sys.Cfg))
-}
-
-func die(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scap:", err)
-		os.Exit(1)
-	}
+	c.Finish()
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"scap/internal/cli"
 	"scap/internal/clocktree"
 	"scap/internal/parasitic"
 	"scap/internal/place"
@@ -23,7 +24,7 @@ import (
 )
 
 func main() {
-	scale := flag.Int("scale", 8, "design scale divisor (1 = paper size)")
+	c := cli.Plain("socgen", 8)
 	seed := flag.Int64("seed", 1, "generator seed")
 	spefPath := flag.String("spef", "", "write reduced SPEF to this file")
 	sdfPath := flag.String("sdf", "", "write reduced SDF to this file")
@@ -31,28 +32,22 @@ func main() {
 	showFP := flag.Bool("floorplan", false, "print the ASCII floorplan")
 	flag.Parse()
 
-	cfg := soc.DefaultConfig(*scale)
+	cfg := soc.DefaultConfig(c.Scale())
 	cfg.Seed = *seed
 	d, plan, err := soc.Generate(cfg)
-	die := func(err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "socgen:", err)
-			os.Exit(1)
-		}
-	}
-	die(err)
+	c.Check(err)
 
 	fp, err := place.Place(d, *seed)
-	die(err)
+	c.Check(err)
 	sc, err := scan.Insert(d, scan.DefaultConfig())
-	die(err)
+	c.Check(err)
 	sum, err := parasitic.Extract(d, fp, parasitic.DefaultParams())
-	die(err)
+	c.Check(err)
 	tree := clocktree.Build(d, fp, clocktree.DefaultParams(), *seed+1)
 	stats, err := d.ComputeStats()
-	die(err)
+	c.Check(err)
 
-	fmt.Printf("design %s (scale 1/%d, seed %d)\n", d.Name, *scale, *seed)
+	fmt.Printf("design %s (scale 1/%d, seed %d)\n", d.Name, c.Scale(), *seed)
 	fmt.Printf("  instances: %d (%d gates, %d flops), nets: %d, PIs: %d, POs: %d\n",
 		stats.Insts, stats.Gates, stats.Flops, stats.Nets, stats.PIs, stats.POs)
 	fmt.Printf("  max logic depth: %d levels\n", stats.MaxLevel)
@@ -77,23 +72,23 @@ func main() {
 	}
 	if *spefPath != "" {
 		f, err := os.Create(*spefPath)
-		die(err)
-		die(parasitic.WriteSPEF(f, d))
-		die(f.Close())
+		c.Check(err)
+		c.Check(parasitic.WriteSPEF(f, d))
+		c.Check(f.Close())
 		fmt.Printf("\nwrote SPEF to %s\n", *spefPath)
 	}
 	if *vPath != "" {
 		f, err := os.Create(*vPath)
-		die(err)
-		die(verilog.Write(f, d))
-		die(f.Close())
+		c.Check(err)
+		c.Check(verilog.Write(f, d))
+		c.Check(f.Close())
 		fmt.Printf("wrote Verilog to %s\n", *vPath)
 	}
 	if *sdfPath != "" {
 		f, err := os.Create(*sdfPath)
-		die(err)
-		die(sdf.Write(f, d, sdf.Compute(d)))
-		die(f.Close())
+		c.Check(err)
+		c.Check(sdf.Write(f, d, sdf.Compute(d)))
+		c.Check(f.Close())
 		fmt.Printf("wrote SDF to %s\n", *sdfPath)
 	}
 }

@@ -5,49 +5,34 @@
 //
 // Usage:
 //
-//	timing [-scale N] [-dom D] [-k K] [-workers W]
-//	       [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
+//	timing [-scale N] [-dom D] [-k K] [-workers W] [-report F.json] [-trace F.json]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
+	"math"
 
-	"scap/internal/core"
-	"scap/internal/obs"
-	"scap/internal/parallel"
+	"scap/internal/cli"
 	"scap/internal/soc"
 	"scap/internal/sta"
 )
 
 func main() {
-	scale := flag.Int("scale", 8, "design scale divisor")
-	dom := flag.Int("dom", 0, "clock domain to analyze")
-	k := flag.Int("k", 5, "worst paths to report")
-	workers := flag.Int("workers", 0, "analysis workers (0 = all cores, 1 = serial)")
-	obsFlags := obs.RegisterFlags()
+	c := cli.New("timing", 8, "analysis workers (0 = all cores, 1 = serial)")
+	dom := cli.Int("dom", 0, 0, len(soc.DefaultConfig(1).Domains)-1, "clock domain to analyze")
+	k := cli.Int("k", 5, 1, math.MaxInt, "worst paths to report")
 	flag.Parse()
 
-	die(parallel.ValidateWorkers(*workers))
-	die(obsFlags.Setup())
-
-	cfg := core.DefaultConfig(*scale)
-	cfg.Workers = *workers
-	sys, err := core.Build(cfg)
-	die(err)
-	defer func() { die(obsFlags.Finish(os.Stdout, "timing", sys.Cfg)) }()
+	sys := c.Build()
+	defer c.Finish()
 	d := sys.D
-	if *dom < 0 || *dom >= len(d.Domains) {
-		fmt.Fprintf(os.Stderr, "timing: domain %d out of range\n", *dom)
-		os.Exit(2)
-	}
 
 	fmt.Printf("domain summary at test period %.4g ns:\n", sys.Period)
 	fmt.Printf("%-8s %10s %10s %12s\n", "domain", "maxArr ns", "WNS ns", "endpoints")
 	for i := range d.Domains {
 		res, err := sta.Analyze(d, sys.Delays, sys.Tree, i, sys.Period)
-		die(err)
+		c.Check(err)
 		n := 0
 		for _, f := range d.Flops {
 			if d.Inst(f).Domain == i {
@@ -58,7 +43,7 @@ func main() {
 	}
 
 	paths, err := sta.WorstPaths(d, sys.Delays, sys.Tree, *dom, sys.Period, *k)
-	die(err)
+	c.Check(err)
 	fmt.Printf("\n%d worst paths of %s:\n", len(paths), d.Domains[*dom].Name)
 	for i, p := range paths {
 		ep := d.Inst(p.Endpoint)
@@ -73,12 +58,5 @@ func main() {
 			}
 			fmt.Printf("  %2d. %-28s %-6s %.3f ns\n", j+1, inst.Name, inst.Kind, dl)
 		}
-	}
-}
-
-func die(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "timing:", err)
-		os.Exit(1)
 	}
 }

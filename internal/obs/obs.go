@@ -10,8 +10,8 @@
 //
 //   - a versioned JSON run report (report.go) written by the CLIs'
 //     -report flag: stage tree, counters, histograms, provenance;
-//   - an expvar + /debug/pprof HTTP listener (http.go) behind the
-//     CLIs' -metrics-addr flag, for watching long runs live;
+//   - a Chrome trace-event timeline (trace.go) behind the CLIs' -trace
+//     flag;
 //   - a human-readable stage summary table rendered through
 //     internal/textplot at CLI exit.
 //
@@ -29,7 +29,7 @@ import (
 
 // enabled gates every instrumentation entry point. Off by default so
 // library users and benchmarks pay only the atomic load; the CLIs
-// enable it when -report or -metrics-addr is given.
+// enable it when -report or -trace is given.
 var enabled atomic.Bool
 
 // Enable turns instrumentation on. Counters, histograms and spans
@@ -113,8 +113,6 @@ func Reset() {
 	series.mu.Lock()
 	series.epoch = time.Time{}
 	series.entries = nil
-	series.ticks = 0
-	series.stride = 0
 	series.mu.Unlock()
 
 	for i := range tracer.shards {

@@ -11,7 +11,6 @@ import (
 // internals are reachable directly.
 func resetForTest(t *testing.T) {
 	t.Helper()
-	StopSnapshots()
 	reg.mu.Lock()
 	reg.counters = map[string]*Counter{}
 	reg.gauges = map[string]*Gauge{}
@@ -31,8 +30,6 @@ func resetForTest(t *testing.T) {
 	series.mu.Lock()
 	series.epoch = time.Time{}
 	series.entries = nil
-	series.ticks = 0
-	series.stride = 0
 	series.mu.Unlock()
 	for i := range tracer.shards {
 		s := &tracer.shards[i]
@@ -44,7 +41,6 @@ func resetForTest(t *testing.T) {
 	DisableTrace()
 	Disable()
 	t.Cleanup(func() {
-		StopSnapshots()
 		DisableTrace()
 		Disable()
 		timeNow = time.Now

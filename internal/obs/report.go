@@ -20,8 +20,9 @@ import (
 // v2 added the free-form `info` block (mesh geometry, factor fill —
 // see SetRunInfo). v3 added per-unit attribution:
 // top-K hotspot tables (`hotspots`), periodic metric snapshots
-// (`snapshots`) and p50/p95/p99 quantiles on histograms.
-const SchemaVersion = "scap/run-report/v3"
+// (`snapshots`) and p50/p95/p99 quantiles on histograms. v4 dropped
+// `snapshots` together with the sampler that filled it.
+const SchemaVersion = "scap/run-report/v4"
 
 // runInfo is the process-wide run-information block: small key/value
 // facts about how the run was configured or what the build produced
@@ -169,7 +170,6 @@ type Report struct {
 	Histograms map[string]HistogramReport `json:"histograms,omitempty"`
 	PerWorker  map[string][]int64         `json:"per_worker,omitempty"`
 	Hotspots   map[string]TopKReport      `json:"hotspots,omitempty"`
-	Snapshots  []Snapshot                 `json:"snapshots,omitempty"`
 	Derived    map[string]float64         `json:"derived,omitempty"`
 }
 
@@ -242,10 +242,6 @@ func BuildReport(tool string, config any) *Report {
 		}
 	}
 	reg.mu.Unlock()
-
-	if snaps := Snapshots(); len(snaps) > 0 {
-		r.Snapshots = snaps
-	}
 
 	trace.mu.Lock()
 	for _, s := range trace.roots {

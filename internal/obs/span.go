@@ -70,11 +70,9 @@ func (s *Span) End() {
 		return
 	}
 	now := timeNow()
-	first := false
 	trace.mu.Lock()
 	if s.end.IsZero() {
 		s.end = now
-		first = true
 	}
 	for c := trace.cur; c != nil; c = c.parent {
 		if c == s {
@@ -83,10 +81,6 @@ func (s *Span) End() {
 		}
 	}
 	trace.mu.Unlock()
-	// Mirror the finished span into the trace-event timeline (once).
-	if first && tracing.Load() {
-		traceSpan(s)
-	}
 }
 
 // CurrentStage returns the name of the innermost open span, or "" when

@@ -5,18 +5,10 @@ import (
 	"time"
 )
 
-// Time-series snapshots give a run's metrics a time axis: the CLIs'
-// -snapshot-interval flag samples the counter/gauge registry on a
-// ticker, and the samples land in the run report's `snapshots` array
-// (and on -metrics-addr, which rebuilds the report per request). Memory
-// stays bounded by decimation: when the series fills, every other
-// sample is dropped and the sampling stride doubles, so a run of any
-// length keeps uniform whole-run coverage in at most maxSnapshots
-// entries.
-
-// maxSnapshots bounds the in-memory series; at the default counter
-// population a snapshot is well under 1 KiB.
-const maxSnapshots = 360
+// Snapshots are timed samples of the counter/gauge registry, taken on
+// request. A caller that runs several units in one process (the
+// repository benchmark) takes one at the end of each unit to read that
+// unit's counters; the run report does not carry them.
 
 // Snapshot is one timed sample of the metric registry. AtMs is relative
 // to the first snapshot of the run.
@@ -29,16 +21,12 @@ type Snapshot struct {
 var series struct {
 	mu      sync.Mutex
 	epoch   time.Time
-	stride  int // record every stride-th tick (doubles on decimation)
-	ticks   int
 	entries []Snapshot
-	stop    chan struct{}
-	done    chan struct{}
 }
 
 // TakeSnapshot samples the registry now and appends it to the series
 // (a no-op while instrumentation is disabled). Zero-valued metrics are
-// omitted; decimation keeps the series bounded.
+// omitted.
 func TakeSnapshot() {
 	if !enabled.Load() {
 		return
@@ -70,68 +58,7 @@ func TakeSnapshot() {
 	}
 	snap.AtMs = float64(now.Sub(series.epoch)) / float64(time.Millisecond)
 	series.entries = append(series.entries, snap)
-	if len(series.entries) >= maxSnapshots {
-		kept := series.entries[:0]
-		for i := 0; i < len(series.entries); i += 2 {
-			kept = append(kept, series.entries[i])
-		}
-		series.entries = kept
-		if series.stride == 0 {
-			series.stride = 1
-		}
-		series.stride *= 2
-	}
 	series.mu.Unlock()
-}
-
-// StartSnapshots begins sampling the registry every interval on a
-// background goroutine (replacing any previous sampler). Intervals
-// <= 0 are ignored.
-func StartSnapshots(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	StopSnapshots()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	series.mu.Lock()
-	series.stop, series.done = stop, done
-	if series.stride == 0 {
-		series.stride = 1
-	}
-	series.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				series.mu.Lock()
-				series.ticks++
-				take := series.ticks%series.stride == 0
-				series.mu.Unlock()
-				if take {
-					TakeSnapshot()
-				}
-			}
-		}
-	}()
-}
-
-// StopSnapshots stops the background sampler and waits for it to exit.
-// Safe to call when none is running.
-func StopSnapshots() {
-	series.mu.Lock()
-	stop, done := series.stop, series.done
-	series.stop, series.done = nil, nil
-	series.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 }
 
 // Snapshots returns a copy of the recorded series, oldest first.

@@ -172,26 +172,3 @@ func TestSnapshotSeries(t *testing.T) {
 		t.Errorf("counter trajectory wrong: %+v", snaps)
 	}
 }
-
-// TestSnapshotDecimation: the series stays bounded and keeps whole-run
-// coverage by dropping every other sample when it fills.
-func TestSnapshotDecimation(t *testing.T) {
-	resetForTest(t)
-	Enable()
-	timeNow = fakeClock()
-	for i := 0; i < maxSnapshots+10; i++ {
-		TakeSnapshot()
-	}
-	snaps := Snapshots()
-	if len(snaps) > maxSnapshots {
-		t.Fatalf("series grew to %d, bound is %d", len(snaps), maxSnapshots)
-	}
-	if snaps[0].AtMs != 0 {
-		t.Errorf("decimation lost the run start: first at %g ms", snaps[0].AtMs)
-	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].AtMs <= snaps[i-1].AtMs {
-			t.Fatalf("series not monotonic at %d: %g after %g", i, snaps[i].AtMs, snaps[i-1].AtMs)
-		}
-	}
-}

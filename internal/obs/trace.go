@@ -11,20 +11,22 @@ import (
 )
 
 // The trace-event log is the timeline companion to the aggregate
-// metrics: a bounded, sharded ring buffer of begin/end ("complete") and
-// instant events that the CLIs' -trace flag exports as Chrome
-// trace-event JSON, loadable in Perfetto or chrome://tracing. Stage
-// spans emit one complete event per End on the goroutine that ran them;
-// the worker pool emits one (sampled) complete event per task on the
-// worker's own lane, so a run renders as nested pipeline stages above
-// per-worker task lanes with the solver/sim bursts visible inside them.
+// metrics: a bounded, sharded ring buffer of complete (begin plus
+// duration) events that the CLIs' -trace flag exports as Chrome
+// trace-event JSON, loadable in Perfetto or chrome://tracing. Subsystem
+// bursts land on the goroutine that ran them; the worker pool emits one
+// (sampled) complete event per task on the worker's own lane. The
+// export adds one event per finished stage span, read from the span
+// tree, so a run renders as nested pipeline stages above per-worker
+// task lanes with the solver/sim bursts visible inside them.
 //
 // Recording follows the same discipline as the counters: every entry
 // point is gated on one atomic load, so the log costs nothing while
 // tracing is off; while it is on, an event is one uncontended
 // shard-mutex lock plus a slot write. The buffer is fixed-size — when
 // it wraps, the oldest events in the shard are overwritten and counted
-// as dropped (surfaced in the exported file's otherData).
+// as dropped (surfaced in the exported file's otherData). Stage events
+// never pass through the ring, so a long run keeps its skeleton.
 
 // Trace lanes map to Chrome trace "pid"s so stage structure and worker
 // activity render as two separate process groups.
@@ -42,16 +44,15 @@ const (
 const traceShards = 16
 
 // DefaultTraceEvents is the default total event capacity behind the
-// CLIs' -trace flag: enough for every stage and subsystem burst of a
-// seed-scale flow run plus sampled task lanes, at ~64 B/event a few MB.
+// CLIs' -trace flag, at ~64 B/event a few MB. A run that records more
+// bursts and tasks than this keeps the newest per shard.
 const DefaultTraceEvents = 1 << 16
 
 type traceEvent struct {
 	tsNs  int64 // start, relative to the trace epoch
-	durNs int64 // 0 for instants
+	durNs int64
 	tid   int64 // goroutine id (LaneStages) or worker id (LaneWorkers)
 	lane  uint8
-	ph    byte // 'X' complete, 'i' instant
 	cat   string
 	name  string
 }
@@ -169,25 +170,8 @@ func (t TraceTimer) End(cat, name string) {
 		durNs: end.Sub(t.start).Nanoseconds(),
 		tid:   goid(),
 		lane:  LaneStages,
-		ph:    'X',
 		cat:   cat,
 		name:  name,
-	})
-}
-
-// TraceInstant records a zero-duration marker on the caller's goroutine
-// lane.
-func TraceInstant(cat, name string) {
-	if !tracing.Load() {
-		return
-	}
-	traceAdd(traceEvent{
-		tsNs: timeNow().Sub(traceEpoch()).Nanoseconds(),
-		tid:  goid(),
-		lane: LaneStages,
-		ph:   'i',
-		cat:  cat,
-		name: name,
 	})
 }
 
@@ -203,28 +187,37 @@ func TraceTask(worker int, name string, start time.Time, dur time.Duration) {
 		durNs: dur.Nanoseconds(),
 		tid:   int64(worker),
 		lane:  LaneWorkers,
-		ph:    'X',
 		cat:   "task",
 		name:  name,
 	})
 }
 
-// traceSpan records a finished stage span as a complete event.
-func traceSpan(s *Span) {
-	traceAdd(traceEvent{
-		tsNs:  s.start.Sub(traceEpoch()).Nanoseconds(),
-		durNs: s.end.Sub(s.start).Nanoseconds(),
-		tid:   s.goroutine,
-		lane:  LaneStages,
-		ph:    'X',
-		cat:   "stage",
-		name:  s.name,
-	})
-}
-
-// traceSnapshot drains a copy of the live events, oldest first, plus
-// the total dropped by ring wrap-around.
+// traceSnapshot returns one event per finished stage span plus a copy
+// of the ring's live events, oldest first, and the total the ring
+// dropped by wrap-around.
 func traceSnapshot() (evs []traceEvent, dropped int64) {
+	epoch := traceEpoch()
+	var walk func(s *Span)
+	walk = func(s *Span) {
+		if !s.end.IsZero() {
+			evs = append(evs, traceEvent{
+				tsNs:  s.start.Sub(epoch).Nanoseconds(),
+				durNs: s.end.Sub(s.start).Nanoseconds(),
+				tid:   s.goroutine,
+				lane:  LaneStages,
+				cat:   "stage",
+				name:  s.name,
+			})
+		}
+		for _, c := range s.children {
+			walk(c)
+		}
+	}
+	trace.mu.Lock()
+	for _, s := range trace.roots {
+		walk(s)
+	}
+	trace.mu.Unlock()
 	for i := range tracer.shards {
 		s := &tracer.shards[i]
 		s.mu.Lock()
@@ -256,7 +249,6 @@ type chromeEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int64          `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -288,16 +280,11 @@ func BuildChromeTrace() *chromeTrace {
 		ce := chromeEvent{
 			Name: ev.name,
 			Cat:  ev.cat,
-			Ph:   string(ev.ph),
+			Ph:   "X",
 			Ts:   float64(ev.tsNs) / 1e3,
+			Dur:  float64(ev.durNs) / 1e3,
 			Pid:  int(ev.lane),
 			Tid:  ev.tid,
-		}
-		if ev.ph == 'X' {
-			ce.Dur = float64(ev.durNs) / 1e3
-		}
-		if ev.ph == 'i' {
-			ce.S = "t" // thread-scoped instant
 		}
 		if ev.lane == LaneWorkers && !workers[ev.tid] {
 			workers[ev.tid] = true

@@ -23,7 +23,6 @@ func TestTraceDisabledIsNoop(t *testing.T) {
 	resetForTest(t)
 	Enable() // metrics on, tracing off
 	TraceStart().End("cat", "never")
-	TraceInstant("cat", "never")
 	TraceTask(0, "never", time.Now(), time.Millisecond)
 	if evs, dropped := traceSnapshot(); len(evs) != 0 || dropped != 0 {
 		t.Fatalf("disabled tracing recorded %d events (%d dropped)", len(evs), dropped)
@@ -33,7 +32,7 @@ func TestTraceDisabledIsNoop(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsSpansTasksAndInstants(t *testing.T) {
+func TestTraceRecordsSpansAndTasks(t *testing.T) {
 	resetForTest(t)
 	timeNow = fakeClock()
 	EnableTrace(1024, 1)
@@ -41,7 +40,6 @@ func TestTraceRecordsSpansTasksAndInstants(t *testing.T) {
 	s := StartSpan("flow")
 	inner := StartSpan("profile")
 	TraceStart().End("sim", "launch")
-	TraceInstant("atpg", "epoch-merge")
 	TraceTask(3, "profile", timeNow(), 7*time.Millisecond)
 	inner.End()
 	s.End()
@@ -49,9 +47,6 @@ func TestTraceRecordsSpansTasksAndInstants(t *testing.T) {
 	doc := BuildChromeTrace()
 	if got := countPhase(doc, "X"); got != 4 { // 2 spans + 1 burst + 1 task
 		t.Errorf("complete events = %d, want 4", got)
-	}
-	if got := countPhase(doc, "i"); got != 1 {
-		t.Errorf("instant events = %d, want 1", got)
 	}
 	byName := map[string]chromeEvent{}
 	for _, ev := range doc.TraceEvents {
@@ -64,9 +59,6 @@ func TestTraceRecordsSpansTasksAndInstants(t *testing.T) {
 	}
 	if ev := byName["profile"]; ev.Pid != LaneWorkers || ev.Tid != 3 || ev.Dur != 7000 {
 		t.Errorf("worker task wrong: %+v", ev)
-	}
-	if ev := byName["epoch-merge"]; ev.Ph != "i" || ev.S != "t" {
-		t.Errorf("instant not thread-scoped: %+v", ev)
 	}
 	// Nesting: the launch burst must fall inside the outer span.
 	outer, burst := byName["flow"], byName["launch"]
@@ -123,6 +115,27 @@ func TestTraceRingWraps(t *testing.T) {
 	doc := BuildChromeTrace()
 	if got := doc.OtherData["dropped"].(int64); got != total-64 {
 		t.Fatalf("otherData dropped = %v, want %d", got, total-64)
+	}
+}
+
+// TestTraceKeepsStageSpans: a finished stage span survives a ring that
+// wraps many times over on the same goroutine, because stage events
+// come from the span tree, not the ring.
+func TestTraceKeepsStageSpans(t *testing.T) {
+	resetForTest(t)
+	EnableTrace(1, 1) // clamps to 64 slots per shard
+	StartSpan("build").End()
+	for i := 0; i < 2*64*traceShards; i++ {
+		TraceStart().End("sim", "launch")
+	}
+	stages := 0
+	for _, ev := range BuildChromeTrace().TraceEvents {
+		if ev.Cat == "stage" && ev.Name == "build" {
+			stages++
+		}
+	}
+	if stages != 1 {
+		t.Fatalf("export holds %d \"build\" stage events after the ring wrapped, want 1", stages)
 	}
 }
 

@@ -15,7 +15,6 @@
 package parallel
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,18 +54,6 @@ func Resolve(workers int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return workers
-}
-
-// ValidateWorkers rejects the -workers flag values the pool cannot
-// honor. The programmatic knob treats every non-positive value as "all
-// cores", but on a command line a negative count is almost certainly a
-// typo that would silently fan out anyway — the CLIs call this right
-// after flag parsing and error out instead.
-func ValidateWorkers(workers int) error {
-	if workers < 0 {
-		return fmt.Errorf("invalid -workers %d: must be >= 0 (0 = all cores, 1 = serial, N = N workers)", workers)
-	}
-	return nil
 }
 
 // For runs body(worker, i) once for every i in [0, n), fanned across

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -90,21 +89,6 @@ func TestForErrorStopsAndSurfacesSmallestIndex(t *testing.T) {
 	})
 	if err == nil || err.Error() != "index 10: boom" {
 		t.Fatalf("serial error = %v, want index 10", err)
-	}
-}
-
-func TestValidateWorkers(t *testing.T) {
-	for _, w := range []int{0, 1, 8, 1000} {
-		if err := ValidateWorkers(w); err != nil {
-			t.Errorf("ValidateWorkers(%d) = %v, want nil", w, err)
-		}
-	}
-	err := ValidateWorkers(-1)
-	if err == nil {
-		t.Fatal("ValidateWorkers(-1) accepted a negative count")
-	}
-	if !strings.Contains(err.Error(), "invalid -workers -1") {
-		t.Errorf("error %q does not name the bad flag value", err)
 	}
 }
 

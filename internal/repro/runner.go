@@ -29,23 +29,20 @@ type Runner struct {
 
 // New builds the system at the given scale divisor and runs the statistical
 // analysis. Scale 8 is the default experiment scale; unit-style runs use
-// larger divisors. The per-pattern analysis layers use every core; use
-// NewWorkers to pin the pool size.
+// larger divisors. The per-pattern analysis layers use every core; build
+// the system yourself and call NewSystem to pin the pool size.
 func New(scale int) (*Runner, error) {
-	return NewWorkers(scale, 0)
-}
-
-// NewWorkers is New with an explicit worker-pool size for the
-// per-pattern analysis layers (0 = all cores, 1 = exact serial path).
-// Reports are identical for any value — the pool only parallelizes
-// index-addressed work.
-func NewWorkers(scale, workers int) (*Runner, error) {
-	cfg := core.DefaultConfig(scale)
-	cfg.Workers = workers
-	sys, err := core.Build(cfg)
+	sys, err := core.Build(core.DefaultConfig(scale))
 	if err != nil {
 		return nil, err
 	}
+	return NewSystem(sys)
+}
+
+// NewSystem runs the statistical analysis on an already built system.
+// Reports are identical for any sys.Cfg.Workers — the pool only
+// parallelizes index-addressed work.
+func NewSystem(sys *core.System) (*Runner, error) {
 	stat, err := sys.Statistical()
 	if err != nil {
 		return nil, err
