@@ -239,10 +239,9 @@ func BenchmarkAblationGridResolution(b *testing.B) {
 				b.Fatal(err)
 			}
 			var sol *pgrid.Solution
-			var scratch pgrid.SolveScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if sol, err = g.Solve(inj, sol, &scratch); err != nil {
+				if sol, err = g.Solve(inj); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -436,9 +435,9 @@ func BenchmarkDynamicIRDropAll(b *testing.B) {
 	}
 }
 
-// BenchmarkSolve prices one per-pattern rail solve: the default
-// calibrated VDD grid under its statistical half-cycle injection,
-// solved against the cached factorization with caller-owned buffers.
+// BenchmarkSolve prices one single-injection rail solve: the default
+// calibrated VDD grid under its statistical half-cycle injection, swept
+// with one lane in use against the cached factorization.
 func BenchmarkSolve(b *testing.B) {
 	r := benchRunner(b)
 	sys := r.Sys
@@ -453,12 +452,8 @@ func BenchmarkSolve(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var sol *pgrid.Solution
-	var scratch pgrid.SolveScratch
 	for i := 0; i < b.N; i++ {
-		var err error
-		sol, err = g.Solve(inj, sol, &scratch)
-		if err != nil {
+		if _, err := g.Solve(inj); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -518,7 +513,7 @@ func gridScaleGrid(b *testing.B, n int) (*pgrid.Grid, []float64) {
 	return g, inj
 }
 
-// BenchmarkGridScale prices the per-pattern solve against node count,
+// BenchmarkGridScale prices a single-injection solve against node count,
 // n=32 through 512 (262,144 nodes), with grid_nodes as an extra metric.
 // The factor is built once per size, outside the timed loop. The name
 // deliberately avoids the 'Solve|Factor' bench-json regex so the timed
@@ -531,16 +526,10 @@ func BenchmarkGridScale(b *testing.B) {
 			if _, err := g.Factor(); err != nil {
 				b.Fatal(err)
 			}
-			var sol *pgrid.Solution
-			var scratch pgrid.SolveScratch
-			var err error
-			if sol, err = g.Solve(inj, sol, &scratch); err != nil { // warm the scratch
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if sol, err = g.Solve(inj, sol, &scratch); err != nil {
+				if _, err := g.Solve(inj); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -78,14 +78,11 @@ func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, mode
 	}
 	out := &DynamicIR{Model: model, Profile: prof, STW: res.STW}
 
-	// One current and one injection buffer serve both rail solves in
-	// turn (each rail keeps its own Solution, but the intermediate
-	// vectors never outlive a solve).
-	var cur, inj []float64
+	// One current buffer serves both rail solves in turn.
+	var cur []float64
 	solve := func(g *pgrid.Grid, energy []float64) (*pgrid.Solution, []float64, error) {
 		cur = power.InstCurrentsInto(cur, d, energy, window)
-		inj = g.InjectInstCurrentsInto(inj, d, cur)
-		sol, err := g.Solve(inj, nil, nil)
+		sol, err := g.Solve(g.InjectInstCurrents(d, cur))
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: dynamic solve: %w", err)
 		}
@@ -105,7 +102,7 @@ func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, mode
 // NumBlocks) on each rail, volts. The full node-by-node maps of
 // DynamicIR are deliberately not kept — screening a whole pattern set
 // only consumes the per-block extremes, and dropping the maps is what
-// lets each worker recycle its solver buffers.
+// lets each worker recycle its lane storage.
 type IRDropSummary struct {
 	Index    int
 	Model    PowerModel
@@ -114,23 +111,23 @@ type IRDropSummary struct {
 	WorstVSS []float64
 }
 
-// irScratch is one worker's solver state for DynamicIRDropAll: reusable
-// current/injection vectors, a recycled Solution per rail, and the
-// solve's work vector.
+// irScratch is one worker's solver state for DynamicIRDropAll: the
+// per-instance currents buffer and a lane batch per rail.
 type irScratch struct {
-	cur, inj       []float64
-	solVDD, solVSS *pgrid.Solution
-	fs             pgrid.SolveScratch
+	cur      []float64
+	vdd, vss *pgrid.Batch
 }
 
 // DynamicIRDropAll runs the dynamic per-pattern IR-drop analysis over a
 // whole flow, fanned across sys.Workers workers (0 = all cores, 1 = the
 // exact serial path).
 //
-// Every pattern is two exact triangular sweeps per rail against the
-// grid's shared read-only factorization, so all patterns fan out at
-// once and results are bit-identical for any worker count by
-// construction.
+// Patterns go in groups of pgrid.Lanes by index (4g…4g+3): a worker
+// launches a group's patterns one by one, writes each one's currents
+// into its lane of the rail batches, and sweeps each rail once for the
+// whole group. Every lane is bit-identical to a single solve of its
+// pattern and groups do not depend on the worker that runs them, so
+// results are bit-identical for any worker count.
 func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropSummary, error) {
 	defer obs.StartSpan("dynamic-irdrop-all").End()
 	n := len(fr.Patterns)
@@ -138,12 +135,9 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 	if n == 0 {
 		return out, nil
 	}
-	workers := parallel.Resolve(sys.Workers)
-	if workers > n {
-		workers = n
-	}
+	groups := (n + pgrid.Lanes - 1) / pgrid.Lanes
+	workers := min(parallel.Resolve(sys.Workers), groups)
 	pool := sys.profPool(workers)
-	scratch := make([]irScratch, workers)
 	// Each meter resets before its next pattern, so its last pattern's
 	// toggles are still unflushed when the pool is dropped.
 	defer func() {
@@ -151,54 +145,59 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 			pool[w].meter.FlushToggles()
 		}
 	}()
-
-	// eval simulates pattern i on worker w's scratch and solves both
-	// rails.
-	eval := func(w, i int) error {
-		p := &fr.Patterns[i]
-		ps, sc := &pool[w], &scratch[w]
-		ps.meter.Reset()
-		res, err := ps.launch(sys, p.V1, p.PIs, fr.Dom, ps.toggle)
-		if err != nil {
-			return fmt.Errorf("core: dynamic sim pattern %d: %w", i, err)
+	// Building the batches factors both rails here rather than inside
+	// the first group, so the one-time cost is not attributed to a
+	// worker's patterns.
+	scratch := make([]irScratch, workers)
+	for w := range scratch {
+		sc := &scratch[w]
+		var err error
+		if sc.vdd, err = sys.GridVDD.NewBatch(); err != nil {
+			return nil, err
 		}
-		window := sys.Period
-		if model == ModelSCAP {
-			window = res.STW
-		}
-		sum := &out[i]
-		sum.Index, sum.Model, sum.STW = i, model, res.STW
-
-		solve := func(g *pgrid.Grid, energy []float64, reuse *pgrid.Solution) (*pgrid.Solution, []float64, error) {
-			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, energy, window)
-			sc.inj = g.InjectInstCurrentsInto(sc.inj, sys.D, sc.cur)
-			sol, err := g.Solve(sc.inj, reuse, &sc.fs)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: dynamic solve pattern %d: %w", i, err)
-			}
-			return sol, sol.WorstPerBlock(g, sys.D.NumBlocks), nil
-		}
-		if sc.solVDD, sum.WorstVDD, err = solve(sys.GridVDD, ps.meter.RawInstEnergyVDD(), sc.solVDD); err != nil {
-			return err
-		}
-		if sc.solVSS, sum.WorstVSS, err = solve(sys.GridVSS, ps.meter.RawInstEnergyVSS(), sc.solVSS); err != nil {
-			return err
-		}
-		nb := sys.D.NumBlocks
-		vdd, vss := sum.WorstVDD[nb], sum.WorstVSS[nb]
-		tkIRDrop.Record(int64(i), int64(math.Round((vdd+vss)*1e9)), model.String(),
-			vdd*1e3, vss*1e3, sum.STW)
-		return nil
-	}
-
-	// Factor both rails up front rather than inside the first solves, so
-	// the one-time cost is not attributed to a worker's pattern.
-	for _, g := range []*pgrid.Grid{sys.GridVDD, sys.GridVSS} {
-		if _, err := g.Factor(); err != nil {
+		if sc.vss, err = sys.GridVSS.NewBatch(); err != nil {
 			return nil, err
 		}
 	}
-	if err := parallel.For(workers, n, eval); err != nil {
+	nb := sys.D.NumBlocks
+
+	// eval simulates group g's patterns on worker w's scratch and sweeps
+	// both rails once for all of them.
+	eval := func(w, g int) error {
+		ps, sc := &pool[w], &scratch[w]
+		lo, hi := g*pgrid.Lanes, min((g+1)*pgrid.Lanes, n)
+		sc.vdd.Reset()
+		sc.vss.Reset()
+		for i := lo; i < hi; i++ {
+			p := &fr.Patterns[i]
+			ps.meter.Reset()
+			res, err := ps.launch(sys, p.V1, p.PIs, fr.Dom, ps.toggle)
+			if err != nil {
+				return fmt.Errorf("core: dynamic sim pattern %d: %w", i, err)
+			}
+			window := sys.Period
+			if model == ModelSCAP {
+				window = res.STW
+			}
+			out[i].Index, out[i].Model, out[i].STW = i, model, res.STW
+			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, ps.meter.RawInstEnergyVDD(), window)
+			sc.vdd.Inject(i-lo, sys.D, sc.cur)
+			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, ps.meter.RawInstEnergyVSS(), window)
+			sc.vss.Inject(i-lo, sys.D, sc.cur)
+		}
+		sc.vdd.Sweep(hi - lo)
+		sc.vss.Sweep(hi - lo)
+		for i := lo; i < hi; i++ {
+			sum := &out[i]
+			sum.WorstVDD = sc.vdd.WorstPerBlock(i-lo, nb)
+			sum.WorstVSS = sc.vss.WorstPerBlock(i-lo, nb)
+			vdd, vss := sum.WorstVDD[nb], sum.WorstVSS[nb]
+			tkIRDrop.Record(int64(i), int64(math.Round((vdd+vss)*1e9)), model.String(),
+				vdd*1e3, vss*1e3, sum.STW)
+		}
+		return nil
+	}
+	if err := parallel.For(workers, groups, eval); err != nil {
 		return nil, err
 	}
 	return out, nil

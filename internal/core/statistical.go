@@ -91,7 +91,7 @@ func (sys *System) statCase(windowNs float64, curBuf *[]float64) (*StatCase, err
 	var worst [2][]float64
 	err := parallel.For(sys.Workers, 2, func(_, r int) error {
 		g := grids[r]
-		sol, err := g.Solve(g.InjectInstCurrents(d, cur), nil, nil)
+		sol, err := g.Solve(g.InjectInstCurrents(d, cur))
 		if err != nil {
 			return fmt.Errorf("core: statistical solve: %w", err)
 		}
@@ -126,8 +126,8 @@ type MCResult struct {
 // MonteCarloIRDrop runs the Monte-Carlo loop over the Case-2 (half
 // cycle) window. Trials are independent, so they fan out across
 // sys.Workers workers; each trial seeds its own PRNG from (seed, trial)
-// and solves against the shared read-only factorization, so the result
-// is identical for any worker count.
+// and takes one lane of its group's sweep against the shared read-only
+// factorization, so the result is identical for any worker count.
 func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 	defer obs.StartSpan("monte-carlo-irdrop").End()
 	if trials <= 0 {
@@ -144,42 +144,43 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 		fullCur[i] = d.LoadCap(netlist.InstID(i)) * d.Lib.VDD / window * 1e-3
 	}
 
-	g := sys.GridVDD
-	if _, err := g.Factor(); err != nil {
-		return nil, fmt.Errorf("core: MC factorization: %w", err)
-	}
-
-	workers := parallel.Resolve(sys.Workers)
-	if workers > trials {
-		workers = trials
-	}
+	// Trials go in groups of pgrid.Lanes by index, one VDD sweep per
+	// group; each worker's batch is built here, which factors the grid
+	// before the trials fan out.
+	groups := (trials + pgrid.Lanes - 1) / pgrid.Lanes
+	workers := min(parallel.Resolve(sys.Workers), groups)
 	type mcScratch struct {
-		cur, inj []float64
-		sol      *pgrid.Solution
-		fs       pgrid.SolveScratch
+		cur   []float64
+		batch *pgrid.Batch
 	}
 	scratch := make([]mcScratch, workers)
-	perTrial := make([][]float64, trials)
-	err := parallel.For(workers, trials, func(w, t int) error {
-		sc := &scratch[w]
-		if sc.cur == nil {
-			sc.cur = make([]float64, d.NumInsts())
-		}
-		rng := rand.New(rand.NewSource(seed + int64(t)*7919))
-		for i := range sc.cur {
-			if rng.Float64() < prob/2 { // toggles AND rises
-				sc.cur[i] = fullCur[i]
-			} else {
-				sc.cur[i] = 0
-			}
-		}
-		sc.inj = g.InjectInstCurrentsInto(sc.inj, d, sc.cur)
-		sol, err := g.Solve(sc.inj, sc.sol, &sc.fs)
+	for w := range scratch {
+		b, err := sys.GridVDD.NewBatch()
 		if err != nil {
-			return fmt.Errorf("core: MC trial %d: %w", t, err)
+			return nil, fmt.Errorf("core: MC factorization: %w", err)
 		}
-		sc.sol = sol
-		perTrial[t] = sol.WorstPerBlock(g, d.NumBlocks)
+		scratch[w] = mcScratch{cur: make([]float64, d.NumInsts()), batch: b}
+	}
+	perTrial := make([][]float64, trials)
+	err := parallel.For(workers, groups, func(w, g int) error {
+		sc := &scratch[w]
+		lo, hi := g*pgrid.Lanes, min((g+1)*pgrid.Lanes, trials)
+		sc.batch.Reset()
+		for t := lo; t < hi; t++ {
+			rng := rand.New(rand.NewSource(seed + int64(t)*7919))
+			for i := range sc.cur {
+				if rng.Float64() < prob/2 { // toggles AND rises
+					sc.cur[i] = fullCur[i]
+				} else {
+					sc.cur[i] = 0
+				}
+			}
+			sc.batch.Inject(t-lo, d, sc.cur)
+		}
+		sc.batch.Sweep(hi - lo)
+		for t := lo; t < hi; t++ {
+			perTrial[t] = sc.batch.WorstPerBlock(t-lo, d.NumBlocks)
+		}
 		return nil
 	})
 	if err != nil {

@@ -183,7 +183,7 @@ func (sys *System) buildGrids() error {
 		for i := range cur {
 			cur[i] /= 2 // rising edges only on the VDD rail
 		}
-		sol, err := vdd.Solve(vdd.InjectInstCurrents(sys.D, cur), nil, nil)
+		sol, err := vdd.Solve(vdd.InjectInstCurrents(sys.D, cur))
 		if err != nil {
 			return fmt.Errorf("core: grid calibration: %w", err)
 		}

@@ -102,8 +102,13 @@ func Read(r io.Reader, d *netlist.Design) ([]atpg.Pattern, error) {
 	if err != nil {
 		return nil, err
 	}
+	if count < 0 {
+		return nil, fmt.Errorf("pattern: line %d: negative pattern count %d", line, count)
+	}
 
-	pats := make([]atpg.Pattern, 0, count)
+	// The count comes from the file, so the slice grows with the patterns
+	// actually read rather than being sized from it up front.
+	var pats []atpg.Pattern
 	for i := 0; i < count; i++ {
 		head, err := expect("pattern ")
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 	"scap/internal/soc"
 )
 
-func patternSet(t *testing.T) (*netlist.Design, []atpg.Pattern) {
+func patternSet(t testing.TB) (*netlist.Design, []atpg.Pattern) {
 	t.Helper()
 	d, _, err := soc.Generate(soc.DefaultConfig(96))
 	if err != nil {
@@ -100,11 +100,13 @@ func TestReadErrors(t *testing.T) {
 	}
 	good := buf.String()
 	cases := map[string]string{
-		"bad magic":     strings.Replace(good, "SCAPPAT 1", "NOPE 9", 1),
-		"bad flops":     strings.Replace(good, "flops ", "flops x", 1),
-		"bad bit":       strings.Replace(good, " v1 0", " v1 Z", 1),
-		"truncated":     good[:len(good)/2],
-		"bad attribute": strings.Replace(good, "target=", "target:", 1),
+		"bad magic":      strings.Replace(good, "SCAPPAT 1", "NOPE 9", 1),
+		"bad flops":      strings.Replace(good, "flops ", "flops x", 1),
+		"bad bit":        strings.Replace(good, " v1 0", " v1 Z", 1),
+		"truncated":      good[:len(good)/2],
+		"bad attribute":  strings.Replace(good, "target=", "target:", 1),
+		"negative count": strings.Replace(good, "patterns 1", "patterns -1", 1),
+		"huge count":     strings.Replace(good, "patterns 1", "patterns 4000000000000", 1),
 	}
 	for name, src := range cases {
 		if _, err := Read(strings.NewReader(src), d); err == nil {

@@ -3,9 +3,9 @@
 // topology), fed by pads distributed around the die periphery (the paper's
 // design has 37 VDD and 37 VSS pads), with cell currents injected at their
 // placed locations. The mesh equation G·v = I is solved by a sparse LDLᵀ
-// factorization under a nested-dissection ordering (Solve, see sparse.go):
-// G is factored once per grid and every injection costs two triangular
-// sweeps.
+// factorization under a nested-dissection ordering (see sparse.go): G is
+// factored once per grid, and one pair of triangular sweeps solves up to
+// Lanes injections at once (Batch, see sweep.go).
 //
 // Both analyses of the paper run on top of this solver:
 //
@@ -71,10 +71,13 @@ type Grid struct {
 	fp *place.Floorplan
 	// padG[i] is the pad conductance attached to node i (0 if none).
 	padG []float64
+	// block[i] is the floorplan block containing node i's center, or
+	// netlist.NoBlock.
+	block []int32
 
 	// Cached sparse LDLᵀ factorization of the conductance matrix (see
-	// sparse.go); built lazily on the first Solve/Factor call and shared
-	// read-only by every solve thereafter.
+	// sparse.go); built lazily on the first Factor, Solve or NewBatch
+	// call and shared read-only by every sweep thereafter.
 	factOnce sync.Once
 	fact     *Factorization
 	factErr  error
@@ -85,10 +88,14 @@ func New(fp *place.Floorplan, p Params) (*Grid, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Grid{P: p, fp: fp, padG: make([]float64, p.N*p.N)}
+	nn := p.N * p.N
+	g := &Grid{P: p, fp: fp, padG: make([]float64, nn), block: make([]int32, nn)}
 	for i := 0; i < p.NumPads; i++ {
 		x, y := padXY(float64(i)+p.PadOffset, p.NumPads, fp)
 		g.padG[g.NodeOf(x, y)] += 1 / p.PadRes
+	}
+	for node := range g.block {
+		g.block[node] = int32(fp.BlockAt(g.NodeXY(node)))
 	}
 	return g, nil
 }
@@ -141,20 +148,7 @@ func (g *Grid) NodeXY(node int) (float64, float64) {
 // InjectInstCurrents maps per-instance currents (mA, indexed by InstID)
 // onto mesh nodes, returning the per-node injection vector.
 func (g *Grid) InjectInstCurrents(d *netlist.Design, cur []float64) []float64 {
-	return g.InjectInstCurrentsInto(nil, d, cur)
-}
-
-// InjectInstCurrentsInto is InjectInstCurrents accumulating into a
-// reusable per-node buffer (grown if needed, zeroed, returned) so the
-// per-pattern pipeline does not allocate N² floats per solve.
-func (g *Grid) InjectInstCurrentsInto(inj []float64, d *netlist.Design, cur []float64) []float64 {
-	if len(inj) != g.P.N*g.P.N {
-		inj = make([]float64, g.P.N*g.P.N)
-	} else {
-		for i := range inj {
-			inj[i] = 0
-		}
-	}
+	inj := make([]float64, g.P.N*g.P.N)
 	for i := range d.Insts {
 		if cur[i] == 0 {
 			continue
@@ -178,40 +172,24 @@ func (s *Solution) At(g *Grid, x, y float64) float64 {
 }
 
 // WorstPerBlock returns the maximum node drop inside each block rectangle,
-// plus a chip-level entry (index NumBlocks). Nodes outside every block
+// plus a chip-level entry (index numBlocks). Nodes outside every block
 // count only toward the chip entry.
 func (s *Solution) WorstPerBlock(g *Grid, numBlocks int) []float64 {
 	out := make([]float64, numBlocks+1)
 	for node, d := range s.Drop {
-		x, y := g.NodeXY(node)
-		if b := g.fp.BlockAt(x, y); b >= 0 && b < numBlocks && d > out[b] {
-			out[b] = d
-		}
-		if d > out[numBlocks] {
-			out[numBlocks] = d
-		}
+		worstInto(out, g.block[node], d)
 	}
 	return out
 }
 
-// MeanPerBlock returns the average node drop inside each block rectangle,
-// plus a chip-level entry.
-func (s *Solution) MeanPerBlock(g *Grid, numBlocks int) []float64 {
-	sum := make([]float64, numBlocks+1)
-	cnt := make([]int, numBlocks+1)
-	for node, d := range s.Drop {
-		x, y := g.NodeXY(node)
-		if b := g.fp.BlockAt(x, y); b >= 0 && b < numBlocks {
-			sum[b] += d
-			cnt[b]++
-		}
-		sum[numBlocks] += d
-		cnt[numBlocks]++
+// worstInto raises the chip entry of out (its last) and, for a node in
+// block b, that block's entry to drop d.
+func worstInto(out []float64, b int32, d float64) {
+	chip := len(out) - 1
+	if b >= 0 && int(b) < chip && d > out[b] {
+		out[b] = d
 	}
-	for i := range sum {
-		if cnt[i] > 0 {
-			sum[i] /= float64(cnt[i])
-		}
+	if d > out[chip] {
+		out[chip] = d
 	}
-	return sum
 }

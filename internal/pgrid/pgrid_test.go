@@ -23,7 +23,7 @@ func grid(t *testing.T) (*Grid, *place.Floorplan) {
 
 func TestZeroCurrentZeroDrop(t *testing.T) {
 	g, _ := grid(t)
-	sol, err := g.Solve(make([]float64, g.P.N*g.P.N), nil, nil)
+	sol, err := g.Solve(make([]float64, g.P.N*g.P.N))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestUniformCurrentCenterWorst(t *testing.T) {
 	for i := range inj {
 		inj[i] = 0.02
 	}
-	sol, err := g.Solve(inj, nil, nil)
+	sol, err := g.Solve(inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +66,14 @@ func TestLinearity(t *testing.T) {
 	g, _ := grid(t)
 	inj := make([]float64, g.P.N*g.P.N)
 	inj[g.P.N*g.P.N/2+g.P.N/2] = 50
-	s1, err := g.Solve(inj, nil, nil)
+	s1, err := g.Solve(inj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range inj {
 		inj[i] *= 2
 	}
-	s2, err := g.Solve(inj, nil, nil)
+	s2, err := g.Solve(inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestPadsSinkCurrent(t *testing.T) {
 	g, fp := grid(t)
 	injCenter := make([]float64, g.P.N*g.P.N)
 	injCenter[g.NodeOf(fp.W/2, fp.H/2)] = 1
-	sc, err := g.Solve(injCenter, nil, nil)
+	sc, err := g.Solve(injCenter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	injEdge := make([]float64, g.P.N*g.P.N)
 	injEdge[g.NodeOf(0, 0)] = 1
-	se, err := g.Solve(injEdge, nil, nil)
+	se, err := g.Solve(injEdge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPadsSinkCurrent(t *testing.T) {
 
 func TestSolveValidation(t *testing.T) {
 	g, _ := grid(t)
-	if _, err := g.Solve(make([]float64, 3), nil, nil); err == nil {
+	if _, err := g.Solve(make([]float64, 3)); err == nil {
 		t.Fatal("wrong injection length accepted")
 	}
 	for _, bad := range []func(*Params){
@@ -122,17 +122,27 @@ func TestSolveValidation(t *testing.T) {
 			t.Fatalf("bad params %+v accepted", p)
 		}
 	}
-	// An undersized reuse buffer must be replaced, not indexed out of
-	// range.
-	inj := make([]float64, g.P.N*g.P.N)
-	inj[0] = 1
-	sol, err := g.Solve(inj, &Solution{Drop: make([]float64, 4)}, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// meanPerBlock returns the average node drop inside each block
+// rectangle, plus a chip-level entry.
+func meanPerBlock(s *Solution, g *Grid, numBlocks int) []float64 {
+	sum := make([]float64, numBlocks+1)
+	cnt := make([]int, numBlocks+1)
+	for node, d := range s.Drop {
+		if b := g.block[node]; b >= 0 && int(b) < numBlocks {
+			sum[b] += d
+			cnt[b]++
+		}
+		sum[numBlocks] += d
+		cnt[numBlocks]++
 	}
-	if len(sol.Drop) != g.P.N*g.P.N {
-		t.Fatalf("reuse solution has %d nodes", len(sol.Drop))
+	for i := range sum {
+		if cnt[i] > 0 {
+			sum[i] /= float64(cnt[i])
+		}
 	}
+	return sum
 }
 
 func TestStatisticalSOCB5Hottest(t *testing.T) {
@@ -150,7 +160,7 @@ func TestStatisticalSOCB5Hottest(t *testing.T) {
 	}
 	cur := power.StatCurrents(d, 0.3, 10)
 	inj := g.InjectInstCurrents(d, cur)
-	sol, err := g.Solve(inj, nil, nil)
+	sol, err := g.Solve(inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +173,7 @@ func TestStatisticalSOCB5Hottest(t *testing.T) {
 	if worst[d.NumBlocks] < worst[soc.B5] {
 		t.Fatal("chip worst below B5 worst")
 	}
-	mean := sol.MeanPerBlock(g, d.NumBlocks)
+	mean := meanPerBlock(sol, g, d.NumBlocks)
 	for b := range mean {
 		if mean[b] > worst[b] {
 			t.Fatalf("block %d mean %v above worst %v", b, mean[b], worst[b])
@@ -190,7 +200,11 @@ func TestNodeMapping(t *testing.T) {
 	}
 }
 
-func TestInjectInstCurrentsInto(t *testing.T) {
+// TestBatchInjectMatchesInjectInstCurrents: per-instance currents
+// written straight into a lane solve to the same bits as the per-node
+// vector InjectInstCurrents builds from them, and they land only in
+// that lane.
+func TestBatchInjectMatchesInjectInstCurrents(t *testing.T) {
 	d, _, err := soc.Generate(soc.DefaultConfig(96))
 	if err != nil {
 		t.Fatal(err)
@@ -204,18 +218,34 @@ func TestInjectInstCurrentsInto(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := power.StatCurrents(d, 0.3, 10)
-	want := g.InjectInstCurrents(d, cur)
-	buf := make([]float64, g.P.N*g.P.N)
-	for i := range buf {
-		buf[i] = 99 // stale content must be cleared
+	want, err := g.Solve(g.InjectInstCurrents(d, cur))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := g.InjectInstCurrentsInto(buf, d, cur)
-	if &got[0] != &buf[0] {
-		t.Fatal("buffer not reused")
+	b, err := g.NewBatch()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("node %d: %v != %v", i, got[i], want[i])
+	const lane = 2
+	b.Inject(lane, d, cur)
+	b.Sweep(1)
+	for k := range b.y {
+		for l := 0; l < Lanes; l++ {
+			if l != lane && b.y[k][l] != 0 {
+				t.Fatalf("lane %d picked up %v at position %d", l, b.y[k][l], k)
+			}
+		}
+	}
+	got := b.solution(lane)
+	for node := range want.Drop {
+		if math.Float64bits(got.Drop[node]) != math.Float64bits(want.Drop[node]) {
+			t.Fatalf("node %d: %v != %v", node, got.Drop[node], want.Drop[node])
+		}
+	}
+	worst := b.WorstPerBlock(lane, d.NumBlocks)
+	for blk, w := range want.WorstPerBlock(g, d.NumBlocks) {
+		if math.Float64bits(worst[blk]) != math.Float64bits(w) {
+			t.Fatalf("block %d: lane worst %v, Solve worst %v", blk, worst[blk], w)
 		}
 	}
 }
@@ -243,7 +273,7 @@ func TestSolveSatisfiesKCL(t *testing.T) {
 		for h := 0; h < 20; h++ {
 			inj[rng.Intn(len(inj))] += 20 * rng.Float64()
 		}
-		sol, err := g.Solve(inj, nil, nil)
+		sol, err := g.Solve(inj)
 		if err != nil {
 			t.Fatal(err)
 		}

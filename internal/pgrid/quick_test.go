@@ -34,15 +34,15 @@ func TestQuickSuperposition(t *testing.T) {
 		for i := range both {
 			both[i] = injA[i] + injB[i]
 		}
-		sa, err := g.Solve(injA, nil, nil)
+		sa, err := g.Solve(injA)
 		if err != nil {
 			return false
 		}
-		sb, err := g.Solve(injB, nil, nil)
+		sb, err := g.Solve(injB)
 		if err != nil {
 			return false
 		}
-		sc, err := g.Solve(both, nil, nil)
+		sc, err := g.Solve(both)
 		if err != nil {
 			return false
 		}
@@ -74,7 +74,7 @@ func TestQuickDropNonNegativeAndBounded(t *testing.T) {
 			inj[int(p)%n] += a
 			total += a
 		}
-		sol, err := g.Solve(inj, nil, nil)
+		sol, err := g.Solve(inj)
 		if err != nil {
 			return false
 		}
@@ -100,11 +100,11 @@ func TestQuickMonotoneInCurrent(t *testing.T) {
 		injA[int(base)%n] = 10
 		injB := append([]float64(nil), injA...)
 		injB[int(extra)%n] += 5
-		sa, err := g.Solve(injA, nil, nil)
+		sa, err := g.Solve(injA)
 		if err != nil {
 			return false
 		}
-		sb, err := g.Solve(injB, nil, nil)
+		sb, err := g.Solve(injB)
 		if err != nil {
 			return false
 		}

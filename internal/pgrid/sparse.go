@@ -11,9 +11,10 @@ import (
 )
 
 // Solver observability (see DESIGN.md §10): calls vs builds
-// distinguishes factor cache hits, each Solve is exactly two sparse
-// triangular sweeps, and the one-time build records the symbolic fill
-// (factor nnz, fill ratio) the ordering achieved. One flush per solve,
+// distinguishes factor cache hits, solves count injections while
+// triangular_sweeps counts passes over L (two per sweep of up to Lanes
+// injections), and the one-time build records the symbolic fill
+// (factor nnz, fill ratio) the ordering achieved. One flush per sweep,
 // so the disabled cost is a few gated atomic loads.
 var (
 	cFactorCalls  = obs.NewCounter("pgrid.sparse.factor.calls")
@@ -437,88 +438,4 @@ func (f *Factorization) numericFactor(workers int, ap []int64, ai []int32, ax []
 	}
 	walk(int32(len(tree)-1), 0)
 	return nodeErr
-}
-
-// SolveScratch is caller-owned intermediate storage for Solve: the
-// permuted work vector. One per worker; never shared between concurrent
-// solves.
-type SolveScratch struct {
-	y []float64
-}
-
-// Solve computes node voltage drops (volts) for a per-node current
-// injection (mA) using the grid's cached sparse LDLᵀ factorization: two
-// sparse triangular sweeps over the O(N·logN) factor, exact to rounding.
-// The mesh conductances are in 1/Ω, so the raw solution is in mV and is
-// converted to volts.
-//
-// reuse, when non-nil, recycles a previous Solution's Drop buffer;
-// scratch, when non-nil, recycles the permuted work vector. Both are
-// per-caller state: one Factorization serves any number of concurrent
-// Solve calls as long as each goroutine passes its own reuse/scratch,
-// and the steady-state hot path performs no allocation.
-func (g *Grid) Solve(injMA []float64, reuse *Solution, scratch *SolveScratch) (*Solution, error) {
-	f, err := g.Factor()
-	if err != nil {
-		return nil, err
-	}
-	nn := f.nn
-	if len(injMA) != nn {
-		return nil, fmt.Errorf("pgrid: injection length %d, want %d", len(injMA), nn)
-	}
-	sol := reuse
-	if sol == nil || cap(sol.Drop) < nn {
-		sol = &Solution{Drop: make([]float64, nn)}
-	}
-	sol.N = f.n
-	sol.Drop = sol.Drop[:nn]
-	sol.Worst = 0
-	if scratch == nil {
-		scratch = &SolveScratch{}
-	}
-	if cap(scratch.y) < nn {
-		scratch.y = make([]float64, nn)
-	}
-	y := scratch.y[:nn]
-
-	// Permute the injection into elimination order, then run the three
-	// in-place passes: L·y = P·I (unit lower, column-oriented scatter),
-	// the diagonal scale, and Lᵀ·z = y (gather). The raw solution is in
-	// mV (conductances in 1/Ω against mA).
-	perm := f.ord.Perm
-	for k := 0; k < nn; k++ {
-		y[k] = injMA[perm[k]]
-	}
-	for j := 0; j < nn; j++ {
-		yj := y[j]
-		if yj == 0 {
-			continue
-		}
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			y[f.rowIdx[p]] -= f.lx[p] * yj
-		}
-	}
-	for j := 0; j < nn; j++ {
-		y[j] /= f.d[j]
-	}
-	for j := nn - 1; j >= 0; j-- {
-		s := y[j]
-		for p := f.colPtr[j]; p < f.colPtr[j+1]; p++ {
-			s -= f.lx[p] * y[f.rowIdx[p]]
-		}
-		y[j] = s
-	}
-	// Scatter back to mesh order with the mV→V conversion and the
-	// worst-drop scan.
-	v := sol.Drop
-	for k := 0; k < nn; k++ {
-		d := y[k] * 1e-3
-		v[perm[k]] = d
-		if d > sol.Worst {
-			sol.Worst = d
-		}
-	}
-	cSolves.Add(1)
-	cSweeps.Add(2)
-	return sol, nil
 }

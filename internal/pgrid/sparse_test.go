@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"scap/internal/cell"
+	"scap/internal/netlist"
 	"scap/internal/place"
 )
 
@@ -75,7 +77,7 @@ func TestSparseMatchesOracles(t *testing.T) {
 	const tol = 1e-9
 	check := func(name string, g *Grid, inj []float64) {
 		t.Helper()
-		got, err := g.Solve(inj, nil, nil)
+		got, err := g.Solve(inj)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -152,44 +154,98 @@ func TestSparseFactorStats(t *testing.T) {
 	}
 }
 
-// TestSolveReuseNoAlloc: with caller-owned reuse/scratch the
-// per-pattern solve must recycle both buffers, allocate nothing, and
-// give the same answer as a fresh solve.
-func TestSolveReuseNoAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randGrid(t, rng)
-	inj := randInj(g, rng)
-	fresh, err := g.Solve(inj, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestSweepLanesMatchesSolve is the lane kernel's contract: on mesh
+// edges 1–21, 40 and 128, every lane of a group with 1 to Lanes lanes
+// in use holds, bit for bit, what Solve gives for that injection alone,
+// so lanes never interact and the per-pattern analyses may group
+// injections freely.
+func TestSweepLanesMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	edges := []int{40, 128}
+	for n := 1; n <= 21; n++ {
+		edges = append(edges, n)
 	}
-	sol := &Solution{Drop: make([]float64, g.P.N*g.P.N)}
-	buf := sol.Drop
-	var scratch SolveScratch
-	if _, err := g.Solve(inj, sol, &scratch); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		again, err := g.Solve(inj, sol, &scratch)
+	for _, n := range edges {
+		p := DefaultParams()
+		p.N = n
+		g, err := New(place.NewFloorplan(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again != sol || &again.Drop[0] != &buf[0] {
-			t.Fatal("reuse Solution/Drop buffer was not recycled")
+		b, err := g.NewBatch()
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Solve allocated %v objects/op, want 0", allocs)
-	}
-	for i := range fresh.Drop {
-		if fresh.Drop[i] != sol.Drop[i] {
-			t.Fatalf("node %d: reuse changed the answer: %v vs %v", i, fresh.Drop[i], sol.Drop[i])
+		for used := 1; used <= Lanes; used++ {
+			injs := make([][]float64, used)
+			b.Reset()
+			for l := range injs {
+				injs[l] = randInj(g, rng)
+				b.load(l, injs[l])
+			}
+			b.Sweep(used)
+			for l, inj := range injs {
+				want, err := g.Solve(inj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := b.solution(l)
+				for node := range want.Drop {
+					if math.Float64bits(got.Drop[node]) != math.Float64bits(want.Drop[node]) {
+						t.Fatalf("n=%d, %d lanes, lane %d node %d: sweep %v, Solve %v",
+							n, used, l, node, got.Drop[node], want.Drop[node])
+					}
+				}
+				if math.Float64bits(got.Worst) != math.Float64bits(want.Worst) {
+					t.Fatalf("n=%d, %d lanes, lane %d: worst %v, Solve %v", n, used, l, got.Worst, want.Worst)
+				}
+			}
+			for k := range b.y {
+				for l := used; l < Lanes; l++ {
+					if b.y[k][l] != 0 {
+						t.Fatalf("n=%d, %d lanes: idle lane %d holds %v", n, used, l, b.y[k][l])
+					}
+				}
+			}
 		}
 	}
 }
 
+// TestSweepNoAlloc: a group sweep (reset, inject each lane, sweep)
+// reuses the batch and allocates nothing.
+func TestSweepNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := randGrid(t, rng)
+	b, err := g.NewBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A few inverters scattered over the die, each with its own current
+	// per lane.
+	d := netlist.New("scatter", cell.New180nm())
+	in := d.AddPI("a")
+	var cur [Lanes][]float64
+	for i := 0; i < 32; i++ {
+		id := d.AddInst(fmt.Sprintf("g%d", i), cell.Inv, []netlist.NetID{in}, d.AddNet(fmt.Sprintf("n%d", i)), 0)
+		d.Insts[id].X, d.Insts[id].Y = rng.Float64()*place.DieSize, rng.Float64()*place.DieSize
+		for l := range cur {
+			cur[l] = append(cur[l], 5*rng.Float64())
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		b.Reset()
+		for l := range cur {
+			b.Inject(l, d, cur[l])
+		}
+		b.Sweep(Lanes)
+	})
+	if allocs != 0 {
+		t.Fatalf("group sweep allocated %v objects/op, want 0", allocs)
+	}
+}
+
 // TestSparseFactorizationConcurrentSolves shares one factorization
-// across 8 goroutines, each running many solves with its own scratch,
+// across 8 goroutines, each running many solves on its own batch,
 // and leaves the first-touch build to race among them. Run under -race
 // via `make test-race`, this is the data-race contract of the read-only
 // factor cache; the answers must also be bit-identical to a serial
@@ -213,8 +269,9 @@ func TestFactorizationConcurrentSolves(t *testing.T) {
 }
 
 // concurrentSolves solves 48 random injections from 8 goroutines on a
-// fresh grid built from p and checks every drop bit for bit against
-// serial solves on a second grid built from p with one worker.
+// fresh grid built from p, Lanes per sweep on each goroutine's own
+// batch, and checks every drop bit for bit against serial solves on a
+// second grid built from p with one worker.
 func concurrentSolves(t *testing.T, p Params, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -236,7 +293,7 @@ func concurrentSolves(t *testing.T, p Params, seed int64) {
 		t.Fatal(err)
 	}
 	for i := range injs {
-		sol, err := gRef.Solve(injs[i], nil, nil)
+		sol, err := gRef.Solve(injs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,21 +306,27 @@ func concurrentSolves(t *testing.T, p Params, seed int64) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var scratch SolveScratch
-			var sol *Solution
-			for s := 0; s < solvesEach; s++ {
-				i := w*solvesEach + s
-				var err error
-				sol, err = g.Solve(injs[i], sol, &scratch)
-				if err != nil {
-					errs[w] = err
-					return
+			b, err := g.NewBatch()
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			for lo := 0; lo < solvesEach; lo += Lanes {
+				hi := min(lo+Lanes, solvesEach)
+				b.Reset()
+				for s := lo; s < hi; s++ {
+					b.load(s-lo, injs[w*solvesEach+s])
 				}
-				for node := range sol.Drop {
-					if sol.Drop[node] != refs[i][node] {
-						t.Errorf("worker %d solve %d node %d: %v vs serial %v",
-							w, s, node, sol.Drop[node], refs[i][node])
-						return
+				b.Sweep(hi - lo)
+				for s := lo; s < hi; s++ {
+					i := w*solvesEach + s
+					sol := b.solution(s - lo)
+					for node := range sol.Drop {
+						if sol.Drop[node] != refs[i][node] {
+							t.Errorf("worker %d solve %d node %d: %v vs serial %v",
+								w, s, node, sol.Drop[node], refs[i][node])
+							return
+						}
 					}
 				}
 			}
@@ -355,6 +418,47 @@ func TestSparseParallelFactorBitIdentity(t *testing.T) {
 			if f.d[i] != ref.d[i] {
 				t.Fatalf("workers=%d: d[%d] differs (must be bit-identical)", workers, i)
 			}
+		}
+	}
+}
+
+// BenchmarkSweep prices the lane kernel per injection on the default
+// 40×40 mesh and on 128×128, with dense injections (every node carries
+// current, as a pattern's switching spreads over a block): lanes=1 is a
+// single-injection solve, lanes=4 a full group. Each op resets the
+// batch, loads its lanes and sweeps.
+func BenchmarkSweep(b *testing.B) {
+	for _, n := range []int{40, 128} {
+		p := DefaultParams()
+		p.N = n
+		g, err := New(place.NewFloorplan(), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch, err := g.NewBatch()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		var injs [Lanes][]float64
+		for l := range injs {
+			injs[l] = make([]float64, n*n)
+			for i := range injs[l] {
+				injs[l][i] = 0.05 * rng.Float64()
+			}
+		}
+		for _, lanes := range []int{1, Lanes} {
+			b.Run(fmt.Sprintf("n=%d/lanes=%d", n, lanes), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					batch.Reset()
+					for l := 0; l < lanes; l++ {
+						batch.load(l, injs[l])
+					}
+					batch.Sweep(lanes)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes)/1e3, "us/injection")
+			})
 		}
 	}
 }

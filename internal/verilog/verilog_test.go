@@ -115,6 +115,12 @@ func TestReadErrors(t *testing.T) {
 		{"bad connection", "wire a;\nwire y;\nINV g1 (Y(y), .A(a));\n"},
 		{"bad assign", "assign x_po = nosuch;\n"},
 		{"bad domain comment", "// domain x: clka xx MHz\n"},
+		{"net driven twice", "module m (a, y_po);\n  input a;\n  wire y;\n  assign y_po = y;\n" +
+			"  INV g1 (.Y(y), .A(a));\n  INV g2 (.Y(y), .A(a));\nendmodule\n"},
+		{"empty input name", "input ;\nINV 0(.0());"},
+		{"instance drives a primary input", "input a;\nINV g (.Y(a), .A(a));\n"},
+		{"domain after its input", "input clk;\n// domain 0: clk 100 MHz\n"},
+		{"net name with '='", "input a=b;\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.src), lib); err == nil {
