@@ -43,7 +43,9 @@ type segment struct {
 type Tree struct {
 	SourceX, SourceY float64
 
-	arrival map[netlist.InstID]float64
+	// arrival is indexed by InstID (0 for non-flops): the timing
+	// simulator reads it once per launching flop on every launch.
+	arrival []float64
 	routes  map[netlist.InstID][]segment
 
 	MaxSkew       float64 // ns, max minus min arrival over all flops
@@ -58,7 +60,7 @@ func Build(d *netlist.Design, fp *place.Floorplan, p Params, seed int64) *Tree {
 	cx, cy := fp.W/2, fp.H/2
 	t := &Tree{
 		SourceX: cx, SourceY: cy,
-		arrival: make(map[netlist.InstID]float64, len(d.Flops)),
+		arrival: make([]float64, d.NumInsts()),
 		routes:  make(map[netlist.InstID][]segment, len(d.Flops)),
 	}
 	if p.SegmentLen <= 0 {
@@ -125,7 +127,12 @@ func routeL(cx, cy, fx, fy float64, p Params) []segment {
 
 // Arrival returns the nominal clock arrival time (ns after the clock-source
 // edge) at flop f. Flops unknown to the tree get 0.
-func (t *Tree) Arrival(f netlist.InstID) float64 { return t.arrival[f] }
+func (t *Tree) Arrival(f netlist.InstID) float64 {
+	if uint(f) < uint(len(t.arrival)) {
+		return t.arrival[f]
+	}
+	return 0
+}
 
 // ScaledArrival recomputes the arrival at flop f with every route segment
 // derated by the local supply droop: each stage delay is multiplied by

@@ -42,12 +42,12 @@ func ScaleDelays(d *netlist.Design, delays *sdf.Delays, g *pgrid.Grid, sol *pgri
 // ScaledClock derates a clock tree's per-flop arrivals with the same
 // voltage map and implements sim.Clock.
 type ScaledClock struct {
-	arrival map[netlist.InstID]float64
+	arrival []float64 // by InstID, 0 for non-flops
 }
 
 // NewScaledClock precomputes derated clock arrivals for every flop.
 func NewScaledClock(d *netlist.Design, tree *clocktree.Tree, g *pgrid.Grid, sol *pgrid.Solution, kvolt float64) *ScaledClock {
-	sc := &ScaledClock{arrival: make(map[netlist.InstID]float64, len(d.Flops))}
+	sc := &ScaledClock{arrival: make([]float64, d.NumInsts())}
 	dropAt := func(x, y float64) float64 { return sol.At(g, x, y) }
 	for _, f := range d.Flops {
 		sc.arrival[f] = tree.ScaledArrival(f, kvolt, dropAt)

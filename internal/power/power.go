@@ -89,11 +89,10 @@ type Profile struct {
 	// Blocks has one entry per floorplan block followed by one chip-level
 	// entry (index NumBlocks).
 	Blocks []BlockPower
-	// InstEnergy is the per-instance switched energy in fJ (both rails
-	// combined), consumed by the delay-scaling analysis; InstEnergyVDD and
-	// InstEnergyVSS split it by rail (rising vs falling edges) for the
-	// per-rail dynamic IR-drop analysis.
-	InstEnergy    []float64
+	// InstEnergyVDD and InstEnergyVSS are the per-instance switched
+	// energies in fJ drawn from VDD (rising edges) and dumped into VSS
+	// (falling edges), the injections of the per-rail dynamic IR-drop
+	// analysis.
 	InstEnergyVDD []float64
 	InstEnergyVSS []float64
 }
@@ -110,8 +109,9 @@ type Meter struct {
 	d     *netlist.Design
 	vdd2  float64
 	capOf []float64 // per-instance switched capacitance, fF
+	// blockOf[inst] is the instance's floorplan block, or NoBlock.
+	blockOf []int32
 
-	instEnergy    []float64
 	instEnergyVDD []float64
 	instEnergyVSS []float64
 	blocks        []BlockPower
@@ -130,23 +130,25 @@ type Meter struct {
 // (LoadCap must be meaningful).
 func NewMeter(d *netlist.Design) *Meter {
 	m := &Meter{
-		d:     d,
-		vdd2:  d.Lib.VDD * d.Lib.VDD,
-		capOf: make([]float64, d.NumInsts()),
+		d:       d,
+		vdd2:    d.Lib.VDD * d.Lib.VDD,
+		capOf:   make([]float64, d.NumInsts()),
+		blockOf: make([]int32, d.NumInsts()),
 	}
 	for i := range d.Insts {
 		m.capOf[i] = d.LoadCap(netlist.InstID(i))
+		m.blockOf[i] = int32(d.Insts[i].Block)
 	}
 	m.Reset()
 	return m
 }
 
 // Clone returns a fresh, reset meter for the same design. The
-// per-instance capacitance table is immutable after NewMeter and stays
-// shared, so cloning skips the O(instances) LoadCap pass — the cheap
-// per-worker constructor path of the parallel profiling pipeline.
+// per-instance capacitance and block tables are immutable after NewMeter
+// and stay shared, so cloning skips the O(instances) LoadCap pass — the
+// cheap per-worker constructor path of the parallel profiling pipeline.
 func (m *Meter) Clone() *Meter {
-	c := &Meter{d: m.d, vdd2: m.vdd2, capOf: m.capOf, binNs: m.binNs}
+	c := &Meter{d: m.d, vdd2: m.vdd2, capOf: m.capOf, blockOf: m.blockOf, binNs: m.binNs}
 	c.Reset()
 	return c
 }
@@ -157,7 +159,6 @@ func (m *Meter) Clone() *Meter {
 func (m *Meter) Reset() {
 	cMeterResets.Add(1)
 	m.FlushToggles()
-	m.instEnergy = resetF(m.instEnergy, m.d.NumInsts())
 	m.instEnergyVDD = resetF(m.instEnergyVDD, m.d.NumInsts())
 	m.instEnergyVSS = resetF(m.instEnergyVSS, m.d.NumInsts())
 	if m.blocks == nil {
@@ -196,7 +197,6 @@ func (m *Meter) FlushToggles() {
 func (m *Meter) OnToggle(inst netlist.InstID, t float64, rising bool) {
 	m.unflushedToggles++
 	e := m.capOf[inst] * m.vdd2
-	m.instEnergy[inst] += e
 	m.waveformAccumulate(t, e)
 	if rising {
 		m.instEnergyVDD[inst] += e
@@ -218,8 +218,8 @@ func (m *Meter) OnToggle(inst netlist.InstID, t float64, rising bool) {
 			b.Last = t
 		}
 	}
-	if bi := m.d.Insts[inst].Block; bi >= 0 {
-		add(bi)
+	if bi := m.blockOf[inst]; bi >= 0 {
+		add(int(bi))
 	}
 	add(len(m.blocks) - 1)
 }
@@ -230,14 +230,13 @@ func (m *Meter) Report(period float64) *Profile {
 	return &Profile{
 		Period:        period,
 		Blocks:        m.ReportBlocks(period),
-		InstEnergy:    append([]float64(nil), m.instEnergy...),
 		InstEnergyVDD: append([]float64(nil), m.instEnergyVDD...),
 		InstEnergyVSS: append([]float64(nil), m.instEnergyVSS...),
 	}
 }
 
 // ReportBlocks finalizes only the per-block view of the pattern (one
-// entry per block plus the chip entry), skipping the three O(instances)
+// entry per block plus the chip entry), skipping the two O(instances)
 // energy-vector copies of Report that the pattern-profiling loop never
 // consumes. The returned slice is independent of the meter.
 func (m *Meter) ReportBlocks(period float64) []BlockPower {

@@ -93,10 +93,10 @@ func TestMeterCountsEnergyAndSTW(t *testing.T) {
 	if !close(b1.EnergyVDD, d.LoadCap(i2ID)*vdd2) || b1.EnergyVSS != 0 {
 		t.Fatalf("block1 energy (%v, %v)", b1.EnergyVDD, b1.EnergyVSS)
 	}
-	// Instance energies must sum to the chip energy.
+	// Instance energies of both rails must sum to the chip energy.
 	sum := 0.0
-	for _, e := range p.InstEnergy {
-		sum += e
+	for i := range p.InstEnergyVDD {
+		sum += p.InstEnergyVDD[i] + p.InstEnergyVSS[i]
 	}
 	if !close(sum, chip.EnergyVDD+chip.EnergyVSS) {
 		t.Fatalf("instance energies sum %v, chip %v", sum, chip.EnergyVDD+chip.EnergyVSS)
@@ -233,7 +233,11 @@ func TestInstCurrentsConversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := m.Report(20)
-	cur := InstCurrents(d, p.InstEnergy, p.Chip().STW)
+	energy := make([]float64, len(p.InstEnergyVDD))
+	for i := range energy {
+		energy[i] = p.InstEnergyVDD[i] + p.InstEnergyVSS[i]
+	}
+	cur := InstCurrents(d, energy, p.Chip().STW)
 	totalI := 0.0
 	for _, c := range cur {
 		totalI += c
@@ -243,7 +247,7 @@ func TestInstCurrentsConversion(t *testing.T) {
 	if !close(totalI*d.Lib.VDD, want) {
 		t.Fatalf("ΣI·V = %v, want %v", totalI*d.Lib.VDD, want)
 	}
-	if z := InstCurrents(d, p.InstEnergy, 0); z[0] != 0 {
+	if z := InstCurrents(d, energy, 0); z[0] != 0 {
 		t.Fatal("zero window should give zero currents")
 	}
 }

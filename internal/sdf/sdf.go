@@ -1,17 +1,15 @@
-// Package sdf computes and exchanges per-instance pin-to-output delays in a
-// reduced SDF-style format. It stands in for the paper's standard-delay-
-// format back-annotation step: the event-driven timing simulator and the
-// IR-drop-aware re-simulation both consume a Delays table, either computed
-// directly from the library and extracted parasitics (Compute) or read back
-// from an SDF file (Read).
+// Package sdf computes per-instance pin-to-output delays and writes them
+// in a reduced SDF-style format. It stands in for the paper's standard-
+// delay-format back-annotation step: the event-driven timing simulator and
+// the IR-drop-aware re-simulation both consume a Delays table computed
+// directly from the library and extracted parasitics (Compute); Write
+// exports it for other tools.
 package sdf
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"scap/internal/netlist"
 )
@@ -64,49 +62,4 @@ func Write(w io.Writer, d *netlist.Design, dl *Delays) error {
 	}
 	fmt.Fprintln(bw, ")")
 	return bw.Flush()
-}
-
-// Read parses a reduced-SDF stream written by Write and returns the delay
-// table for d (instances matched by name).
-func Read(r io.Reader, d *netlist.Design) (*Delays, error) {
-	byName := make(map[string]netlist.InstID, len(d.Insts))
-	for i := range d.Insts {
-		byName[d.Insts[i].Name] = netlist.InstID(i)
-	}
-	dl := &Delays{Rise: make([]float64, len(d.Insts)), Fall: make([]float64, len(d.Insts))}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		txt := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(txt, "(CELL ") {
-			continue
-		}
-		txt = strings.TrimSuffix(strings.TrimPrefix(txt, "("), ")")
-		txt = strings.ReplaceAll(txt, "(", " ")
-		txt = strings.ReplaceAll(txt, ")", " ")
-		f := strings.Fields(txt)
-		// Expect: CELL <name> IOPATH <rise> <fall>
-		if len(f) != 5 || f[0] != "CELL" || f[2] != "IOPATH" {
-			return nil, fmt.Errorf("sdf: line %d: malformed record %q", line, txt)
-		}
-		id, ok := byName[f[1]]
-		if !ok {
-			return nil, fmt.Errorf("sdf: line %d: unknown instance %q", line, f[1])
-		}
-		rise, err := strconv.ParseFloat(f[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("sdf: line %d: bad rise delay: %v", line, err)
-		}
-		fall, err := strconv.ParseFloat(f[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("sdf: line %d: bad fall delay: %v", line, err)
-		}
-		dl.Rise[id], dl.Fall[id] = rise, fall
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return dl, nil
 }

@@ -1,10 +1,15 @@
 package sdf
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
+	"scap/internal/netlist"
 	"scap/internal/parasitic"
 	"scap/internal/place"
 	"scap/internal/soc"
@@ -109,4 +114,50 @@ func TestReadErrors(t *testing.T) {
 	if _, err := Read(strings.NewReader("(DELAYFILE)\nnothing\n"), d); err != nil {
 		t.Fatalf("benign lines rejected: %v", err)
 	}
+}
+
+// Read parses a reduced-SDF stream written by Write and returns the delay
+// table for d (instances matched by name). It exists to check Write: no
+// part of the program reads SDF.
+func Read(r io.Reader, d *netlist.Design) (*Delays, error) {
+	byName := make(map[string]netlist.InstID, len(d.Insts))
+	for i := range d.Insts {
+		byName[d.Insts[i].Name] = netlist.InstID(i)
+	}
+	dl := &Delays{Rise: make([]float64, len(d.Insts)), Fall: make([]float64, len(d.Insts))}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	line := 0
+	for sc.Scan() {
+		line++
+		txt := strings.TrimSpace(sc.Text())
+		if !strings.HasPrefix(txt, "(CELL ") {
+			continue
+		}
+		txt = strings.TrimSuffix(strings.TrimPrefix(txt, "("), ")")
+		txt = strings.ReplaceAll(txt, "(", " ")
+		txt = strings.ReplaceAll(txt, ")", " ")
+		f := strings.Fields(txt)
+		// Expect: CELL <name> IOPATH <rise> <fall>
+		if len(f) != 5 || f[0] != "CELL" || f[2] != "IOPATH" {
+			return nil, fmt.Errorf("sdf: line %d: malformed record %q", line, txt)
+		}
+		id, ok := byName[f[1]]
+		if !ok {
+			return nil, fmt.Errorf("sdf: line %d: unknown instance %q", line, f[1])
+		}
+		rise, err := strconv.ParseFloat(f[3], 64)
+		if err != nil {
+			return nil, fmt.Errorf("sdf: line %d: bad rise delay: %v", line, err)
+		}
+		fall, err := strconv.ParseFloat(f[4], 64)
+		if err != nil {
+			return nil, fmt.Errorf("sdf: line %d: bad fall delay: %v", line, err)
+		}
+		dl.Rise[id], dl.Fall[id] = rise, fall
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return dl, nil
 }

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
-	"scap/internal/cell"
 	"scap/internal/logic"
 	"scap/internal/netlist"
 	"scap/internal/obs"
@@ -75,18 +75,18 @@ type LaunchScratch struct {
 	seq int
 
 	// gen stamps the per-launch dirty sets so they reset with a single
-	// increment instead of O(N) clears. It is bumped once per settle
-	// (instGen) and once per event phase (schedGen, voidStamp).
+	// increment instead of O(N) clears. It is bumped once per event phase
+	// (schedGen, voidStamp).
 	gen       uint64
 	voidStamp []uint64 // by event seq: == gen means voided
 	schedGen  []uint64 // by net: == gen means already in the undo log
 	sched     []schedEntry
-	instGen   []uint64 // by inst: == gen means already scheduled to settle
-	// buckets[lv] collects the dirty gates of logic level lv; the settle
-	// drains levels in ascending order, so each gate is evaluated once
-	// with final inputs and scheduling is O(1) per gate (levels are
-	// strictly increasing along combinational edges).
-	buckets [][]netlist.InstID
+	// dirty is the settle's set of gates to evaluate, one bit per gate
+	// position; lo and hi bound the marked positions. The settle sweeps
+	// it forward and clears each bit as it goes, so it is empty between
+	// settles.
+	dirty  []uint64
+	lo, hi int
 
 	// Cone cache identity: the (v1, pis) the baseline was settled at.
 	baseV1    []logic.V
@@ -116,8 +116,7 @@ func NewLaunchScratch(s *Simulator) *LaunchScratch {
 		lastSeq:   make([]int, nn),
 		prevProj:  make([]logic.V, nn),
 		schedGen:  make([]uint64, nn),
-		instGen:   make([]uint64, s.d.NumInsts()),
-		buckets:   make([][]netlist.InstID, s.numLevels),
+		dirty:     make([]uint64, (len(s.gates)+63)/64),
 		baseV1:    make([]logic.V, nf),
 		basePIs:   make([]logic.V, len(s.d.PIs)),
 		resNets:   make([]logic.V, nn),
@@ -162,13 +161,12 @@ func eqV(a, b []logic.V) bool {
 // settle establishes nets = settle(v1, pis) and projected = nets.
 // Cold start runs the full topological Propagate (the oracle path);
 // afterwards only the fanout cone of flops/PIs whose values differ
-// from the cached baseline is re-evaluated, drained level by level so
-// every dirty instance is evaluated exactly once with final inputs. A
-// matching baseline skips the settle.
+// from the cached baseline is re-evaluated: one forward sweep over the
+// dirty gate positions, from the lowest marked one. A gate's fanout sits
+// at strictly higher positions, so every dirty gate is evaluated exactly
+// once, with final inputs. A matching baseline skips the settle.
 func (ls *LaunchScratch) settle(v1, pis []logic.V) {
 	s := ls.s
-	d := s.d
-	ls.gen++
 	if !ls.baseValid {
 		for i := range ls.nets {
 			ls.nets[i] = logic.X
@@ -187,41 +185,38 @@ func (ls *LaunchScratch) settle(v1, pis []logic.V) {
 		cSettleSkip.Add(1)
 		return
 	}
-	for i, n := range d.PIs {
+	ls.lo, ls.hi = len(s.gates), -1
+	for i, n := range s.d.PIs {
 		if ls.nets[n] != pis[i] {
 			ls.nets[n] = pis[i]
 			ls.projected[n] = pis[i]
-			ls.seedLoads(n)
+			ls.markLoads(n)
 		}
 	}
-	for i, f := range d.Flops {
-		out := d.Insts[f].Out
+	for i := range s.flops {
+		out := s.flops[i].out
 		if ls.nets[out] != v1[i] {
 			ls.nets[out] = v1[i]
 			ls.projected[out] = v1[i]
-			ls.seedLoads(out)
+			ls.markLoads(out)
 		}
 	}
 	evals := 0
-	for lv := 0; lv < len(ls.buckets); lv++ {
-		// A gate's fanout sits at strictly higher levels, so this
-		// bucket cannot grow while it drains.
-		b := ls.buckets[lv]
-		for _, id := range b {
-			inst := &d.Insts[id]
-			idx := uint32(0)
-			for p, n := range inst.In {
-				idx |= uint32(ls.nets[n]) << (2 * uint(p))
-			}
-			v := cell.EvalPacked(inst.Kind, idx)
+	for w := ls.lo >> 6; w <= ls.hi>>6; w++ {
+		// Marks made while this word drains land at higher positions,
+		// so the lowest set bit is always the next gate in order.
+		for ls.dirty[w] != 0 {
+			b := bits.TrailingZeros64(ls.dirty[w])
+			ls.dirty[w] &^= 1 << uint(b)
+			g := &s.gates[w<<6|b]
+			v := g.eval(ls.nets)
 			evals++
-			if v != ls.nets[inst.Out] {
-				ls.nets[inst.Out] = v
-				ls.projected[inst.Out] = v
-				ls.seedLoads(inst.Out)
+			if v != ls.nets[g.out] {
+				ls.nets[g.out] = v
+				ls.projected[g.out] = v
+				ls.markLoads(g.out)
 			}
 		}
-		ls.buckets[lv] = b[:0]
 	}
 	copy(ls.baseV1, v1)
 	copy(ls.basePIs, pis)
@@ -230,20 +225,22 @@ func (ls *LaunchScratch) settle(v1, pis []logic.V) {
 	hSettleCone.Observe(float64(evals))
 }
 
-// seedLoads marks every combinational load of net n dirty, appending
-// it to its level's bucket. Flop loads are skipped: flop inputs do not
-// feed back combinationally, and the launch state v1/v2 is supplied by
-// the caller, not captured here.
-func (ls *LaunchScratch) seedLoads(n netlist.NetID) {
-	lvl, gen, instGen := ls.s.level, ls.gen, ls.instGen
-	for _, ld := range ls.s.d.Nets[n].Loads {
-		id := ld.Inst
-		l := lvl[id]
-		if l < 0 || instGen[id] == gen {
+// markLoads marks every combinational load of net n dirty. Flop D pins
+// are skipped: flop inputs do not feed back combinationally, and the
+// launch state v1/v2 is supplied by the caller, not captured here.
+func (ls *LaunchScratch) markLoads(n netlist.NetID) {
+	for _, e := range ls.s.loadsOf(n) {
+		if e < 0 {
 			continue
 		}
-		instGen[id] = gen
-		ls.buckets[l] = append(ls.buckets[l], id)
+		p := int(e)
+		ls.dirty[p>>6] |= 1 << uint(p&63)
+		if p < ls.lo {
+			ls.lo = p
+		}
+		if p > ls.hi {
+			ls.hi = p
+		}
 	}
 }
 

@@ -19,24 +19,47 @@ import (
 
 // Simulator evaluates the combinational portion of a design in topological
 // order. It is stateless; callers own the net-value vectors.
+//
+// New flattens the design once into a table that every kernel reads
+// (Propagate, PropagateW, the launch settle and the timing event loop),
+// so no hot loop touches the netlist's Instance or Net records:
+//
+//   - gates holds the combinational gates in topological order; a gate's
+//     index in it is its position, and every gate sits after all gates
+//     that drive its inputs;
+//   - flops holds one row per flop, indexed like d.Flops (the slot);
+//   - fanStart/fanout is a CSR fanout list per net, in the netlist's load
+//     order: a gate position, or ^slot for the D pin of flop slot. The
+//     other flop pins (SI, SE) have no combinational or endpoint effect
+//     during a launch and are dropped;
+//   - driver[n] is net n's driving instance, NoInst for a primary input.
 type Simulator struct {
-	d     *netlist.Design
-	order []netlist.InstID // combinational instances only, topo order
-	// flopIndex maps an InstID to its position in d.Flops.
-	flopIndex map[netlist.InstID]int
-	// level[inst] is the gate's logic level — 1 + the max level of its
-	// combinational driver instances, 0 when every input comes from a
-	// flop, a PI, or an undriven net; -1 for flops. Levels are strictly
-	// increasing along combinational edges, so the selective-trace
-	// settle of LaunchScratch can drain dirty gates through per-level
-	// buckets (O(1) push and pop, each gate evaluated at most once)
-	// instead of a priority queue.
-	level     []int32
-	numLevels int
-	// flopSlot[inst] is the instance's position in d.Flops, -1 for
-	// combinational gates: the event loop's branch-free replacement for
-	// an IsFlop check plus a map lookup.
-	flopSlot []int32
+	d        *netlist.Design
+	gates    []gate
+	flops    []gate
+	fanStart []int32
+	fanout   []int32
+	driver   []netlist.InstID
+}
+
+// gate is one row of the flat table: the cell kind and arity, four input
+// nets in pin order (pins past the arity repeat pin 0), the output net and
+// the instance (the key of sdf.Delays.Of).
+type gate struct {
+	in   [4]netlist.NetID
+	out  netlist.NetID
+	id   netlist.InstID
+	kind cell.Kind
+	n    uint8
+}
+
+// eval returns the gate's output under the net values nets. It packs all
+// four pins and masks off those past the arity, so a gate costs the same
+// four loads and no branch whatever its kind.
+func (g *gate) eval(nets []logic.V) logic.V {
+	idx := uint32(nets[g.in[0]]) | uint32(nets[g.in[1]])<<2 |
+		uint32(nets[g.in[2]])<<4 | uint32(nets[g.in[3]])<<6
+	return cell.EvalPacked(g.kind, idx&(1<<(2*g.n)-1))
 }
 
 // New builds a Simulator for d. It fails if the design has a combinational
@@ -46,42 +69,46 @@ func New(d *netlist.Design) (*Simulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	row := func(inst *netlist.Instance) gate {
+		in0 := inst.In[0]
+		g := gate{in: [4]netlist.NetID{in0, in0, in0, in0}, out: inst.Out, id: inst.ID,
+			kind: inst.Kind, n: uint8(len(inst.In))}
+		copy(g.in[:], inst.In)
+		return g
+	}
 	s := &Simulator{
-		d:         d,
-		flopIndex: make(map[netlist.InstID]int, len(d.Flops)),
+		d:        d,
+		gates:    make([]gate, 0, d.NumGates()),
+		flops:    make([]gate, len(d.Flops)),
+		fanStart: make([]int32, d.NumNets()+1),
+		driver:   make([]netlist.InstID, d.NumNets()),
 	}
+	// pos[id] is a gate's position or ^slot for a flop: the fanout encoding.
+	pos := make([]int32, d.NumInsts())
 	for _, id := range full {
-		if !d.Inst(id).IsFlop() {
-			s.order = append(s.order, id)
+		if inst := d.Inst(id); !inst.IsFlop() {
+			pos[id] = int32(len(s.gates))
+			s.gates = append(s.gates, row(inst))
 		}
 	}
-	s.level = make([]int32, d.NumInsts())
-	for i := range s.level {
-		s.level[i] = -1
+	for slot, f := range d.Flops {
+		pos[f] = ^int32(slot)
+		s.flops[slot] = row(d.Inst(f))
 	}
-	for _, id := range s.order {
-		lv := int32(0)
-		for _, n := range d.Inst(id).In {
-			drv := d.Nets[n].Driver
-			if drv == netlist.NoInst || d.Inst(drv).IsFlop() {
-				continue
+	loads := 0
+	for i := range d.Nets {
+		loads += len(d.Nets[i].Loads)
+	}
+	s.fanout = make([]int32, 0, loads)
+	for i := range d.Nets {
+		net := &d.Nets[i]
+		s.driver[i] = net.Driver
+		for _, ld := range net.Loads {
+			if p := pos[ld.Inst]; p >= 0 || ld.Pin == 0 {
+				s.fanout = append(s.fanout, p)
 			}
-			if l := s.level[drv] + 1; l > lv {
-				lv = l
-			}
 		}
-		s.level[id] = lv
-		if int(lv) >= s.numLevels {
-			s.numLevels = int(lv) + 1
-		}
-	}
-	s.flopSlot = make([]int32, d.NumInsts())
-	for i := range s.flopSlot {
-		s.flopSlot[i] = -1
-	}
-	for i, f := range d.Flops {
-		s.flopIndex[f] = i
-		s.flopSlot[f] = int32(i)
+		s.fanStart[i+1] = int32(len(s.fanout))
 	}
 	return s, nil
 }
@@ -89,8 +116,10 @@ func New(d *netlist.Design) (*Simulator, error) {
 // Design returns the simulated design.
 func (s *Simulator) Design() *netlist.Design { return s.d }
 
-// FlopIndex returns the position of flop f in the design's flop list.
-func (s *Simulator) FlopIndex(f netlist.InstID) int { return s.flopIndex[f] }
+// loadsOf returns net n's fanout entries (see Simulator).
+func (s *Simulator) loadsOf(n netlist.NetID) []int32 {
+	return s.fanout[s.fanStart[n]:s.fanStart[n+1]]
+}
 
 // NewNets returns a fresh all-X net-value vector.
 func (s *Simulator) NewNets() []logic.V {
@@ -105,15 +134,9 @@ func (s *Simulator) NewNets() []logic.V {
 // Primary-input nets and flop output (Q) nets must be set by the caller;
 // everything else is overwritten.
 func (s *Simulator) Propagate(nets []logic.V) {
-	d := s.d
-	var buf [4]logic.V
-	for _, id := range s.order {
-		inst := &d.Insts[id]
-		in := buf[:len(inst.In)]
-		for p, n := range inst.In {
-			in[p] = nets[n]
-		}
-		nets[inst.Out] = cell.Eval(inst.Kind, in)
+	for i := range s.gates {
+		g := &s.gates[i]
+		nets[g.out] = g.eval(nets)
 	}
 }
 
@@ -128,23 +151,16 @@ func (s *Simulator) CaptureState(nets []logic.V) []logic.V {
 // the captured per-flop values into out (which must be len(d.Flops)) and
 // returns it.
 func (s *Simulator) CaptureStateInto(out []logic.V, nets []logic.V) []logic.V {
-	d := s.d
-	var buf [4]logic.V
-	for i, f := range d.Flops {
-		inst := &d.Insts[f]
-		in := buf[:len(inst.In)]
-		for p, n := range inst.In {
-			in[p] = nets[n]
-		}
-		out[i] = cell.Eval(inst.Kind, in)
+	for i := range s.flops {
+		out[i] = s.flops[i].eval(nets)
 	}
 	return out
 }
 
 // ApplyState writes a per-flop state vector onto the flop output nets.
 func (s *Simulator) ApplyState(nets []logic.V, state []logic.V) {
-	for i, f := range s.d.Flops {
-		nets[s.d.Insts[f].Out] = state[i]
+	for i := range s.flops {
+		nets[s.flops[i].out] = state[i]
 	}
 }
 
@@ -162,38 +178,35 @@ func (s *Simulator) NewNetsW() []logic.Word {
 
 // PropagateW is the 64-way parallel counterpart of Propagate.
 func (s *Simulator) PropagateW(nets []logic.Word) {
-	d := s.d
-	var buf [4]logic.Word
-	for _, id := range s.order {
-		inst := &d.Insts[id]
-		in := buf[:len(inst.In)]
-		for p, n := range inst.In {
-			in[p] = nets[n]
-		}
-		nets[inst.Out] = cell.EvalWord(inst.Kind, in)
+	for i := range s.gates {
+		g := &s.gates[i]
+		nets[g.out] = g.evalW(nets)
 	}
+}
+
+// evalW is the 64-way parallel counterpart of eval.
+func (g *gate) evalW(nets []logic.Word) logic.Word {
+	var buf [4]logic.Word
+	in := buf[:g.n]
+	for p := range in {
+		in[p] = nets[g.in[p]]
+	}
+	return cell.EvalWord(g.kind, in)
 }
 
 // CaptureStateW is the 64-way parallel counterpart of CaptureState.
 func (s *Simulator) CaptureStateW(nets []logic.Word) []logic.Word {
-	d := s.d
-	out := make([]logic.Word, len(d.Flops))
-	var buf [4]logic.Word
-	for i, f := range d.Flops {
-		inst := &d.Insts[f]
-		in := buf[:len(inst.In)]
-		for p, n := range inst.In {
-			in[p] = nets[n]
-		}
-		out[i] = cell.EvalWord(inst.Kind, in)
+	out := make([]logic.Word, len(s.flops))
+	for i := range s.flops {
+		out[i] = s.flops[i].evalW(nets)
 	}
 	return out
 }
 
 // ApplyStateW writes a parallel per-flop state vector onto flop output nets.
 func (s *Simulator) ApplyStateW(nets []logic.Word, state []logic.Word) {
-	for i, f := range s.d.Flops {
-		nets[s.d.Insts[f].Out] = state[i]
+	for i := range s.flops {
+		nets[s.flops[i].out] = state[i]
 	}
 }
 

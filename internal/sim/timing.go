@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"scap/internal/cell"
 	"scap/internal/logic"
 	"scap/internal/netlist"
 	"scap/internal/obs"
@@ -249,7 +248,7 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 		if tm.tree != nil {
 			t = tm.tree.Arrival(f)
 		}
-		ls.pushEvent(tm, t, d.Insts[f].Out, v2[i], 0)
+		ls.pushEvent(tm, t, s.flops[i].out, v2[i], 0)
 	}
 
 	horizon := 4 * period // safety: glitch tails beyond this are abandoned
@@ -277,7 +276,6 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 		nets[ev.net] = ev.val
 
 		// Account the transition against the driving instance.
-		drv := d.Nets[ev.net].Driver
 		if old != logic.X && ev.val != logic.X {
 			res.Toggles++
 			if res.FirstEvent < 0 || ev.t < res.FirstEvent {
@@ -286,34 +284,28 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 			if ev.t > res.LastEvent {
 				res.LastEvent = ev.t
 			}
-			if onToggle != nil && drv != netlist.NoInst {
+			if drv := s.driver[ev.net]; onToggle != nil && drv != netlist.NoInst {
 				onToggle(drv, ev.t, ev.val == logic.One)
 			}
 		}
 
-		for _, ld := range d.Nets[ev.net].Loads {
-			if fs := s.flopSlot[ld.Inst]; fs >= 0 {
-				if ld.Pin == 0 { // D input: endpoint observation
-					res.EndpointArrival[fs] = ev.t
-					res.EndpointActive[fs] = true
-				}
+		for _, e := range s.loadsOf(ev.net) {
+			if e < 0 { // D input of flop ^e: endpoint observation
+				res.EndpointArrival[^e] = ev.t
+				res.EndpointActive[^e] = true
 				continue
 			}
-			inst := &d.Insts[ld.Inst]
-			idx := uint32(0)
-			for p, n := range inst.In {
-				idx |= uint32(nets[n]) << (2 * uint(p))
-			}
-			newOut := cell.EvalPacked(inst.Kind, idx)
-			if newOut == ls.projected[inst.Out] {
+			g := &s.gates[e]
+			newOut := g.eval(nets)
+			if newOut == ls.projected[g.out] {
 				continue
 			}
-			rise, fall := tm.delays.Of(inst.ID)
+			rise, fall := tm.delays.Of(g.id)
 			dly := fall
 			if newOut == logic.One {
 				dly = rise
 			}
-			ls.pushEvent(tm, ev.t+dly, inst.Out, newOut, dly)
+			ls.pushEvent(tm, ev.t+dly, g.out, newOut, dly)
 		}
 	}
 

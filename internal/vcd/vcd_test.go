@@ -12,7 +12,7 @@ import (
 	"scap/internal/sim"
 )
 
-func record(t *testing.T) (*Recorder, int) {
+func record(t testing.TB) (*Recorder, int) {
 	t.Helper()
 	d := netlist.New("v", cell.New180nm())
 	d.NumBlocks = 1
