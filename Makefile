@@ -48,8 +48,10 @@ bench-diff:
 	done
 
 # CI-style tier-1 verify in one command, plus the benchmark module's tests
-# (the scale-48 paper anchors and worker-count invariance, ~30 s).
+# (the scale-48 paper anchors and worker-count invariance, ~30 s). The
+# tree must be gofmt-clean.
 check:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go build ./...
 	go test ./...

@@ -35,10 +35,7 @@ func newRig(t *testing.T, scale int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := faultsim.New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := faultsim.New(s)
 	return &rig{d: d, s: s, fs: fs, l: fault.Universe(d), sc: sc}
 }
 

@@ -126,10 +126,7 @@ func Build(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: sim: %w", err)
 	}
-	fs, err := faultsim.New(s)
-	if err != nil {
-		return nil, fmt.Errorf("core: faultsim: %w", err)
-	}
+	fs := faultsim.New(s)
 	fs.Workers = cfg.Workers
 	sys := &System{
 		Cfg: cfg, D: d, Plan: plan, FP: fp, SC: sc,

@@ -10,6 +10,7 @@ package diagnose
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"scap/internal/atpg"
@@ -61,7 +62,6 @@ func Run(fs *faultsim.Sim, l *fault.List, obs []Observation, opts Options) ([]Ca
 	if opts.MissWeight == 0 {
 		opts.MissWeight = 1.0
 	}
-	d := l.D
 
 	// Batch the observations (≤64 per batch) and accumulate per-fault
 	// tallies across batches.
@@ -70,26 +70,12 @@ func Run(fs *faultsim.Sim, l *fault.List, obs []Observation, opts Options) ([]Ca
 	observedTotal := 0
 
 	for base := 0; base < len(obs); base += 64 {
-		hi := base + 64
-		if hi > len(obs) {
-			hi = len(obs)
+		chunk := obs[base:min(base+64, len(obs))]
+		pats := make([]atpg.Pattern, len(chunk))
+		for s := range chunk {
+			pats[s] = chunk[s].Pattern
 		}
-		chunk := obs[base:hi]
-		v1 := make([]logic.Word, len(d.Flops))
-		pis := make([]logic.Word, len(d.PIs))
-		for s, ob := range chunk {
-			for i, v := range ob.Pattern.V1 {
-				v1[i] = v1[i].Set(uint(s), v)
-			}
-			for i, v := range ob.Pattern.PIs {
-				pis[i] = pis[i].Set(uint(s), v)
-			}
-		}
-		valid := uint64(1)<<uint(len(chunk)) - 1
-		if len(chunk) == 64 {
-			valid = ^uint64(0)
-		}
-		b := fs.GoodSim(v1, pis, opts.Dom, valid)
+		b := goodSim(fs, pats, opts.Dom)
 
 		// Observed failure masks per flop for this chunk.
 		obsMask := map[int]uint64{}
@@ -101,8 +87,8 @@ func Run(fs *faultsim.Sim, l *fault.List, obs []Observation, opts Options) ([]Ca
 		}
 
 		for cf := range l.Faults {
-			pred := fs.FailMasks(b, &l.Faults[cf])
-			if len(pred) == 0 {
+			flops, masks := fs.FailSlots(b, &l.Faults[cf])
+			if len(flops) == 0 {
 				continue
 			}
 			t := tallies[cf]
@@ -110,9 +96,9 @@ func Run(fs *faultsim.Sim, l *fault.List, obs []Observation, opts Options) ([]Ca
 				t = &tally{}
 				tallies[cf] = t
 			}
-			for flop, mask := range pred {
-				t.predicted += popcount(mask)
-				t.matched += popcount(mask & obsMask[flop])
+			for i, flop := range flops {
+				t.predicted += bits.OnesCount64(masks[i])
+				t.matched += bits.OnesCount64(masks[i] & obsMask[flop])
 			}
 		}
 	}
@@ -144,34 +130,15 @@ func Run(fs *faultsim.Sim, l *fault.List, obs []Observation, opts Options) ([]Ca
 // simulates the defect fault on each pattern and records the failing
 // flops. It is the test-side oracle used in the examples and tests.
 func Observe(fs *faultsim.Sim, l *fault.List, defect int, pats []atpg.Pattern, dom int) ([]Observation, error) {
-	d := l.D
 	var out []Observation
 	for base := 0; base < len(pats); base += 64 {
-		hi := base + 64
-		if hi > len(pats) {
-			hi = len(pats)
-		}
-		chunk := pats[base:hi]
-		v1 := make([]logic.Word, len(d.Flops))
-		pis := make([]logic.Word, len(d.PIs))
-		for s := range chunk {
-			for i, v := range chunk[s].V1 {
-				v1[i] = v1[i].Set(uint(s), v)
-			}
-			for i, v := range chunk[s].PIs {
-				pis[i] = pis[i].Set(uint(s), v)
-			}
-		}
-		valid := uint64(1)<<uint(len(chunk)) - 1
-		if len(chunk) == 64 {
-			valid = ^uint64(0)
-		}
-		b := fs.GoodSim(v1, pis, dom, valid)
-		masks := fs.FailMasks(b, &l.Faults[defect])
+		chunk := pats[base:min(base+64, len(pats))]
+		b := goodSim(fs, chunk, dom)
+		flops, masks := fs.FailSlots(b, &l.Faults[defect])
 		for s := range chunk {
 			ob := Observation{Pattern: chunk[s]}
-			for flop, m := range masks {
-				if m&(1<<uint(s)) != 0 {
+			for i, flop := range flops {
+				if masks[i]&(1<<uint(s)) != 0 {
 					ob.FailingFlops = append(ob.FailingFlops, flop)
 				}
 			}
@@ -182,10 +149,12 @@ func Observe(fs *faultsim.Sim, l *fault.List, defect int, pats []atpg.Pattern, d
 	return out, nil
 }
 
-func popcount(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
+// goodSim packs up to 64 patterns into one good-machine batch for dom.
+func goodSim(fs *faultsim.Sim, pats []atpg.Pattern, dom int) *faultsim.Batch {
+	v1 := make([][]logic.V, len(pats))
+	pis := make([][]logic.V, len(pats))
+	for s := range pats {
+		v1[s], pis[s] = pats[s].V1, pats[s].PIs
 	}
-	return n
+	return fs.GoodSim(logic.PackSlots(nil, v1), logic.PackSlots(nil, pis), dom, logic.ValidMask(len(pats)))
 }

@@ -33,10 +33,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := faultsim.New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := faultsim.New(s)
 	l := fault.Universe(d)
 	res, err := atpg.Run(fs, l, sc, atpg.Options{Dom: 0, Fill: atpg.FillRandom, Seed: 9})
 	if err != nil {

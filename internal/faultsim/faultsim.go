@@ -1,19 +1,22 @@
 // Package faultsim implements parallel-pattern single-fault propagation
-// (PPSFP) for transition delay faults under launch-off-capture: 64 pattern
-// pairs are simulated at once through the good machine, and each fault's
-// frame-2 stuck-at effect is propagated through a level-ordered cone with
-// early exit. The per-fault cone propagation additionally fans out across
-// the internal/parallel worker pool (see Workers), so a sweep grades
-// workers × 64 packed patterns at once. It provides the fault dropping
-// that keeps ATPG fast and the coverage accounting behind the paper's
-// Figure 4 curves.
+// (PPSFP) for transition delay faults: 64 launch-off-capture (or
+// launch-off-shift) pattern pairs are simulated at once through the good
+// machine, and each fault's act-masked frame-2 stuck-at effect is
+// propagated by sim.Cone, the packed cone kernel over the simulator's flat
+// gate table. Two observers of the flop D pins the cone reaches give the
+// two answers: Detect's slot mask, which stops the cone once every
+// activated slot is detected, and FailSlots' per-flop failure signature,
+// which runs the whole cone. DetectAll fans the per-fault cones across the
+// internal/parallel worker pool (see Workers), so a sweep grades workers ×
+// 64 packed patterns at once. The package provides the fault dropping
+// that keeps ATPG fast, the coverage accounting behind the paper's
+// Figure 4 curves, and the signatures detection grading and diagnosis
+// replay.
 package faultsim
 
 import (
-	"fmt"
 	"math/bits"
 
-	"scap/internal/cell"
 	"scap/internal/fault"
 	"scap/internal/logic"
 	"scap/internal/netlist"
@@ -46,47 +49,38 @@ func init() {
 	})
 }
 
-// Sim is a reusable transition-fault simulator for one design.
+// Sim is a reusable transition-fault simulator for one design. It keeps
+// the fault semantics (activation, act-masked stuck injection, the
+// batch's domain, the detect mask with early exit and the failure
+// signature); the propagation itself is sim.Cone's sweep over the flat
+// gate table, which reports every flop D pin the fault effect reaches to
+// one of two observers, detector (Detect) or signature (FailSlots).
 //
 // Concurrency: the good-machine methods (GoodSim, GoodSimShift,
 // Activation) touch no Sim scratch and are safe to call concurrently.
-// The cone-propagation methods (Detect, FailMasks, FailSlots) own mutable
-// scratch and must not run concurrently on one Sim — Clone produces
-// additional Sims sharing the immutable design/level/observability tables
-// for exactly that. Drop, DetectionCounts and DetectAll shard themselves
-// across Workers cloned Sims and are bit-identical for any worker count.
+// Detect and FailSlots own mutable scratch and must not run concurrently
+// on one Sim — Clone produces additional Sims sharing the immutable
+// design and slot-domain tables for exactly that. Drop, DetectionCounts
+// and DetectAll shard themselves across Workers cloned Sims and are
+// bit-identical for any worker count.
 type Sim struct {
-	s      *sim.Simulator
-	d      *netlist.Design
-	levels []int32
+	s *sim.Simulator
+	d *netlist.Design
+	// dom is the clock domain of each flop slot (d.Flops order), shared
+	// by clones: a batch observes only the flops of its own domain
+	// (launch-off-capture observes captured flops only; primary outputs
+	// are not measured, per the paper).
+	dom []int
 
 	// Workers fans DetectAll (and through it Drop and DetectionCounts)
 	// across the worker pool: 0 means all cores, 1 forces the exact
 	// serial path. Results are identical for any value.
 	Workers int
 
-	// Observation points per clock domain: the D nets of that domain's
-	// flops (launch-off-capture observes captured flops only; primary
-	// outputs are not measured, per the paper).
-	obsNets [][]netlist.NetID
-	// isObs[dom][net] marks observation nets for O(1) lookup.
-	isObs [][]bool
-	// obsOwners[dom][net] lists the flop indexes (design flop order) whose
-	// D input is that net — the flops a tester sees failing.
-	obsOwners []map[netlist.NetID][]int
-
-	// scratch state for cone propagation (reset after each fault):
-	fv      []logic.Word // faulty frame-2 net values where touched
-	touched []bool
-	tlist   []netlist.NetID
-	queued  []bool
-	buckets [][]netlist.InstID // gates to evaluate, bucketed by level
-
-	// failure-signature scratch for FailSlots (lazily sized): sig is
-	// indexed by flop and zeroed again before FailSlots returns.
-	sig      []uint64
-	sigFlops []int
-	sigMasks []uint64
+	// per-Sim scratch: the cone kernel and the two observers.
+	cone *sim.Cone
+	det  detector
+	sig  signature
 
 	// worker machinery, owned by the Sim DetectAll is called on:
 	clones  []*Sim // lazily grown clone pool (clones[w] serves worker w+1)
@@ -95,56 +89,19 @@ type Sim struct {
 }
 
 // New builds a fault simulator on top of a zero-delay simulator.
-func New(s *sim.Simulator) (*Sim, error) {
-	d := s.Design()
-	lv, err := d.Levels()
-	if err != nil {
-		return nil, fmt.Errorf("faultsim: %w", err)
-	}
-	ml := int32(0)
-	for _, l := range lv {
-		if l > ml {
-			ml = l
-		}
-	}
-	fs := &Sim{
-		s: s, d: d, levels: lv,
-		fv:      make([]logic.Word, d.NumNets()),
-		touched: make([]bool, d.NumNets()),
-		queued:  make([]bool, d.NumInsts()),
-		buckets: make([][]netlist.InstID, ml+2),
-	}
-	fs.obsNets = make([][]netlist.NetID, len(d.Domains))
-	fs.isObs = make([][]bool, len(d.Domains))
-	fs.obsOwners = make([]map[netlist.NetID][]int, len(d.Domains))
-	for dom := range d.Domains {
-		fs.isObs[dom] = make([]bool, d.NumNets())
-		fs.obsOwners[dom] = map[netlist.NetID][]int{}
-	}
-	for fi, f := range d.Flops {
-		inst := d.Inst(f)
-		dn := inst.In[0]
-		fs.obsNets[inst.Domain] = append(fs.obsNets[inst.Domain], dn)
-		fs.isObs[inst.Domain][dn] = true
-		fs.obsOwners[inst.Domain][dn] = append(fs.obsOwners[inst.Domain][dn], fi)
-	}
-	return fs, nil
+func New(s *sim.Simulator) *Sim {
+	return newSim(s, s.Design().FlopDomains())
 }
 
-// Clone returns a Sim with private cone scratch that shares every
-// immutable table (design, levels, observability) with fs — the
-// per-worker constructor of the parallel fault-dropping pipeline. It is
-// O(nets) for the scratch vectors and performs no per-flop analysis.
-func (fs *Sim) Clone() *Sim {
-	return &Sim{
-		s: fs.s, d: fs.d, levels: fs.levels,
-		obsNets: fs.obsNets, isObs: fs.isObs, obsOwners: fs.obsOwners,
-		fv:      make([]logic.Word, fs.d.NumNets()),
-		touched: make([]bool, fs.d.NumNets()),
-		queued:  make([]bool, fs.d.NumInsts()),
-		buckets: make([][]netlist.InstID, len(fs.buckets)),
-	}
+func newSim(s *sim.Simulator, dom []int) *Sim {
+	return &Sim{s: s, d: s.Design(), dom: dom, cone: sim.NewCone(s)}
 }
+
+// Clone returns a Sim with private cone scratch that shares the design
+// and the slot-domain table with fs — the per-worker constructor of the
+// parallel fault-dropping pipeline. It is O(nets) for the scratch
+// vectors and performs no per-flop analysis.
+func (fs *Sim) Clone() *Sim { return newSim(fs.s, fs.dom) }
 
 // pool returns n Sims usable by workers 0..n-1: fs itself plus lazily
 // built clones, cached across calls so steady-state sweeps allocate
@@ -170,113 +127,6 @@ func (fs *Sim) dets(n int) []uint64 {
 	return fs.detBuf[:n]
 }
 
-// FailMasks returns, for fault f under the batch, the per-flop failure
-// signature: flop index (design flop order) -> slot mask where the flop
-// captures a faulty value. Unlike Detect it propagates the whole cone (no
-// early exit) so the signature is complete — the prediction a tester's
-// failing-cycle log is matched against during diagnosis. Hot loops should
-// prefer FailSlots, which reuses buffers instead of building a map.
-func (fs *Sim) FailMasks(b *Batch, f *fault.Fault) map[int]uint64 {
-	flops, masks := fs.FailSlots(b, f)
-	if len(flops) == 0 {
-		return nil
-	}
-	out := make(map[int]uint64, len(flops))
-	for i, fi := range flops {
-		out[fi] = masks[i]
-	}
-	return out
-}
-
-// FailSlots is the allocation-free form of FailMasks: it returns parallel
-// slices (failing flop indexes in first-reached order, and the slot mask
-// per flop) owned by the Sim and valid until the next FailSlots or
-// FailMasks call on this Sim.
-func (fs *Sim) FailSlots(b *Batch, f *fault.Fault) ([]int, []uint64) {
-	fs.sigFlops = fs.sigFlops[:0]
-	fs.sigMasks = fs.sigMasks[:0]
-	act := fs.Activation(b, f)
-	if act == 0 {
-		return fs.sigFlops, fs.sigMasks
-	}
-	if fs.sig == nil {
-		fs.sig = make([]uint64, len(fs.d.Flops))
-	}
-	d := fs.d
-	stuck := logic.Splat(logic.Zero)
-	if f.Type == fault.STF {
-		stuck = logic.Splat(logic.One)
-	}
-	// Act-masked injection, as in Detect: the recorded signature is
-	// act-masked anyway, and the tighter divergence cone is what keeps
-	// per-fault signatures cheap on 64-slot batches.
-	inj := logic.Select(act, b.N2[f.Net], stuck)
-	record := func(n netlist.NetID, faulty logic.Word) {
-		if !fs.isObs[b.Dom][n] {
-			return
-		}
-		if m := b.N2[n].Diff(faulty) & act; m != 0 {
-			for _, fi := range fs.obsOwners[b.Dom][n] {
-				if fs.sig[fi] == 0 {
-					fs.sigFlops = append(fs.sigFlops, fi)
-				}
-				fs.sig[fi] |= m
-			}
-		}
-	}
-
-	fs.setFaulty(f.Net, inj)
-	record(f.Net, inj)
-	fs.scheduleLoads(f.Net)
-	for lv := 1; lv < len(fs.buckets); lv++ {
-		bucket := fs.buckets[lv]
-		if len(bucket) == 0 {
-			continue
-		}
-		fs.buckets[lv] = bucket[:0]
-		for _, g := range bucket {
-			fs.queued[g] = false
-			inst := &d.Insts[g]
-			var in [4]logic.Word
-			for p, n := range inst.In {
-				if fs.touched[n] {
-					in[p] = fs.fv[n]
-				} else {
-					in[p] = b.N2[n]
-				}
-			}
-			o := cell.EvalWord(inst.Kind, in[:len(inst.In)])
-			cur := b.N2[inst.Out]
-			if fs.touched[inst.Out] {
-				cur = fs.fv[inst.Out]
-			}
-			if o == cur {
-				continue
-			}
-			fs.setFaulty(inst.Out, o)
-			record(inst.Out, o)
-			fs.scheduleLoads(inst.Out)
-		}
-	}
-	for _, n := range fs.tlist {
-		fs.touched[n] = false
-	}
-	fs.tlist = fs.tlist[:0]
-	for lv := range fs.buckets {
-		for _, g := range fs.buckets[lv] {
-			fs.queued[g] = false
-		}
-		fs.buckets[lv] = fs.buckets[lv][:0]
-	}
-	// Drain the dense signature back to zero while building the compact
-	// mask list, leaving sig clean for the next fault.
-	for _, fi := range fs.sigFlops {
-		fs.sigMasks = append(fs.sigMasks, fs.sig[fi])
-		fs.sig[fi] = 0
-	}
-	return fs.sigFlops, fs.sigMasks
-}
-
 // Batch holds the good-machine simulation of up to 64 launch-off-capture
 // pattern pairs targeting one clock domain.
 type Batch struct {
@@ -284,11 +134,6 @@ type Batch struct {
 	// N1 and N2 are the per-net frame-1 (initialization) and frame-2
 	// (launch/capture) good values.
 	N1, N2 []logic.Word
-	// V1 and V2 are the per-flop states before and at launch.
-	V1, V2 []logic.Word
-	// Captured is the per-flop frame-2 captured state (only meaningful for
-	// flops of Dom; others hold).
-	Captured []logic.Word
 	// Valid masks the slots that carry real patterns.
 	Valid uint64
 
@@ -302,13 +147,10 @@ type Batch struct {
 // to call concurrently.
 func (fs *Sim) GoodSim(v1, pis []logic.Word, dom int, valid uint64) *Batch {
 	defer obs.TraceStart().End("faultsim", "good-sim")
-	b, cap1 := fs.frame1(v1, pis, dom, valid)
-	d := fs.d
-	v2 := make([]logic.Word, len(d.Flops))
-	for i, f := range d.Flops {
-		if d.Inst(f).Domain == dom {
-			v2[i] = cap1[i]
-		} else {
+	b := fs.frame1(v1, pis, dom, valid)
+	v2 := fs.s.CaptureStateW(b.N1)
+	for i := range v2 {
+		if fs.dom[i] != dom {
 			v2[i] = v1[i]
 		}
 	}
@@ -323,11 +165,10 @@ func (fs *Sim) GoodSim(v1, pis []logic.Word, dom int, valid uint64) *Batch {
 func (fs *Sim) GoodSimShift(v1, pis []logic.Word, dom int, valid uint64,
 	src map[netlist.InstID]netlist.NetID) *Batch {
 
-	b, _ := fs.frame1(v1, pis, dom, valid)
-	d := fs.d
-	v2 := make([]logic.Word, len(d.Flops))
-	for i, f := range d.Flops {
-		if n, ok := src[f]; ok && d.Inst(f).Domain == dom {
+	b := fs.frame1(v1, pis, dom, valid)
+	v2 := make([]logic.Word, len(v1))
+	for i, f := range fs.d.Flops {
+		if n, ok := src[f]; ok && fs.dom[i] == dom {
 			v2[i] = b.N1[n]
 		} else {
 			v2[i] = v1[i]
@@ -337,34 +178,27 @@ func (fs *Sim) GoodSimShift(v1, pis []logic.Word, dom int, valid uint64,
 	return b
 }
 
-// frame1 settles the initialization frame and returns the batch shell plus
-// the frame-1 captured state.
-func (fs *Sim) frame1(v1, pis []logic.Word, dom int, valid uint64) (*Batch, []logic.Word) {
+// frame1 settles the initialization frame into a new batch.
+func (fs *Sim) frame1(v1, pis []logic.Word, dom int, valid uint64) *Batch {
 	cBatches.Add(1)
-	s, d := fs.s, fs.d
-	b := &Batch{Dom: dom, Valid: valid, V1: v1}
+	s := fs.s
 	if pis == nil {
-		pis = make([]logic.Word, len(d.PIs)) // all-X primary inputs
+		pis = make([]logic.Word, len(fs.d.PIs)) // all-X primary inputs
 	}
-	b.pis = pis
-	n1 := s.NewNetsW()
-	s.SetPIsW(n1, pis)
-	s.ApplyStateW(n1, v1)
-	s.PropagateW(n1)
-	b.N1 = n1
-	return b, s.CaptureStateW(n1)
+	b := &Batch{Dom: dom, Valid: valid, pis: pis, N1: s.NewNetsW()}
+	s.SetPIsW(b.N1, pis)
+	s.ApplyStateW(b.N1, v1)
+	s.PropagateW(b.N1)
+	return b
 }
 
-// frame2 settles the launch/capture frame for the given launch state.
+// frame2 settles the launch/capture frame for the launch state v2.
 func (fs *Sim) frame2(b *Batch, v2 []logic.Word) {
 	s := fs.s
-	n2 := s.NewNetsW()
-	s.SetPIsW(n2, b.pis)
-	s.ApplyStateW(n2, v2)
-	s.PropagateW(n2)
-	b.N2 = n2
-	b.V2 = v2
-	b.Captured = s.CaptureStateW(n2)
+	b.N2 = s.NewNetsW()
+	s.SetPIsW(b.N2, b.pis)
+	s.ApplyStateW(b.N2, v2)
+	s.PropagateW(b.N2)
 }
 
 // Activation returns the slot mask where fault f's launch transition occurs
@@ -377,6 +211,49 @@ func (fs *Sim) Activation(b *Batch, f *fault.Fault) uint64 {
 	return n1.One & n2.Zero & b.Valid
 }
 
+// injection is fault f's frame-2 value at its site under activation act.
+// The stuck value is masked to the activated slots: a transition fault
+// only misbehaves where the transition was launched, and detection is
+// act-masked anyway, so the other slots keep their good value — which
+// keeps the divergence cone (and the word-level propagation frontier)
+// tight on wide packed batches where most slots activate only a few
+// faults.
+func injection(b *Batch, f *fault.Fault, act uint64) logic.Word {
+	stuck := logic.Splat(logic.Zero) // slow-to-rise behaves stuck-at-0 in frame 2
+	if f.Type == fault.STF {
+		stuck = logic.Splat(logic.One)
+	}
+	return logic.Select(act, b.N2[f.Net], stuck)
+}
+
+// capture is what both observers check at a reached flop: the activated
+// slots where the flop, if it belongs to the batch's domain, captures a
+// faulty value.
+type capture struct {
+	dom      []int // per flop slot, shared with the Sim
+	batchDom int
+	act      uint64
+}
+
+func (c *capture) fails(slot int, good, faulty logic.Word) uint64 {
+	if c.dom[slot] != c.batchDom {
+		return 0
+	}
+	return good.Diff(faulty) & c.act
+}
+
+// detector is Detect's observer: it collects the failing slots of every
+// reached flop and stops the cone once every activated slot is detected.
+type detector struct {
+	capture
+	mask uint64
+}
+
+func (o *detector) Reach(slot int, good, faulty logic.Word) bool {
+	o.mask |= o.fails(slot, good, faulty)
+	return o.mask == o.act
+}
+
 // Detect returns the slot mask where fault f is detected by the batch:
 // the launch transition occurs and the frame-2 stuck-at effect reaches a
 // captured flop of the batch's domain.
@@ -387,104 +264,62 @@ func (fs *Sim) Detect(b *Batch, f *fault.Fault) uint64 {
 		cNoAct.Add(1)
 		return 0
 	}
-	d := fs.d
-
-	// Inject the stuck value at the site in frame 2 and propagate the
-	// difference through the level-ordered cone. The injection is masked
-	// to the activated slots: a transition fault only misbehaves where the
-	// transition was launched, and detection is act-masked anyway, so the
-	// non-activated slots keep their good value — which keeps the
-	// divergence cone (and the word-level propagation frontier) tight on
-	// wide packed batches where most slots activate only a few faults.
-	stuck := logic.Splat(logic.Zero) // slow-to-rise behaves stuck-at-0 in frame 2
-	if f.Type == fault.STF {
-		stuck = logic.Splat(logic.One)
-	}
-	faulty := logic.Select(act, b.N2[f.Net], stuck)
-
-	var detect uint64
-	evals := 0
-	fs.setFaulty(f.Net, faulty)
-	if fs.isObs[b.Dom][f.Net] {
-		detect |= b.N2[f.Net].Diff(faulty) & act
-	}
-	fs.scheduleLoads(f.Net)
-
-	for lv := 1; lv < len(fs.buckets) && detect != act; lv++ {
-		bucket := fs.buckets[lv]
-		if len(bucket) == 0 {
-			continue
-		}
-		fs.buckets[lv] = bucket[:0]
-		for _, g := range bucket {
-			fs.queued[g] = false
-			if detect == act {
-				continue
-			}
-			inst := &d.Insts[g]
-			var in [4]logic.Word
-			for p, n := range inst.In {
-				if fs.touched[n] {
-					in[p] = fs.fv[n]
-				} else {
-					in[p] = b.N2[n]
-				}
-			}
-			evals++
-			out := cell.EvalWord(inst.Kind, in[:len(inst.In)])
-			cur := b.N2[inst.Out]
-			if fs.touched[inst.Out] {
-				cur = fs.fv[inst.Out]
-			}
-			if out == cur {
-				continue
-			}
-			fs.setFaulty(inst.Out, out)
-			if fs.isObs[b.Dom][inst.Out] {
-				detect |= b.N2[inst.Out].Diff(out) & act
-			}
-			fs.scheduleLoads(inst.Out)
-		}
-	}
-	if detect == act {
+	fs.det = detector{capture: capture{fs.dom, b.Dom, act}}
+	evals := fs.cone.Run(b.N2, f.Net, injection(b, f, act), &fs.det)
+	if fs.det.mask == act {
 		cEarlyExit.Add(1)
-	}
-
-	// Reset scratch state.
-	for _, n := range fs.tlist {
-		fs.touched[n] = false
-	}
-	fs.tlist = fs.tlist[:0]
-	for lv := range fs.buckets {
-		for _, g := range fs.buckets[lv] {
-			fs.queued[g] = false
-		}
-		fs.buckets[lv] = fs.buckets[lv][:0]
 	}
 	cConeGates.Add(int64(evals))
 	hConeGates.Observe(float64(evals))
-	return detect
+	return fs.det.mask
 }
 
-func (fs *Sim) setFaulty(n netlist.NetID, v logic.Word) {
-	if !fs.touched[n] {
-		fs.touched[n] = true
-		fs.tlist = append(fs.tlist, n)
-	}
-	fs.fv[n] = v
+// signature is FailSlots' observer: it records the failing slots per
+// reached flop and never stops the cone, so the signature is complete.
+// sig is indexed by flop slot and zeroed again before FailSlots returns.
+type signature struct {
+	capture
+	sig   []uint64
+	flops []int
+	masks []uint64
 }
 
-func (fs *Sim) scheduleLoads(n netlist.NetID) {
-	d := fs.d
-	for _, ld := range d.Nets[n].Loads {
-		inst := &d.Insts[ld.Inst]
-		if inst.IsFlop() || fs.queued[ld.Inst] {
-			continue
+func (o *signature) Reach(slot int, good, faulty logic.Word) bool {
+	if m := o.fails(slot, good, faulty); m != 0 {
+		if o.sig[slot] == 0 {
+			o.flops = append(o.flops, slot)
 		}
-		fs.queued[ld.Inst] = true
-		lv := fs.levels[ld.Inst]
-		fs.buckets[lv] = append(fs.buckets[lv], ld.Inst)
+		o.sig[slot] |= m
 	}
+	return false
+}
+
+// FailSlots returns, for fault f under the batch, the per-flop failure
+// signature: the failing flop indexes (design flop order) in first-reached
+// order, and the slot mask per flop where it captures a faulty value.
+// Unlike Detect it propagates the whole cone (no early exit), so the
+// signature is complete — the prediction a tester's failing-cycle log is
+// matched against during diagnosis. Both slices are owned by the Sim and
+// valid until the next FailSlots call on it.
+func (fs *Sim) FailSlots(b *Batch, f *fault.Fault) ([]int, []uint64) {
+	o := &fs.sig
+	o.flops, o.masks = o.flops[:0], o.masks[:0]
+	act := fs.Activation(b, f)
+	if act == 0 {
+		return o.flops, o.masks
+	}
+	if o.sig == nil {
+		o.sig = make([]uint64, len(fs.dom))
+	}
+	o.capture = capture{fs.dom, b.Dom, act}
+	fs.cone.Run(b.N2, f.Net, injection(b, f, act), o)
+	// Drain the dense signature back to zero while building the compact
+	// mask list, leaving sig clean for the next fault.
+	for _, fi := range o.flops {
+		o.masks = append(o.masks, o.sig[fi])
+		o.sig[fi] = 0
+	}
+	return o.flops, o.masks
 }
 
 // DetectAll computes the detection mask of every fault in subset against

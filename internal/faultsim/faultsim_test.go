@@ -33,10 +33,7 @@ func toggler(t *testing.T) (*netlist.Design, *Sim, netlist.NetID, netlist.NetID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := New(s)
 	return d, fs, q1, n1
 }
 
@@ -169,10 +166,7 @@ func TestDetectMatchesScalarReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := New(s)
 	l := fault.Universe(d)
 	r := rand.New(rand.NewSource(5))
 
@@ -254,10 +248,7 @@ func TestScratchStateResetBetweenFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := sim.New(d)
-	fs, err := New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := New(s)
 	l := fault.Universe(d)
 	r := rand.New(rand.NewSource(6))
 	v1 := make([]logic.Word, len(d.Flops))
@@ -278,18 +269,16 @@ func TestScratchStateResetBetweenFaults(t *testing.T) {
 	}
 }
 
-// TestFailMasksConsistentWithDetect: the union of per-flop failure masks
-// must equal the Detect mask — both views of the same fault effect.
-func TestFailMasksConsistentWithDetect(t *testing.T) {
+// TestFailSlotsConsistentWithDetect: the union of per-flop failure masks
+// must equal the Detect mask — both views of the same fault effect — and
+// every failing flop must belong to the batch's domain.
+func TestFailSlotsConsistentWithDetect(t *testing.T) {
 	d, _, err := soc.Generate(soc.DefaultConfig(96))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, _ := sim.New(d)
-	fs, err := New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := New(s)
 	l := fault.Universe(d)
 	r := rand.New(rand.NewSource(17))
 	v1 := make([]logic.Word, len(d.Flops))
@@ -307,16 +296,16 @@ func TestFailMasksConsistentWithDetect(t *testing.T) {
 	for fi := 0; fi < len(l.Faults) && checked < 300; fi += 3 {
 		f := &l.Faults[fi]
 		det := fs.Detect(b, f)
-		masks := fs.FailMasks(b, f)
+		flops, masks := fs.FailSlots(b, f)
 		var union uint64
-		for flop, m := range masks {
+		for i, flop := range flops {
 			if d.Inst(d.Flops[flop]).Domain != 0 {
 				t.Fatalf("fault %s fails a non-domain flop", l.String(fi))
 			}
-			union |= m
+			union |= masks[i]
 		}
 		if union != det {
-			t.Fatalf("fault %s: FailMasks union %b != Detect %b", l.String(fi), union, det)
+			t.Fatalf("fault %s: FailSlots union %b != Detect %b", l.String(fi), union, det)
 		}
 		checked++
 	}
@@ -359,10 +348,7 @@ func socHarness(t *testing.T, seed int64, nBatches int) (*netlist.Design, *Sim, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := New(s)
 	r := rand.New(rand.NewSource(seed))
 	batches := make([]*Batch, nBatches)
 	for bi := range batches {
@@ -478,24 +464,32 @@ func TestDetectionCountsParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFailSlotsMatchesFailMasks: the allocation-free signature path and
-// its map wrapper are two views of the same propagation, and repeated
-// calls must not leak signature state.
-func TestFailSlotsMatchesFailMasks(t *testing.T) {
+// TestFailSlotsRepeatable: FailSlots returns one nonzero mask per distinct
+// failing flop, and back-to-back calls on different faults must not leak
+// signature state (the dense per-flop scratch is drained on return).
+func TestFailSlotsRepeatable(t *testing.T) {
 	d, fs, batches := socHarness(t, 57, 1)
 	l := fault.Universe(d)
 	b := batches[0]
 	checked := 0
 	for fi := 0; fi < len(l.Faults) && checked < 200; fi += 5 {
 		f := &l.Faults[fi]
-		masks := fs.FailMasks(b, f)
 		flops, ms := fs.FailSlots(b, f)
-		if len(flops) != len(ms) || len(flops) != len(masks) {
-			t.Fatalf("fault %s: %d flops / %d masks / map %d", l.String(fi), len(flops), len(ms), len(masks))
+		first := map[int]uint64{}
+		for i, flop := range flops {
+			if _, dup := first[flop]; dup || ms[i] == 0 {
+				t.Fatalf("fault %s: flop %d repeated or with an empty mask", l.String(fi), flop)
+			}
+			first[flop] = ms[i]
+		}
+		fs.FailSlots(b, &l.Faults[(fi+1)%len(l.Faults)]) // dirty the scratch
+		flops, ms = fs.FailSlots(b, f)
+		if len(flops) != len(first) || len(ms) != len(flops) {
+			t.Fatalf("fault %s: %d failing flops, first call %d", l.String(fi), len(flops), len(first))
 		}
 		for i, flop := range flops {
-			if masks[flop] != ms[i] {
-				t.Fatalf("fault %s flop %d: slots %b vs map %b", l.String(fi), flop, ms[i], masks[flop])
+			if first[flop] != ms[i] {
+				t.Fatalf("fault %s flop %d: slots %b, first call %b", l.String(fi), flop, ms[i], first[flop])
 			}
 		}
 		if len(flops) > 0 {

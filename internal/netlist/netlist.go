@@ -179,6 +179,15 @@ func (d *Design) NumNets() int { return len(d.Nets) }
 // NumGates returns the number of combinational instances.
 func (d *Design) NumGates() int { return len(d.Insts) - len(d.Flops) }
 
+// FlopDomains returns the clock domain of every flop, indexed like Flops.
+func (d *Design) FlopDomains() []int {
+	dom := make([]int, len(d.Flops))
+	for slot, f := range d.Flops {
+		dom[slot] = d.Insts[f].Domain
+	}
+	return dom
+}
+
 // LoadCap returns the total capacitance (fF) switched when the output of
 // instance id toggles: the cell's intrinsic output cap, the net wire cap,
 // and the input-pin caps of all fanout loads. This is the C_i of the

@@ -47,24 +47,22 @@ func On() bool { return enabled.Load() }
 // package init of the instrumented packages; lookups never happen on
 // hot paths (each package holds its *Counter in a package-level var).
 var reg = struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	perWorker map[string]*PerWorker
-	topks     map[string]*TopK
-	derived   map[string]func(counters map[string]int64) (float64, bool)
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	topks    map[string]*TopK
+	derived  map[string]func(counters map[string]int64) (float64, bool)
 }{
-	counters:  map[string]*Counter{},
-	gauges:    map[string]*Gauge{},
-	hists:     map[string]*Histogram{},
-	perWorker: map[string]*PerWorker{},
-	topks:     map[string]*TopK{},
-	derived:   map[string]func(map[string]int64) (float64, bool){},
+	counters: map[string]*Counter{},
+	gauges:   map[string]*Gauge{},
+	hists:    map[string]*Histogram{},
+	topks:    map[string]*TopK{},
+	derived:  map[string]func(map[string]int64) (float64, bool){},
 }
 
 // Reset zeroes every registered metric in place — counters, gauges,
-// histograms, per-worker vectors, hotspot tables — and clears the run
+// histograms, hotspot tables — and clears the run
 // info, span tree, snapshot series and trace buffer, while keeping all
 // registrations (the instrumented packages' package-level vars stay
 // valid). It exists for multi-run processes (property tests comparing
@@ -83,12 +81,6 @@ func Reset() {
 		h.sumBits.Store(0)
 		for i := range h.buckets {
 			h.buckets[i].Store(0)
-		}
-	}
-	for _, p := range reg.perWorker {
-		p.n.Store(0)
-		for i := range p.v {
-			p.v[i].Store(0)
 		}
 	}
 	topks := make([]*TopK, 0, len(reg.topks))
@@ -258,92 +250,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the exact sum of all samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (q in [0, 1]) from the bucket
-// counts: it walks the cumulative distribution to the bucket holding
-// rank q·count and interpolates linearly inside it. Resolution is
-// therefore the bucket width (a factor of two); with no samples it
-// returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum)+float64(n) >= rank {
-			lo := bucketLo(i)
-			frac := (rank - float64(cum)) / float64(n)
-			return lo + frac*lo // bucket spans [lo, 2·lo)
-		}
-		cum += n
-	}
-	return bucketLo(histBuckets-1) * 2
-}
-
-// MaxWorkers bounds PerWorker attribution; worker ids beyond it fold
-// into the last slot.
-const MaxWorkers = 256
-
-// PerWorker is a fixed-size vector of counters indexed by worker id —
-// the pool's per-goroutine attribution (busy time, tasks) without
-// unbounded label cardinality.
-type PerWorker struct {
-	name string
-	n    atomic.Int64 // highest worker id seen + 1
-	v    [MaxWorkers]atomic.Int64
-}
-
-// NewPerWorker registers (or returns the existing) per-worker vector.
-func NewPerWorker(name string) *PerWorker {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if p, ok := reg.perWorker[name]; ok {
-		return p
-	}
-	p := &PerWorker{name: name}
-	reg.perWorker[name] = p
-	return p
-}
-
-// Add accumulates n into worker w's slot when instrumentation is
-// enabled.
-func (p *PerWorker) Add(w int, n int64) {
-	if !enabled.Load() || w < 0 {
-		return
-	}
-	if w >= MaxWorkers {
-		w = MaxWorkers - 1
-	}
-	p.v[w].Add(n)
-	for {
-		cur := p.n.Load()
-		if int64(w+1) <= cur || p.n.CompareAndSwap(cur, int64(w+1)) {
-			return
-		}
-	}
-}
-
-// Snapshot returns one value per worker seen so far.
-func (p *PerWorker) Snapshot() []int64 {
-	n := int(p.n.Load())
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = p.v[i].Load()
-	}
-	return out
-}
 
 // RegisterDerived registers a metric computed from the counter snapshot
 // at report time (e.g. pool utilization = busy/capacity, factor cache

@@ -15,7 +15,6 @@ func resetForTest(t *testing.T) {
 	reg.counters = map[string]*Counter{}
 	reg.gauges = map[string]*Gauge{}
 	reg.hists = map[string]*Histogram{}
-	reg.perWorker = map[string]*PerWorker{}
 	reg.topks = map[string]*TopK{}
 	reg.derived = map[string]func(map[string]int64) (float64, bool){}
 	reg.mu.Unlock()
@@ -52,14 +51,12 @@ func TestDisabledRecordingIsNoop(t *testing.T) {
 	c := NewCounter("t.disabled.counter")
 	g := NewGauge("t.disabled.gauge")
 	h := NewHistogram("t.disabled.hist")
-	p := NewPerWorker("t.disabled.pw")
 	c.Add(5)
 	g.Max(5)
 	h.Observe(5)
-	p.Add(0, 5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || len(p.Snapshot()) != 0 {
-		t.Fatalf("disabled instrumentation recorded: c=%d g=%d h=%d pw=%v",
-			c.Value(), g.Value(), h.Count(), p.Snapshot())
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+		t.Fatalf("disabled instrumentation recorded: c=%d g=%d h=%d",
+			c.Value(), g.Value(), h.Count())
 	}
 	if s := StartSpan("t.disabled.span"); s != nil {
 		t.Fatalf("StartSpan returned non-nil while disabled")
@@ -80,7 +77,6 @@ func TestConcurrentRecording(t *testing.T) {
 	c := NewCounter("t.conc.counter")
 	g := NewGauge("t.conc.gauge")
 	h := NewHistogram("t.conc.hist")
-	p := NewPerWorker("t.conc.pw")
 
 	const goroutines, perG = 8, 1000
 	var wg sync.WaitGroup
@@ -92,7 +88,6 @@ func TestConcurrentRecording(t *testing.T) {
 				c.Add(1)
 				g.Max(int64(w*perG + i))
 				h.Observe(1.0)
-				p.Add(w, 1)
 			}
 		}(w)
 	}
@@ -109,15 +104,6 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if got := h.Sum(); got != goroutines*perG {
 		t.Errorf("histogram sum = %v, want %v", got, goroutines*perG)
-	}
-	snap := p.Snapshot()
-	if len(snap) != goroutines {
-		t.Fatalf("per-worker snapshot has %d slots, want %d", len(snap), goroutines)
-	}
-	for w, v := range snap {
-		if v != perG {
-			t.Errorf("worker %d = %d, want %d", w, v, perG)
-		}
 	}
 }
 
@@ -162,28 +148,6 @@ func TestRegistryDedup(t *testing.T) {
 	}
 	if NewHistogram("t.dup") != NewHistogram("t.dup") {
 		t.Error("NewHistogram returned distinct histograms for one name")
-	}
-	if NewPerWorker("t.dup") != NewPerWorker("t.dup") {
-		t.Error("NewPerWorker returned distinct vectors for one name")
-	}
-}
-
-func TestPerWorkerBounds(t *testing.T) {
-	resetForTest(t)
-	Enable()
-	p := NewPerWorker("t.bounds.pw")
-	p.Add(-1, 100) // ignored
-	p.Add(MaxWorkers+7, 3)
-	p.Add(MaxWorkers-1, 4)
-	snap := p.Snapshot()
-	if len(snap) != MaxWorkers {
-		t.Fatalf("snapshot length = %d, want %d", len(snap), MaxWorkers)
-	}
-	if snap[MaxWorkers-1] != 7 {
-		t.Errorf("overflow slot = %d, want 7 (folded 3 + direct 4)", snap[MaxWorkers-1])
-	}
-	if snap[0] != 0 {
-		t.Errorf("slot 0 = %d, want 0 (negative ids ignored)", snap[0])
 	}
 }
 

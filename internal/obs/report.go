@@ -21,8 +21,9 @@ import (
 // see SetRunInfo). v3 added per-unit attribution:
 // top-K hotspot tables (`hotspots`), periodic metric snapshots
 // (`snapshots`) and p50/p95/p99 quantiles on histograms. v4 dropped
-// `snapshots` together with the sampler that filled it.
-const SchemaVersion = "scap/run-report/v4"
+// `snapshots` together with the sampler that filled it. v5 dropped the
+// per-worker vectors (`per_worker`) and the histogram quantiles.
+const SchemaVersion = "scap/run-report/v5"
 
 // runInfo is the process-wide run-information block: small key/value
 // facts about how the run was configured or what the build produced
@@ -134,15 +135,10 @@ type HistBucket struct {
 	Count int64   `json:"count"`
 }
 
-// HistogramReport serializes one bounded histogram. The quantiles are
-// bucket-interpolated estimates (see Histogram.Quantile), resolved to
-// within a factor of two.
+// HistogramReport serializes one bounded histogram.
 type HistogramReport struct {
 	Count   int64        `json:"count"`
 	Sum     float64      `json:"sum"`
-	P50     float64      `json:"p50,omitempty"`
-	P95     float64      `json:"p95,omitempty"`
-	P99     float64      `json:"p99,omitempty"`
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
@@ -168,7 +164,6 @@ type Report struct {
 	Counters   map[string]int64           `json:"counters,omitempty"`
 	Gauges     map[string]int64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramReport `json:"histograms,omitempty"`
-	PerWorker  map[string][]int64         `json:"per_worker,omitempty"`
 	Hotspots   map[string]TopKReport      `json:"hotspots,omitempty"`
 	Derived    map[string]float64         `json:"derived,omitempty"`
 }
@@ -213,14 +208,6 @@ func BuildReport(tool string, config any) *Report {
 			r.Histograms[name] = histReport(h)
 		}
 	}
-	for name, p := range reg.perWorker {
-		if snap := p.Snapshot(); len(snap) > 0 {
-			if r.PerWorker == nil {
-				r.PerWorker = map[string][]int64{}
-			}
-			r.PerWorker[name] = snap
-		}
-	}
 	for name, t := range reg.topks {
 		if entries := t.Snapshot(); len(entries) > 0 {
 			if r.Hotspots == nil {
@@ -253,11 +240,6 @@ func BuildReport(tool string, config any) *Report {
 
 func histReport(h *Histogram) HistogramReport {
 	out := HistogramReport{Count: h.Count(), Sum: h.Sum()}
-	if out.Count > 0 {
-		out.P50 = h.Quantile(0.50)
-		out.P95 = h.Quantile(0.95)
-		out.P99 = h.Quantile(0.99)
-	}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
 			out.Buckets = append(out.Buckets, HistBucket{Lo: bucketLo(i), Count: n})
@@ -341,36 +323,9 @@ func (r *Report) SummaryTable() string {
 			fmt.Fprintf(&b, "  %s = %.4g\n", k, r.Derived[k])
 		}
 	}
-	if s := r.quantileSummary(); s != "" {
-		b.WriteString("\n")
-		b.WriteString(s)
-	}
 	if s := r.hotspotSummary(); s != "" {
 		b.WriteString("\n")
 		b.WriteString(s)
-	}
-	return b.String()
-}
-
-// quantileSummary renders one line per non-empty histogram with its
-// count, mean and bucket-interpolated p50/p95/p99.
-func (r *Report) quantileSummary() string {
-	keys := make([]string, 0, len(r.Histograms))
-	for k, h := range r.Histograms {
-		if h.Count > 0 {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return ""
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("histogram quantiles\n")
-	for _, k := range keys {
-		h := r.Histograms[k]
-		fmt.Fprintf(&b, "  %-40s n=%-8d mean=%-10.4g p50=%-10.4g p95=%-10.4g p99=%.4g\n",
-			k, h.Count, h.Sum/float64(h.Count), h.P50, h.P95, h.P99)
 	}
 	return b.String()
 }

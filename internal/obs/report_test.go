@@ -27,9 +27,6 @@ func buildGoldenReport(t *testing.T) *Report {
 	for _, v := range []float64{0.5, 1, 1.5, 3} {
 		h.Observe(v)
 	}
-	pw := NewPerWorker("parallel.worker_tasks")
-	pw.Add(0, 2)
-	pw.Add(1, 3)
 	RegisterDerived("pgrid.sparse.factor.cache_hits", func(c map[string]int64) (float64, bool) {
 		calls := c["pgrid.sparse.factor.calls"]
 		return float64(calls - c["pgrid.sparse.factor.builds"]), calls > 0
@@ -75,7 +72,7 @@ func buildGoldenReport(t *testing.T) *Report {
 // with `go test ./internal/obs -run Golden -update`.
 func TestReportGolden(t *testing.T) {
 	r := buildGoldenReport(t)
-	if r.Schema != "scap/run-report/v4" {
+	if r.Schema != "scap/run-report/v5" {
 		t.Fatalf("schema = %q; bump the golden and this pin together", r.Schema)
 	}
 	got, err := json.MarshalIndent(r, "", "  ")
@@ -134,12 +131,14 @@ func TestSummaryTable(t *testing.T) {
 		"stage summary", "flow", "  atpg",
 		"pgrid.sparse.factor.cache_hits = 6", "grid_mesh_n = 40",
 		"sparse_fill_ratio = 2.5",
-		"histogram quantiles", "pgrid.sparse.fill_ratio",
 		"hotspots: atpg.fault_hotspots (top 3 by waves)", "aborted",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary table missing %q:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, "quantile") {
+		t.Errorf("summary table still prints histogram quantiles:\n%s", s)
 	}
 }
 

@@ -16,8 +16,9 @@ var timeNow = time.Now
 // stages produce the stage hierarchy the run report serializes.
 //
 // The intended discipline is well-nested start/end from one goroutine
-// at a time (the CLI main goroutine driving the pipeline); worker-level
-// attribution uses PerWorker counters instead of spans. All methods are
+// at a time (the CLI main goroutine driving the pipeline); worker time
+// goes to the pool's busy counters and the -trace task lanes instead of
+// spans. All methods are
 // nil-safe so call sites stay one line even while instrumentation is
 // off: defer obs.StartSpan("stage").End().
 type Span struct {

@@ -119,39 +119,6 @@ func TestTopKRegistryDedup(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	resetForTest(t)
-	Enable()
-	h := NewHistogram("t.quant")
-	// 100 samples in [1,2): every quantile lands in that bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(1.0)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		v := h.Quantile(q)
-		if v < 1 || v >= 2 {
-			t.Errorf("q%g = %g, want within [1,2)", q, v)
-		}
-	}
-	// Two well-separated modes: the median stays in the low bucket, the
-	// p99 must land in the high one.
-	h2 := NewHistogram("t.quant2")
-	for i := 0; i < 98; i++ {
-		h2.Observe(1.0)
-	}
-	h2.Observe(1024)
-	h2.Observe(1024)
-	if v := h2.Quantile(0.5); v >= 2 {
-		t.Errorf("p50 = %g, want < 2", v)
-	}
-	if v := h2.Quantile(0.999); v < 1024 || v >= 2048 {
-		t.Errorf("p99.9 = %g, want within [1024,2048)", v)
-	}
-	if v := h2.Quantile(-1); v != h2.Quantile(0) {
-		t.Errorf("quantile clamp low: %g vs %g", v, h2.Quantile(0))
-	}
-}
-
 func TestSnapshotSeries(t *testing.T) {
 	resetForTest(t)
 	Enable()

@@ -23,8 +23,8 @@ import (
 	"scap/internal/obs"
 )
 
-// Pool observability: tasks dealt, per-worker busy time and pool
-// utilization (busy / capacity). Timing is only taken while
+// Pool observability: tasks dealt, busy time and pool utilization
+// (busy / capacity). Timing is only taken while
 // instrumentation is enabled; workers accumulate locally and flush
 // once per For call.
 var (
@@ -32,8 +32,6 @@ var (
 	cPoolTasks = obs.NewCounter("parallel.tasks")
 	cBusyNs    = obs.NewCounter("parallel.busy_ns")
 	cCapNs     = obs.NewCounter("parallel.capacity_ns")
-	pwBusyNs   = obs.NewPerWorker("parallel.worker_busy_ns")
-	pwTasks    = obs.NewPerWorker("parallel.worker_tasks")
 )
 
 func init() {
@@ -106,8 +104,6 @@ func For(workers, n int, body func(worker, i int) error) error {
 			cPoolTasks.Add(tasks)
 			cBusyNs.Add(busy)
 			cCapNs.Add(busy)
-			pwBusyNs.Add(0, busy)
-			pwTasks.Add(0, tasks)
 		}
 		for i := 0; i < n; i++ {
 			sampled := traceOn && int64(i)%sample == 0
@@ -177,8 +173,6 @@ func For(workers, n int, body func(worker, i int) error) error {
 			if measure {
 				busyTotal.Add(busy)
 				tasksDone.Add(tasks)
-				pwBusyNs.Add(w, busy)
-				pwTasks.Add(w, tasks)
 			}
 		}(w)
 	}

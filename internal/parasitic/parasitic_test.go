@@ -1,8 +1,6 @@
 package parasitic
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"scap/internal/netlist"
@@ -119,63 +117,5 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if _, err := Extract(nil, nil, p); err == nil {
 		t.Fatal("Extract accepted bad params")
-	}
-}
-
-func TestSPEFRoundTrip(t *testing.T) {
-	d, fp := placedSOC(t)
-	if _, err := Extract(d, fp, DefaultParams()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSPEF(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]struct{ c, dl float64 }, len(d.Nets))
-	for i := range d.Nets {
-		want[i].c, want[i].dl = d.Nets[i].WireCap, d.Nets[i].WireDelay
-		d.Nets[i].WireCap, d.Nets[i].WireDelay = 0, 0
-	}
-	if err := ReadSPEF(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	for i := range d.Nets {
-		if !approx(d.Nets[i].WireCap, want[i].c) || !approx(d.Nets[i].WireDelay, want[i].dl) {
-			t.Fatalf("net %d: got (%v,%v) want (%v,%v)", i,
-				d.Nets[i].WireCap, d.Nets[i].WireDelay, want[i].c, want[i].dl)
-		}
-	}
-}
-
-func approx(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	scale := b
-	if scale < 0 {
-		scale = -scale
-	}
-	return d <= 1e-4*(1+scale)
-}
-
-func TestReadSPEFErrors(t *testing.T) {
-	d, _ := placedSOC(t)
-	if err := ReadSPEF(strings.NewReader("*D_NET nosuchnet 1 2\n"), d); err == nil {
-		t.Fatal("unknown net accepted")
-	}
-	if err := ReadSPEF(strings.NewReader("*D_NET short\n"), d); err == nil {
-		t.Fatal("short record accepted")
-	}
-	name := d.Nets[0].Name
-	if err := ReadSPEF(strings.NewReader("*D_NET "+name+" xx 2\n"), d); err == nil {
-		t.Fatal("bad cap accepted")
-	}
-	if err := ReadSPEF(strings.NewReader("*D_NET "+name+" 1 yy\n"), d); err == nil {
-		t.Fatal("bad delay accepted")
-	}
-	// Comments and blank lines are fine.
-	if err := ReadSPEF(strings.NewReader("\n// nothing\n*END\n"), d); err != nil {
-		t.Fatal(err)
 	}
 }

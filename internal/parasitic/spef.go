@@ -4,17 +4,17 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"scap/internal/netlist"
 )
 
 // WriteSPEF emits the design's net parasitics in a reduced SPEF-style
 // format: a header followed by one *D_NET record per annotated net carrying
-// the lumped capacitance (fF) and interconnect delay (ns). This is the
-// exchange file consumed by the cmd/scap "PLI" pipeline (the paper's
-// Figure 5 uses STAR-RCXT SPEF for the same purpose).
+// the lumped capacitance (fF) and interconnect delay (ns), to 6
+// significant digits. It is the parasitics artifact of cmd/flow and
+// cmd/socgen (the paper's Figure 5 takes STAR-RCXT SPEF at this point).
+// The program never reads it back; the reader in spef_test.go checks
+// the round trip.
 func WriteSPEF(w io.Writer, d *netlist.Design) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "*SPEF \"reduced\"\n*DESIGN \"%s\"\n*C_UNIT FF\n*T_UNIT NS\n", d.Name)
@@ -27,43 +27,4 @@ func WriteSPEF(w io.Writer, d *netlist.Design) error {
 	}
 	fmt.Fprintln(bw, "*END")
 	return bw.Flush()
-}
-
-// ReadSPEF parses a reduced-SPEF stream written by WriteSPEF and annotates
-// the matching nets of d (looked up by name). Unknown net names are an
-// error; nets absent from the file keep their current annotation.
-func ReadSPEF(r io.Reader, d *netlist.Design) error {
-	byName := make(map[string]netlist.NetID, len(d.Nets))
-	for i := range d.Nets {
-		byName[d.Nets[i].Name] = d.Nets[i].ID
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		txt := strings.TrimSpace(sc.Text())
-		if txt == "" || !strings.HasPrefix(txt, "*D_NET") {
-			continue
-		}
-		f := strings.Fields(txt)
-		if len(f) != 4 {
-			return fmt.Errorf("parasitic: SPEF line %d: want 4 fields, got %d", line, len(f))
-		}
-		id, ok := byName[f[1]]
-		if !ok {
-			return fmt.Errorf("parasitic: SPEF line %d: unknown net %q", line, f[1])
-		}
-		c, err := strconv.ParseFloat(f[2], 64)
-		if err != nil {
-			return fmt.Errorf("parasitic: SPEF line %d: bad cap: %v", line, err)
-		}
-		dl, err := strconv.ParseFloat(f[3], 64)
-		if err != nil {
-			return fmt.Errorf("parasitic: SPEF line %d: bad delay: %v", line, err)
-		}
-		d.Nets[id].WireCap = c
-		d.Nets[id].WireDelay = dl
-	}
-	return sc.Err()
 }

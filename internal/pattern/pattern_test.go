@@ -29,10 +29,7 @@ func patternSet(t testing.TB) (*netlist.Design, []atpg.Pattern) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := faultsim.New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := faultsim.New(s)
 	l := fault.Universe(d)
 	res, err := atpg.Run(fs, l, sc, atpg.Options{Dom: 0, Fill: atpg.FillRandom, Seed: 1, MaxPatterns: 30})
 	if err != nil {

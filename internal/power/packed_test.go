@@ -39,10 +39,7 @@ func TestPackedEstimateMatchesScalarZeroDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := faultsim.New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := faultsim.New(s)
 	m := NewMeter(d)
 	r := rand.New(rand.NewSource(41))
 

@@ -142,9 +142,10 @@ func (r *Runner) Fig4() (string, error) {
 	return b.String(), nil
 }
 
-// Fig5 realizes the SCAP-calculator pipeline and self-checks it: the
-// streaming (PLI-style) SCAP of a pattern must match the value recomputed
-// from a VCD dump, and the SPEF parasitics must round-trip.
+// Fig5 realizes the SCAP-calculator pipeline and self-checks it: it
+// reports the SPEF the pipeline takes, and the streaming (PLI-style) SCAP
+// of a pattern must match the value recomputed from a VCD dump. It leaves
+// the design's parasitics as they are.
 func (r *Runner) Fig5() (string, error) {
 	conv, _, err := r.Conventional()
 	if err != nil {
@@ -159,17 +160,15 @@ func (r *Runner) Fig5() (string, error) {
   SPEF parasitics --+        |
   SDF delays -------+        +--(optional VCD dump for debug)
 `)
-	// Self-check 1: SPEF round-trip.
+	// The SPEF the pipeline takes, written from the extracted design.
 	var spef bytes.Buffer
 	if err := parasitic.WriteSPEF(&spef, sys.D); err != nil {
 		return "", err
 	}
-	if err := parasitic.ReadSPEF(bytes.NewReader(spef.Bytes()), sys.D); err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "\nSPEF round-trip: ok (%d bytes, %d nets)\n", spef.Len(), sys.D.NumNets())
+	fmt.Fprintf(&b, "\nSPEF written: %d bytes, %d of %d nets annotated\n",
+		spef.Len(), bytes.Count(spef.Bytes(), []byte("*D_NET ")), sys.D.NumNets())
 
-	// Self-check 2: streaming SCAP equals VCD-recomputed SCAP.
+	// Self-check: streaming SCAP equals VCD-recomputed SCAP.
 	p := &conv.Patterns[0]
 	meter := power.NewMeter(sys.D)
 	rec := vcd.NewRecorder(sys.D)

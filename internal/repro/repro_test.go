@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +85,32 @@ func TestFig2AndFig6Contrast(t *testing.T) {
 	for _, want := range []string{"quiet prefix", "paper: 57 of 6490"} {
 		if !strings.Contains(f6, want) {
 			t.Fatalf("Fig6 missing %q", want)
+		}
+	}
+}
+
+// TestFig5LeavesParasiticsUnchanged: Fig. 5 writes the design's SPEF, and
+// every meter built after it (Fig. 7, the extensions) must read the same
+// wire caps and delays as a run without it, bit for bit. It builds its
+// own runner: the shared one may already have run Fig. 5.
+func TestFig5LeavesParasiticsUnchanged(t *testing.T) {
+	r, err := New(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := r.Sys.D.Nets
+	before := make([][2]uint64, len(nets))
+	for i := range nets {
+		before[i] = [2]uint64{math.Float64bits(nets[i].WireCap), math.Float64bits(nets[i].WireDelay)}
+	}
+	if _, err := r.Fig5(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range nets {
+		if got := [2]uint64{math.Float64bits(nets[i].WireCap), math.Float64bits(nets[i].WireDelay)}; got != before[i] {
+			t.Fatalf("net %s: parasitics (%v, %v) after Fig5, (%v, %v) before", nets[i].Name,
+				nets[i].WireCap, nets[i].WireDelay,
+				math.Float64frombits(before[i][0]), math.Float64frombits(before[i][1]))
 		}
 	}
 }

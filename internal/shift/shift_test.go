@@ -27,10 +27,7 @@ func rig(t *testing.T) (*netlist.Design, *scan.Scan, *faultsim.Sim, *fault.List)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := faultsim.New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := faultsim.New(s)
 	return d, sc, fs, fault.Universe(d)
 }
 

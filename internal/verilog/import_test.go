@@ -76,10 +76,7 @@ func TestImportedCounterBehaves(t *testing.T) {
 	if err := sc.FlushTest(s2, nil); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := faultsim.New(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := faultsim.New(s2)
 	l := fault.Universe(d)
 	res, err := atpg.Run(fs, l, sc, atpg.Options{Dom: 0, Fill: atpg.FillRandom, Seed: 1})
 	if err != nil {
