@@ -64,9 +64,6 @@ type Options struct {
 	// (nil targets every block) — the knob behind the paper's Step 1/2/3
 	// procedure.
 	Blocks []int
-	// Faults explicitly lists target fault indexes, overriding Dom/Blocks
-	// selection (still simulated and dropped against the whole set).
-	Faults []int
 	// PatternBase offsets the pattern indexes recorded in the fault list's
 	// DetectedBy, so multi-step flows keep a global numbering.
 	PatternBase int
@@ -149,18 +146,15 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	if opts.Blocks != nil {
 		prefer = newBlockSet(d.NumBlocks, opts.Blocks)
 	}
-	subset := opts.Faults
-	if subset == nil {
-		subset = l.InDomain(opts.Dom)
-		if prefer != nil {
-			filtered := subset[:0:0]
-			for _, fi := range subset {
-				if prefer.has(l.Faults[fi].Block) {
-					filtered = append(filtered, fi)
-				}
+	subset := l.InDomain(opts.Dom)
+	if prefer != nil {
+		filtered := subset[:0:0]
+		for _, fi := range subset {
+			if prefer.has(l.Faults[fi].Block) {
+				filtered = append(filtered, fi)
 			}
-			subset = filtered
 		}
+		subset = filtered
 	}
 
 	// Faults on primary-input nets cannot launch a transition: the paper's
@@ -172,7 +166,7 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	}
 
 	cfg := runConfig(d, sc, opts, prefer)
-	eng, err := newEngine(d, cfg)
+	eng, err := newEngine(fs.Simulator(), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("atpg: %w", err)
 	}
@@ -203,8 +197,9 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 
 	var (
 		slotV1, slotPI [][]logic.V
-		v1W, piW       []logic.Word // packed-batch buffers, reused across epochs
-		prim           []int        // subset positions targeted this epoch
+		v1W, piW       []logic.Word   // packed-batch buffers, reused across epochs
+		batch          faultsim.Batch // the epoch's good machine, refilled each epoch
+		prim           []int          // subset positions targeted this epoch
 		outs           []genOut
 	)
 	cursor := 0
@@ -311,13 +306,12 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 			v1W = logic.PackSlots(v1W, slotV1)
 			piW = logic.PackSlots(piW, slotPI)
 			valid := logic.ValidMask(len(slotV1))
-			var b *faultsim.Batch
 			if opts.Mode == LOS {
-				b = fs.GoodSimShift(v1W, piW, opts.Dom, valid, cfg.shiftPrev)
+				fs.GoodSimShiftInto(&batch, v1W, piW, opts.Dom, valid, cfg.shiftPrev)
 			} else {
-				b = fs.GoodSim(v1W, piW, opts.Dom, valid)
+				fs.GoodSimInto(&batch, v1W, piW, opts.Dom, valid)
 			}
-			fs.Drop(l, subset, b, epochBase)
+			fs.Drop(l, subset, &batch, epochBase)
 		}
 	}
 

@@ -262,7 +262,7 @@ func TestLOSMode(t *testing.T) {
 		for j, v := range p.PIs {
 			pis[j] = logic.Splat(v)
 		}
-		b := r.fs.GoodSimShift(v1, pis, 0, 1, src)
+		b := r.fs.GoodSimShiftInto(new(faultsim.Batch), v1, pis, 0, 1, src)
 		if det := r.fs.Detect(b, &r.l.Faults[p.Target]); det&1 == 0 {
 			t.Fatalf("LOS pattern %d does not detect its target %s", i, r.l.String(p.Target))
 		}

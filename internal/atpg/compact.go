@@ -30,6 +30,7 @@ func CompactReverse(fs *faultsim.Sim, l *fault.List, pats []Pattern, dom int) ([
 	keep := make([]bool, len(pats))
 
 	var v1, pis []logic.Word
+	var b faultsim.Batch
 	slotV1 := make([][]logic.V, 0, 64)
 	slotPI := make([][]logic.V, 0, 64)
 	dets := make([]uint64, len(subset))
@@ -46,11 +47,11 @@ func CompactReverse(fs *faultsim.Sim, l *fault.List, pats []Pattern, dom int) ([
 		}
 		v1 = logic.PackSlots(v1, slotV1)
 		pis = logic.PackSlots(pis, slotPI)
-		b := fs.GoodSim(v1, pis, dom, logic.ValidMask(len(chunk)))
+		fs.GoodSimInto(&b, v1, pis, dom, logic.ValidMask(len(chunk)))
 		// The re-simulation of the chunk fans out across fs.Workers; the
 		// keep/mark merge below is serial in subset order, so the result
 		// is bit-identical to the serial pass.
-		fs.DetectAll(l, subset, b, dets, true)
+		fs.DetectAll(l, subset, &b, dets, true)
 		for i, fi := range subset {
 			det := dets[i]
 			if det == 0 || l.Status[fi] != fault.Undetected {

@@ -94,13 +94,17 @@ func TestFanoutCone(t *testing.T) {
 // for every net of a scale-96 design, twice: once from fresh stamps, and
 // once with the generation set to math.MaxUint32 before every net, so each
 // cone wraps the stamps back to generation 1. The stamps of the previous
-// cone then carry that same generation, so the wrap must clear them.
+// cone then carry that same generation, so the wrap must clear them. The
+// cone holds gate positions: mapped to instances it must equal the
+// reference element for element, exactly the gates stamped with the
+// current generation, and leave the frame-2 dirty set it sweeps empty.
 func TestEngineConeMatchesReference(t *testing.T) {
 	r := newRig(t, 96)
-	e, err := newEngine(r.d, runConfig(r.d, r.sc, Options{Dom: 0, BacktrackLimit: 64}, nil))
+	e, err := newEngine(r.s, runConfig(r.d, r.sc, Options{Dom: 0, BacktrackLimit: 64}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var got []netlist.InstID
 	for _, wrap := range []bool{false, true} {
 		for n := range r.d.Nets {
 			want, err := fanoutConeRef(r.d, netlist.NetID(n))
@@ -111,9 +115,26 @@ func TestEngineConeMatchesReference(t *testing.T) {
 				e.gen = math.MaxUint32
 			}
 			e.collectCone(netlist.NetID(n))
-			if !slices.Equal(e.cone, want) {
+			got = got[:0]
+			for _, p := range e.cone {
+				got = append(got, e.gates[p].ID())
+			}
+			if !slices.Equal(got, want) {
 				t.Fatalf("wrap %v: net %s (gen %d): cone %v, want %v",
-					wrap, r.d.Nets[n].Name, e.gen, e.cone, want)
+					wrap, r.d.Nets[n].Name, e.gen, got, want)
+			}
+			stamped := 0
+			for _, m := range e.coneMark {
+				if m == e.gen {
+					stamped++
+				}
+			}
+			if stamped != len(e.cone) {
+				t.Fatalf("wrap %v: net %s: %d gates stamped, cone has %d",
+					wrap, r.d.Nets[n].Name, stamped, len(e.cone))
+			}
+			if err := e.checkDirtyEmpty(); err != nil {
+				t.Fatalf("wrap %v: net %s: %v", wrap, r.d.Nets[n].Name, err)
 			}
 		}
 	}

@@ -16,9 +16,12 @@
 package atpg
 
 import (
-	"scap/internal/cell"
+	"math/bits"
+	"slices"
+
 	"scap/internal/logic"
 	"scap/internal/netlist"
+	"scap/internal/sim"
 )
 
 // LaunchMode selects how the V2 launch state derives from V1.
@@ -59,10 +62,38 @@ const (
 	frame2 = 1
 )
 
+// The engine's three rails share one byte per net, two bits each: the
+// frame-1 value, the frame-2 good-machine value and the frame-2
+// faulty-machine value. A gate evaluates one rail by reading its field
+// (sim.Gate.EvalAt), and one trail entry restores all three rails of a
+// net.
+const (
+	sh1 uint = 0 // frame-1 value
+	sh2 uint = 2 // frame-2 good value
+	shF uint = 4 // frame-2 faulty value
+
+	// allX is the byte of a net whose three rails are X.
+	allX = uint8(logic.X)<<sh1 | uint8(logic.X)<<sh2 | uint8(logic.X)<<shF
+)
+
+// rail returns the field at shift sh of the packed byte b.
+func rail(b uint8, sh uint) logic.V { return logic.V(b >> sh & 3) }
+
+// divergedTab[b] reports whether packed byte b carries a defined frame-2
+// good/faulty difference.
+var divergedTab = func() (t [256]bool) {
+	for b := range t {
+		g, f := rail(uint8(b), sh2), rail(uint8(b), shF)
+		t[b] = g != logic.X && f != logic.X && g != f
+	}
+	return t
+}()
+
+// trailEnt records the byte net n held before a write; undo stores it
+// back.
 type trailEnt struct {
-	arr uint8 // 0: val1, 1: val2, 2: valf
 	net netlist.NetID
-	old logic.V
+	old uint8
 }
 
 type inputRef struct {
@@ -92,6 +123,44 @@ type genStats struct {
 	backtracks int64 // decision flips
 }
 
+// tables is an engine's construction state: read only after newEngine and
+// shared by clones.
+type tables struct {
+	s     *sim.Simulator
+	d     *netlist.Design
+	gates []sim.Gate // the simulator's gate rows; gates are named by position
+	limit int        // backtracks before a fault is aborted
+
+	// levels (by instance) and maxLevel serve the backtrace, which
+	// descends into the shallowest X input and bounds its walk by the
+	// depth.
+	levels   []int32
+	maxLevel int32
+
+	// obsD marks the nets that feed the D pin of a target-domain flop: the
+	// places a fault effect is captured.
+	obsD []bool
+
+	// xferSrc maps a flop to the frame-1 net its V2 output follows
+	// (capture D-net for LOC, predecessor Q / scan-in for LOS); a flop
+	// with xferSrc NoNet holds its V1 in frame 2. xferStart/xferQ is its
+	// inverse by net, as a CSR list: the Q nets of the flops net n feeds
+	// are xferQ[xferStart[n]:xferStart[n+1]].
+	xferSrc   []netlist.NetID
+	xferStart []int32
+	xferQ     []netlist.NetID
+
+	flopIdx []int32 // by instance: index into d.Flops, -1 for gates
+
+	decidablePI []bool // per PI index: usable as a decision variable
+	piConst     map[int]logic.V
+
+	// preferred marks, by position, the gates inside the blocks the run
+	// targets: the D-frontier tries to keep propagation inside them (nil =
+	// no preference).
+	preferred []bool
+}
+
 // engine is the two-frame PODEM machine. One engine is reused across all
 // faults of one (domain, mode) run; clone() gives each generation worker
 // its own.
@@ -102,74 +171,65 @@ type genStats struct {
 // compaction pins a pattern's cube on top of the resting state, searches
 // each secondary fault over it and undoes back to it (genOne).
 type engine struct {
-	d      *netlist.Design
-	dom    int
-	mode   LaunchMode
-	levels []int32
+	tables
 
-	val1 []logic.V // frame-1 net values
-	val2 []logic.V // frame-2 good-machine values
-	valf []logic.V // frame-2 faulty-machine values
-
+	vals  []uint8 // per net: the three rails, packed
 	trail []trailEnt
 	decs  []decision
-
-	// Construction state below, up to the per-fault state, is read-only
-	// after newEngine and shared by clones.
-
-	// combLoads lists each net's combinational loads. Flop pins are left
-	// out: a flop's inputs are consumed by the frame transfer, not by
-	// propagation.
-	combLoads [][]netlist.InstID
-	// topo is the design's TopoOrder and topoPos its inverse, by instance.
-	topo    []netlist.InstID
-	topoPos []int32
-	// obsD marks the nets that feed the D pin of a target-domain flop: the
-	// places a fault effect is captured.
-	obsD []bool
-
-	// xfer maps a frame-1 net to the Q nets of the flops whose V2 output
-	// follows it (capture D-net for LOC, predecessor Q / scan-in for LOS);
-	// xferSrc is the inverse by flop, used by backward traversal. A flop
-	// with xferSrc NoNet holds its V1 in frame 2.
-	xfer    [][]netlist.NetID
-	xferSrc []netlist.NetID
-
-	flopIdx []int32 // by instance: index into d.Flops, -1 for gates
-
-	decidablePI []bool // per PI index: usable as a decision variable
-	piConst     map[int]logic.V
-
-	// prefer marks the blocks the run is targeting: the D-frontier tries
-	// to keep propagation inside them (nil = no preference).
-	prefer blockSet
 
 	// per-fault state
 	site  netlist.NetID // NoNet while no fault is installed
 	stuck logic.V
-	cone  []netlist.InstID // frame-2 fanout cone, topo order
-	obs   []netlist.NetID  // observable D nets (dom flops) in the cone
+	cone  []int32         // frame-2 fanout cone, gate positions ascending
+	obs   []netlist.NetID // observable D nets (dom flops) in the cone
 
-	// coneMark stamps the gates of the installed fault's cone: a gate is
-	// in the cone when its stamp equals gen, so starting a new cone is a
-	// single counter bump. The stamps of the last fault stay after
-	// teardown; with no fault installed the faulty rail equals the good
-	// one on every net, so evaluating it on a stale cone is redundant but
-	// exact.
+	// coneMark stamps, by position, the gates of the installed fault's
+	// cone: a gate is in the cone when its stamp equals gen, so starting a
+	// new cone is a single counter bump. The stamps of the last fault stay
+	// after teardown; with no fault installed the faulty rail equals the
+	// good one on every net, so evaluating it on a stale cone is redundant
+	// but exact.
 	coneMark []uint32
 	gen      uint32
-	conePos  []int32 // scratch for sorting the cone into topo order
 
-	// propagation buckets, one per level and frame
-	b1, b2   [][]netlist.InstID
-	q1, q2   []bool
-	maxLevel int32
+	// d1 and d2 hold the gates each frame's sweep has still to evaluate;
+	// both are empty between waves.
+	d1, d2 dirtySet
 
 	backtracks int
-	limit      int
 
 	stats genStats
 }
+
+// dirtySet is a set of gate positions, one bit each; lo and hi bound the
+// marked positions. A sweep drains it forward from the lowest mark,
+// clearing bits as it goes, then resets the bounds.
+type dirtySet struct {
+	bits   []uint64
+	lo, hi int
+}
+
+func newDirtySet(n int) dirtySet {
+	s := dirtySet{bits: make([]uint64, (n+63)/64)}
+	s.reset()
+	return s
+}
+
+// mark adds the ascending positions loads, taking the bounds from the
+// first and last.
+func (s *dirtySet) mark(loads []int32) {
+	if len(loads) == 0 {
+		return
+	}
+	for _, p := range loads {
+		s.bits[p>>6] |= 1 << uint(p&63)
+	}
+	s.lo = min(s.lo, int(loads[0]))
+	s.hi = max(s.hi, int(loads[len(loads)-1]))
+}
+
+// reset empties the bounds once a sweep has cleared every bit.
+func (s *dirtySet) reset() { s.lo, s.hi = len(s.bits)<<6, -1 }
 
 // blockSet marks floorplan blocks by index; nil is the empty set.
 type blockSet []bool
@@ -198,58 +258,36 @@ type engineConfig struct {
 	prefer    blockSet                         // blocks to keep fault propagation inside
 }
 
-func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
+// newEngine builds an engine over the flat gate table of s.
+func newEngine(s *sim.Simulator, cfg engineConfig) (*engine, error) {
+	d := s.Design()
 	lv, err := d.Levels()
 	if err != nil {
 		return nil, err
 	}
-	topo, err := d.TopoOrder()
-	if err != nil {
-		return nil, err
+	t := tables{
+		s: s, d: d, gates: s.Gates(), limit: cfg.limit,
+		levels:    lv,
+		obsD:      make([]bool, d.NumNets()),
+		xferSrc:   make([]netlist.NetID, d.NumInsts()),
+		xferStart: make([]int32, d.NumNets()+1),
+		flopIdx:   make([]int32, d.NumInsts()),
+		piConst:   cfg.constPI,
 	}
-	var ml int32
 	for _, l := range lv {
-		if l > ml {
-			ml = l
-		}
+		t.maxLevel = max(t.maxLevel, l)
 	}
-	e := &engine{
-		d: d, dom: cfg.dom, mode: cfg.mode, levels: lv,
-		topo:     topo,
-		topoPos:  make([]int32, d.NumInsts()),
-		obsD:     make([]bool, d.NumNets()),
-		xfer:     make([][]netlist.NetID, d.NumNets()),
-		xferSrc:  make([]netlist.NetID, d.NumInsts()),
-		flopIdx:  make([]int32, d.NumInsts()),
-		piConst:  cfg.constPI,
-		maxLevel: ml,
-		limit:    cfg.limit,
-		prefer:   cfg.prefer,
-	}
-	for pos, id := range topo {
-		e.topoPos[id] = int32(pos)
-	}
-	e.combLoads = make([][]netlist.InstID, d.NumNets())
-	for i := range d.Nets {
-		for _, ld := range d.Nets[i].Loads {
-			inst := &d.Insts[ld.Inst]
-			if !inst.IsFlop() {
-				e.combLoads[i] = append(e.combLoads[i], ld.Inst)
-			} else if ld.Pin == 0 && inst.Domain == cfg.dom {
-				e.obsD[i] = true
-			}
-		}
-	}
-	for i := range e.xferSrc {
-		e.xferSrc[i] = netlist.NoNet
-		e.flopIdx[i] = -1
+	for i := range t.xferSrc {
+		t.xferSrc[i] = netlist.NoNet
+		t.flopIdx[i] = -1
 	}
 	for i, f := range d.Flops {
-		e.flopIdx[f] = int32(i)
+		t.flopIdx[f] = int32(i)
 		inst := d.Inst(f)
 		if inst.Domain != cfg.dom {
 			continue // holds
 		}
+		t.obsD[inst.In[0]] = true
 		var src netlist.NetID
 		switch cfg.mode {
 		case LOC:
@@ -261,16 +299,34 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 				continue // holds
 			}
 		}
-		e.xfer[src] = append(e.xfer[src], inst.Out)
-		e.xferSrc[f] = src
+		t.xferSrc[f] = src
+		t.xferStart[src+1]++
 	}
-	e.decidablePI = make([]bool, len(d.PIs))
-	for i := range e.decidablePI {
-		e.decidablePI[i] = !cfg.excludePI[i]
-		if _, pinned := cfg.constPI[i]; pinned {
-			e.decidablePI[i] = false
+	for n := 1; n < len(t.xferStart); n++ {
+		t.xferStart[n] += t.xferStart[n-1]
+	}
+	t.xferQ = make([]netlist.NetID, t.xferStart[d.NumNets()])
+	next := slices.Clone(t.xferStart)
+	for _, f := range d.Flops {
+		if src := t.xferSrc[f]; src != netlist.NoNet {
+			t.xferQ[next[src]] = d.Inst(f).Out
+			next[src]++
 		}
 	}
+	t.decidablePI = make([]bool, len(d.PIs))
+	for i := range t.decidablePI {
+		t.decidablePI[i] = !cfg.excludePI[i]
+		if _, pinned := cfg.constPI[i]; pinned {
+			t.decidablePI[i] = false
+		}
+	}
+	if cfg.prefer != nil {
+		t.preferred = make([]bool, len(t.gates))
+		for p := range t.gates {
+			t.preferred[p] = cfg.prefer.has(d.Inst(t.gates[p].ID()).Block)
+		}
+	}
+	e := &engine{tables: t}
 	e.allocState()
 	return e, nil
 }
@@ -280,18 +336,12 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 // imply. The trail is then cleared, so undoing to mark 0 returns to rest.
 // The constants' wave is construction work and is not counted.
 func (e *engine) allocState() {
-	n := e.d.NumNets()
-	e.val1 = make([]logic.V, n)
-	e.val2 = make([]logic.V, n)
-	e.valf = make([]logic.V, n)
-	for i := range e.val1 {
-		e.val1[i], e.val2[i], e.valf[i] = logic.X, logic.X, logic.X
+	e.vals = make([]uint8, e.d.NumNets())
+	for i := range e.vals {
+		e.vals[i] = allX
 	}
-	e.coneMark = make([]uint32, e.d.NumInsts())
-	e.b1 = make([][]netlist.InstID, e.maxLevel+2)
-	e.b2 = make([][]netlist.InstID, e.maxLevel+2)
-	e.q1 = make([]bool, e.d.NumInsts())
-	e.q2 = make([]bool, e.d.NumInsts())
+	e.coneMark = make([]uint32, len(e.gates))
+	e.d1, e.d2 = newDirtySet(len(e.gates)), newDirtySet(len(e.gates))
 	e.site = netlist.NoNet
 	for pi, v := range e.piConst {
 		e.place(inputRef{isPI: true, idx: pi}, v)
@@ -302,127 +352,113 @@ func (e *engine) allocState() {
 
 // --- value setting with trail -------------------------------------------
 
-func (e *engine) set(arr uint8, n netlist.NetID, v logic.V) {
-	var slot *logic.V
-	switch arr {
-	case 0:
-		slot = &e.val1[n]
-	case 1:
-		slot = &e.val2[n]
-	default:
-		slot = &e.valf[n]
+// write stores byte b for net n, trailing the old byte.
+func (e *engine) write(n netlist.NetID, b uint8) {
+	e.trail = append(e.trail, trailEnt{net: n, old: e.vals[n]})
+	e.vals[n] = b
+}
+
+// set writes v into the rail at shift sh of net n.
+func (e *engine) set(sh uint, n netlist.NetID, v logic.V) {
+	old := e.vals[n]
+	if b := old&^(3<<sh) | uint8(v)<<sh; b != old {
+		e.write(n, b)
 	}
-	if *slot == v {
-		return
-	}
-	e.trail = append(e.trail, trailEnt{arr: arr, net: n, old: *slot})
-	*slot = v
 }
 
 func (e *engine) undoTo(mark int) {
-	for len(e.trail) > mark {
-		t := e.trail[len(e.trail)-1]
-		e.trail = e.trail[:len(e.trail)-1]
-		switch t.arr {
-		case 0:
-			e.val1[t.net] = t.old
-		case 1:
-			e.val2[t.net] = t.old
-		default:
-			e.valf[t.net] = t.old
-		}
+	for i := len(e.trail) - 1; i >= mark; i-- {
+		e.vals[e.trail[i].net] = e.trail[i].old
 	}
+	e.trail = e.trail[:mark]
 }
 
 // --- event-driven two-frame propagation ----------------------------------
 
+// schedule1 marks net n's frame-1 gate loads and launches its frame-1
+// value into frame 2 through the flops it feeds.
 func (e *engine) schedule1(n netlist.NetID) {
-	for _, g := range e.combLoads[n] {
-		if !e.q1[g] {
-			e.q1[g] = true
-			e.b1[e.levels[g]] = append(e.b1[e.levels[g]], g)
-		}
-	}
-	// Frame boundary: flops fed from this net launch its value in frame 2.
-	for _, q := range e.xfer[n] {
-		e.set2both(q, e.val1[n])
-	}
-}
-
-func (e *engine) schedule2(n netlist.NetID) {
-	for _, g := range e.combLoads[n] {
-		if !e.q2[g] {
-			e.q2[g] = true
-			e.b2[e.levels[g]] = append(e.b2[e.levels[g]], g)
-		}
+	e.d1.mark(e.s.GateLoads(n))
+	for _, q := range e.xferQ[e.xferStart[n]:e.xferStart[n+1]] {
+		e.set2both(q, rail(e.vals[n], sh1))
 	}
 }
 
 // set2both updates the frame-2 good value (and the faulty value except at
-// the fault site, which stays stuck) and schedules fanout.
+// the fault site, which stays stuck) as one trail entry, and marks the
+// net's gate loads.
 func (e *engine) set2both(n netlist.NetID, v logic.V) {
-	if e.val2[n] == v {
+	old := e.vals[n]
+	if rail(old, sh2) == v {
 		return
 	}
-	e.set(1, n, v)
+	b := old&^(3<<sh2) | uint8(v)<<sh2
 	if n != e.site {
-		e.set(2, n, v)
+		b = b&^(3<<shF) | uint8(v)<<shF
 	}
-	e.schedule2(n)
+	e.write(n, b)
+	e.d2.mark(e.s.GateLoads(n))
 }
 
-// wave drains frame-1 then frame-2 buckets in level order. Kleene logic is
-// monotone under input refinement, so one level-ordered pass settles each
-// wave: levels strictly increase along combinational edges, so a gate's
-// fanout always sits in a later bucket of the same frame, and frame 1
-// feeds frame 2 (through the transfer) but never the reverse.
+// wave drains frame 1, then frame 2. Each sweep evaluates the marked gate
+// positions in ascending order: a gate's loads sit at higher positions,
+// so every marked gate runs once, with final inputs; frame 1 feeds frame
+// 2 (through the transfer) but never the reverse.
+//
+// Implication only refines X to 0 or 1, and Kleene logic is monotone, so
+// a gate whose output on the swept rail is already 0 or 1 cannot change
+// and is skipped. Cone gates are the exception: installing a fault flips
+// the faulty rail at the site, the one write that is not a refinement, so
+// a cone gate always evaluates both frame-2 rails.
 func (e *engine) wave() {
-	for lv := int32(1); lv <= e.maxLevel; lv++ {
-		bucket := e.b1[lv]
-		e.b1[lv] = bucket[:0]
-		for _, g := range bucket {
-			e.q1[g] = false
-			inst := &e.d.Insts[g]
-			if v := cell.EvalPacked(inst.Kind, packIndex(e.val1, inst.In)); v != e.val1[inst.Out] {
-				e.set(0, inst.Out, v)
-				e.schedule1(inst.Out)
-			}
-		}
-	}
-	for lv := int32(1); lv <= e.maxLevel; lv++ {
-		bucket := e.b2[lv]
-		e.b2[lv] = bucket[:0]
-		for _, g := range bucket {
-			e.q2[g] = false
-			inst := &e.d.Insts[g]
-			vG := cell.EvalPacked(inst.Kind, packIndex(e.val2, inst.In))
-			if e.coneMark[g] != e.gen {
-				// Outside the fault's cone no input carries the fault
-				// effect, so the faulty machine equals the good one.
-				e.set2both(inst.Out, vG)
+	gates, vals, cone, gen := e.gates, e.vals, e.coneMark, e.gen
+	d := &e.d1
+	for w := d.lo >> 6; w <= d.hi>>6; w++ {
+		// Marks made while this word drains land at higher positions,
+		// so the lowest set bit is always the next gate in order.
+		for d.bits[w] != 0 {
+			b := bits.TrailingZeros64(d.bits[w])
+			d.bits[w] &^= 1 << uint(b)
+			g := &gates[w<<6|b]
+			out := g.Out()
+			if rail(vals[out], sh1) != logic.X {
 				continue
 			}
-			if vG != e.val2[inst.Out] {
-				e.set(1, inst.Out, vG)
-				e.schedule2(inst.Out)
-			}
-			// A cone gate never drives the site: the logic is acyclic.
-			if vF := cell.EvalPacked(inst.Kind, packIndex(e.valf, inst.In)); vF != e.valf[inst.Out] {
-				e.set(2, inst.Out, vF)
-				e.schedule2(inst.Out)
+			if v := g.EvalAt(vals, sh1); v != logic.X {
+				e.set(sh1, out, v)
+				e.schedule1(out)
 			}
 		}
 	}
-}
-
-// packIndex packs the values of the nets in, two bits per pin, into the
-// index cell.EvalPacked takes.
-func packIndex(vals []logic.V, in []netlist.NetID) uint32 {
-	idx := uint32(0)
-	for p, n := range in {
-		idx |= uint32(vals[n]) << (2 * uint(p))
+	d.reset()
+	d = &e.d2
+	for w := d.lo >> 6; w <= d.hi>>6; w++ {
+		for d.bits[w] != 0 {
+			b := bits.TrailingZeros64(d.bits[w])
+			d.bits[w] &^= 1 << uint(b)
+			p := w<<6 | b
+			g := &gates[p]
+			out := g.Out()
+			if cone[p] != gen {
+				// Outside the fault's cone no input carries the fault
+				// effect, so the faulty machine equals the good one.
+				if rail(vals[out], sh2) == logic.X {
+					if v := g.EvalAt(vals, sh2); v != logic.X {
+						e.set2both(out, v)
+					}
+				}
+				continue
+			}
+			// A cone gate never drives the site: the logic is acyclic.
+			old := vals[out]
+			nb := old&^(3<<sh2|3<<shF) | uint8(g.EvalAt(vals, sh2))<<sh2 | uint8(g.EvalAt(vals, shF))<<shF
+			if nb != old {
+				e.write(out, nb)
+				d.mark(e.s.GateLoads(out))
+			}
+		}
 	}
-	return idx
+	d.reset()
 }
 
 // place writes one input-variable value into both frames and schedules
@@ -431,13 +467,13 @@ func packIndex(vals []logic.V, in []netlist.NetID) uint32 {
 func (e *engine) place(in inputRef, v logic.V) {
 	if in.isPI {
 		n := e.d.PIs[in.idx]
-		e.set(0, n, v)
+		e.set(sh1, n, v)
 		e.schedule1(n)
 		e.set2both(n, v)
 	} else {
 		f := e.d.Flops[in.idx]
 		q := e.d.Insts[f].Out
-		e.set(0, q, v)
+		e.set(sh1, q, v)
 		e.schedule1(q)
 		if e.xferSrc[f] == netlist.NoNet { // holds V1 in frame 2
 			e.set2both(q, v)
@@ -453,30 +489,16 @@ func (e *engine) assignInput(in inputRef, v logic.V) {
 	e.wave()
 }
 
-// clone returns an engine for another generation worker: all construction
-// state that is read-only after newEngine (design, levels, load lists,
-// transfer maps, PI policies, block preferences) is shared, while every
-// mutable search structure (value arrays, trail, decision stack, cone
-// stamps, buckets) is private. Every engine rests in the same state
-// between faults (generate undoes to the mark it started from, genOne
-// unpins its base), so a clone produces bit-identical cubes to its original
-// for any (fault, base) pair — the property the epoch scheduler rests on.
+// clone returns an engine for another generation worker: the construction
+// tables (gate rows, levels, transfer maps, PI policies, block
+// preferences) are shared, while every mutable search structure (rails,
+// trail, decision stack, cone stamps, dirty sets) is private. Every engine
+// rests in the same state between faults (generate undoes to the mark it
+// started from, genOne unpins its base), so a clone produces bit-identical
+// cubes to its original for any (fault, base) pair — the property the
+// epoch scheduler rests on.
 func (e *engine) clone() *engine {
-	c := &engine{
-		d: e.d, dom: e.dom, mode: e.mode, levels: e.levels,
-		combLoads:   e.combLoads,
-		topo:        e.topo,
-		topoPos:     e.topoPos,
-		obsD:        e.obsD,
-		xfer:        e.xfer,
-		xferSrc:     e.xferSrc,
-		flopIdx:     e.flopIdx,
-		decidablePI: e.decidablePI,
-		piConst:     e.piConst,
-		prefer:      e.prefer,
-		maxLevel:    e.maxLevel,
-		limit:       e.limit,
-	}
+	c := &engine{tables: e.tables}
 	c.allocState()
 	return c
 }

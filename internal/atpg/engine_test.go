@@ -7,6 +7,7 @@ import (
 	"scap/internal/fault"
 	"scap/internal/logic"
 	"scap/internal/netlist"
+	"scap/internal/sim"
 )
 
 func TestEngineJustifiesAndTree(t *testing.T) {
@@ -38,8 +39,12 @@ func TestEngineJustifiesAndTree(t *testing.T) {
 	if err := d.Check(); err != nil {
 		t.Fatal(err)
 	}
+	s, err := sim.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	eng, err := newEngine(d, engineConfig{dom: 0, limit: 64})
+	eng, err := newEngine(s, engineConfig{dom: 0, limit: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +90,17 @@ func TestEngineJustifiesAndTree(t *testing.T) {
 // TestGenOneReturnsToRest runs genOne, with dynamic compaction, over a
 // sample of scale-96 faults and checks after every call that the engine is
 // back in its resting state: no trail, no decisions, no installed fault,
-// the value rails of a freshly built engine and empty propagation buckets.
+// the packed rails of a freshly built engine and empty dirty sets.
 // Pinning the base and undoing to a trail mark is only sound if every call
 // leaves the engine exactly where it found it.
 func TestGenOneReturnsToRest(t *testing.T) {
 	r := newRig(t, 96)
 	cfg := runConfig(r.d, r.sc, Options{Dom: 0, BacktrackLimit: 64}, nil)
-	eng, err := newEngine(r.d, cfg)
+	eng, err := newEngine(r.s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := newEngine(r.d, cfg)
+	fresh, err := newEngine(r.s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,18 +120,12 @@ func TestGenOneReturnsToRest(t *testing.T) {
 			t.Fatalf("fault %s: %d trail entries, %d decisions, site %d after genOne",
 				r.l.String(subset[pos]), len(eng.trail), len(eng.decs), eng.site)
 		}
-		for n := range eng.val1 {
-			if eng.val1[n] != fresh.val1[n] || eng.val2[n] != fresh.val2[n] || eng.valf[n] != fresh.valf[n] {
-				t.Fatalf("fault %s: net %s rests at %v/%v/%v, fresh engine %v/%v/%v",
-					r.l.String(subset[pos]), r.d.Nets[n].Name, eng.val1[n], eng.val2[n], eng.valf[n],
-					fresh.val1[n], fresh.val2[n], fresh.valf[n])
-			}
+		if n, ok := firstDiff(eng.vals, fresh.vals); ok {
+			t.Fatalf("fault %s: net %s rests at %s, fresh engine %s",
+				r.l.String(subset[pos]), r.d.Nets[n].Name, rails(eng.vals[n]), rails(fresh.vals[n]))
 		}
-		for lv := range eng.b1 {
-			if len(eng.b1[lv]) != 0 || len(eng.b2[lv]) != 0 {
-				t.Fatalf("fault %s: level %d buckets hold %d/%d gates",
-					r.l.String(subset[pos]), lv, len(eng.b1[lv]), len(eng.b2[lv]))
-			}
+		if err := eng.checkDirtyEmpty(); err != nil {
+			t.Fatalf("fault %s: %v", r.l.String(subset[pos]), err)
 		}
 	}
 	t.Logf("%d genOne calls merged %d secondaries", calls, secondaries)

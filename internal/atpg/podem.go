@@ -1,7 +1,7 @@
 package atpg
 
 import (
-	"slices"
+	"math/bits"
 
 	"scap/internal/cell"
 	"scap/internal/fault"
@@ -29,8 +29,8 @@ func (e *engine) setupFault(f *fault.Fault) bool {
 	if e.obsD[f.Net] {
 		e.obs = append(e.obs, f.Net)
 	}
-	for _, g := range e.cone {
-		if out := e.d.Insts[g].Out; e.obsD[out] {
+	for _, p := range e.cone {
+		if out := e.gates[p].Out(); e.obsD[out] {
 			e.obs = append(e.obs, out)
 		}
 	}
@@ -41,48 +41,39 @@ func (e *engine) setupFault(f *fault.Fault) bool {
 	// Fault injection. The stuck value is propagated eagerly so the
 	// faulty rail is always the exact function closure of the current
 	// assignment set.
-	e.set(2, e.site, e.stuck)
-	e.schedule2(e.site)
+	e.set(shF, e.site, e.stuck)
+	e.d2.mark(e.s.GateLoads(e.site))
 	e.wave()
 	return true
 }
 
-// collectCone sets e.cone to the combinational gates reachable from net
-// site, in TopoOrder. It walks only the cone: a worklist over the load
-// lists, with gates deduplicated by generation stamps. The sort matters
-// beyond tidiness: the D-frontier scans the cone deepest-first, so the
-// order decides which objective PODEM pursues.
+// collectCone sets e.cone to the gates reachable from net site and stamps
+// them. It is the wave's forward sweep over the frame-2 dirty set, empty
+// between waves: mark the site's loads, then each reached gate's loads.
+// Positions come out ascending, which is TopoOrder with no sort. The
+// order matters beyond tidiness: the D-frontier scans the cone
+// deepest-first, so it decides which objective PODEM pursues.
 func (e *engine) collectCone(site netlist.NetID) {
 	e.gen++
 	if e.gen == 0 { // stamps wrapped: clear them once
 		clear(e.coneMark)
 		e.gen = 1
 	}
-	cone := e.markLoads(e.cone[:0], site)
-	for i := 0; i < len(cone); i++ {
-		cone = e.markLoads(cone, e.d.Insts[cone[i]].Out)
-	}
-	pos := e.conePos[:0]
-	for _, g := range cone {
-		pos = append(pos, e.topoPos[g])
-	}
-	slices.Sort(pos)
-	for i, p := range pos {
-		cone[i] = e.topo[p]
-	}
-	e.cone, e.conePos = cone, pos
-}
-
-// markLoads stamps the combinational loads of net n not yet in the cone
-// and appends them to it.
-func (e *engine) markLoads(cone []netlist.InstID, n netlist.NetID) []netlist.InstID {
-	for _, g := range e.combLoads[n] {
-		if e.coneMark[g] != e.gen {
-			e.coneMark[g] = e.gen
-			cone = append(cone, g)
+	cone := e.cone[:0]
+	d := &e.d2
+	d.mark(e.s.GateLoads(site))
+	for w := d.lo >> 6; w <= d.hi>>6; w++ {
+		for d.bits[w] != 0 {
+			b := bits.TrailingZeros64(d.bits[w])
+			d.bits[w] &^= 1 << uint(b)
+			p := w<<6 | b
+			e.coneMark[p] = e.gen
+			cone = append(cone, int32(p))
+			d.mark(e.s.GateLoads(e.gates[p].Out()))
 		}
 	}
-	return cone
+	d.reset()
+	e.cone = cone
 }
 
 // teardown uninstalls the fault: it undoes every assignment made since
@@ -99,16 +90,18 @@ func (e *engine) teardown(mark int) {
 // site holds the pre-transition value in frame 1 and the post-transition
 // value in frame 2 of the good machine.
 func (e *engine) excited() bool {
-	return e.val1[e.site] == e.stuck && e.val2[e.site] == e.stuck.Not()
+	b := e.vals[e.site]
+	return rail(b, sh1) == e.stuck && rail(b, sh2) == e.stuck.Not()
 }
 
 // conflicted reports whether an assigned value contradicts the fault's
 // activation requirements.
 func (e *engine) conflicted() bool {
-	if v := e.val1[e.site]; v != logic.X && v != e.stuck {
+	b := e.vals[e.site]
+	if v := rail(b, sh1); v != logic.X && v != e.stuck {
 		return true
 	}
-	if v := e.val2[e.site]; v != logic.X && v != e.stuck.Not() {
+	if v := rail(b, sh2); v != logic.X && v != e.stuck.Not() {
 		return true
 	}
 	return false
@@ -118,20 +111,16 @@ func (e *engine) conflicted() bool {
 // endpoint with defined, differing good/faulty values.
 func (e *engine) observed() bool {
 	for _, n := range e.obs {
-		g, f := e.val2[n], e.valf[n]
-		if g != logic.X && f != logic.X && g != f {
+		if e.diverged(n) {
 			return true
 		}
 	}
 	return false
 }
 
-// divergedInput reports whether net n carries a defined good/faulty
-// difference in frame 2.
-func (e *engine) diverged(n netlist.NetID) bool {
-	g, f := e.val2[n], e.valf[n]
-	return g != logic.X && f != logic.X && g != f
-}
+// diverged reports whether net n carries a defined good/faulty difference
+// in frame 2.
+func (e *engine) diverged(n netlist.NetID) bool { return divergedTab[e.vals[n]] }
 
 // getObjective picks the next value requirement. Priority: justify the
 // frame-1 site value, then the frame-2 good value, then advance the
@@ -140,10 +129,10 @@ func (e *engine) getObjective() (objective, bool) {
 	if e.conflicted() {
 		return objective{}, false
 	}
-	if e.val1[e.site] == logic.X {
+	if rail(e.vals[e.site], sh1) == logic.X {
 		return objective{frame: frame1, net: e.site, val: e.stuck}, true
 	}
-	if e.val2[e.site] == logic.X {
+	if rail(e.vals[e.site], sh2) == logic.X {
 		return objective{frame: frame2, net: e.site, val: e.stuck.Not()}, true
 	}
 	// D-frontier: deepest cone gate with a diverged input whose own output
@@ -159,32 +148,33 @@ func (e *engine) getObjective() (objective, bool) {
 // frontierObjective scans the D-frontier; when preferredOnly is set, gates
 // outside the preferred block set are skipped.
 func (e *engine) frontierObjective(preferredOnly bool) (objective, bool) {
-	if preferredOnly && e.prefer == nil {
+	if preferredOnly && e.preferred == nil {
 		return objective{}, false
 	}
 	for i := len(e.cone) - 1; i >= 0; i-- {
-		g := e.cone[i]
-		inst := &e.d.Insts[g]
-		if preferredOnly && !e.prefer.has(inst.Block) {
+		p := e.cone[i]
+		if preferredOnly && !e.preferred[p] {
 			continue
 		}
-		if e.diverged(inst.Out) {
+		g := &e.gates[p]
+		if e.diverged(g.Out()) {
 			continue
 		}
+		in := g.Inputs()
 		dPin := -1
-		for p, n := range inst.In {
+		for k, n := range in {
 			if e.diverged(n) {
-				dPin = p
+				dPin = k
 				break
 			}
 		}
 		if dPin < 0 {
 			continue
 		}
-		needs := propagationNeeds(inst.Kind, dPin)
+		needs := propagationNeeds(g.Kind(), dPin)
 		for _, nd := range needs {
-			n := inst.In[nd.pin]
-			if e.val2[n] == logic.X {
+			n := in[nd.pin]
+			if rail(e.vals[n], sh2) == logic.X {
 				return objective{frame: frame2, net: n, val: nd.val}, true
 			}
 		}
@@ -328,7 +318,7 @@ func (e *engine) backtrace(obj objective) (inputRef, logic.V, bool) {
 		if fi := e.flopIdx[drv]; fi >= 0 {
 			src := e.xferSrc[drv]
 			if fr == frame1 || src == netlist.NoNet {
-				if e.val1[n] != logic.X {
+				if rail(e.vals[n], sh1) != logic.X {
 					return inputRef{}, 0, false
 				}
 				return inputRef{isPI: false, idx: int(fi)}, v, true
@@ -368,9 +358,9 @@ func (e *engine) backtrace(obj objective) (inputRef, logic.V, bool) {
 
 func (e *engine) valOf(fr int, n netlist.NetID) logic.V {
 	if fr == frame1 {
-		return e.val1[n]
+		return rail(e.vals[n], sh1)
 	}
-	return e.val2[n]
+	return rail(e.vals[n], sh2)
 }
 
 // decide pushes a new decision and applies it.
@@ -453,20 +443,20 @@ func (e *engine) search() (Cube, engineResult) {
 // construction (they were jointly committed when earlier targets accepted
 // them) and the frame-1/frame-2 good rails carry no fault-dependent state,
 // so a bit can never arrive implied to the opposite value. Iteration order
-// is free to be the map's: each (rail, net) pair is written at most once
-// per batch, so trail restoration is order-independent too.
+// is free to be the map's: undo restores trail entries last first, so the
+// unpinned state does not depend on it either.
 func (e *engine) pin(c Cube) {
 	placed := 0
 	for idx, v := range c.State {
 		f := e.d.Flops[idx]
-		if e.val1[e.d.Insts[f].Out] == logic.X {
+		if rail(e.vals[e.d.Insts[f].Out], sh1) == logic.X {
 			e.place(inputRef{isPI: false, idx: idx}, v)
 			placed++
 		}
 	}
 	for idx, v := range c.PIs {
 		n := e.d.PIs[idx]
-		if e.val1[n] == logic.X {
+		if rail(e.vals[n], sh1) == logic.X {
 			e.place(inputRef{isPI: true, idx: idx}, v)
 			placed++
 		}

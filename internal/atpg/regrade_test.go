@@ -80,7 +80,7 @@ func TestDetectedByRedetects(t *testing.T) {
 				valid := logic.ValidMask(hi - base)
 				var b *faultsim.Batch
 				if tc.opts.Mode == LOS {
-					b = r.fs.GoodSimShift(v1W, piW, tc.opts.Dom, valid, src)
+					b = r.fs.GoodSimShiftInto(new(faultsim.Batch), v1W, piW, tc.opts.Dom, valid, src)
 				} else {
 					b = r.fs.GoodSim(v1W, piW, tc.opts.Dom, valid)
 				}

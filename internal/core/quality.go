@@ -115,6 +115,7 @@ func (sys *System) GradeDetections(fr *FlowResult, maxFaults int) (*QualityRepor
 		act[s] = make([]bool, nf)
 	}
 	var v1W, piW []logic.Word
+	var gb faultsim.Batch
 	slotV1 := make([][]logic.V, 0, nSlots)
 	slotPI := make([][]logic.V, 0, nSlots)
 	var entries []gradeEntry
@@ -135,7 +136,7 @@ func (sys *System) GradeDetections(fr *FlowResult, maxFaults int) (*QualityRepor
 		}
 		v1W = logic.PackSlots(v1W, slotV1)
 		piW = logic.PackSlots(piW, slotPI)
-		b := sys.FSim.GoodSim(v1W, piW, fr.Dom, logic.ValidMask(len(batch)))
+		b := sys.FSim.GoodSimInto(&gb, v1W, piW, fr.Dom, logic.ValidMask(len(batch)))
 
 		// Timing: per-endpoint arrivals of every batch pattern (no power
 		// accounting — the meters stay idle, the scratches are reused).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"scap/internal/faultsim"
 	"scap/internal/logic"
 	"scap/internal/obs"
 	"scap/internal/parallel"
@@ -57,6 +58,7 @@ func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 		workers = nBatches
 	}
 	meters := make([]*power.Meter, workers)
+	batches := make([]faultsim.Batch, workers)
 	meters[0] = power.NewMeter(sys.D)
 	for w := 1; w < workers; w++ {
 		meters[w] = meters[0].Clone()
@@ -76,9 +78,9 @@ func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 		}
 		v1W := logic.PackSlots(nil, slotV1)
 		piW := logic.PackSlots(nil, slotPI)
-		// GoodSim touches no Sim scratch, so the shared FSim serves every
-		// worker concurrently.
-		b := sys.FSim.GoodSim(v1W, piW, fr.Dom, logic.ValidMask(len(chunk)))
+		// GoodSimInto touches no Sim scratch, so the shared FSim serves
+		// every worker concurrently, each into its own batch.
+		b := sys.FSim.GoodSimInto(&batches[w], v1W, piW, fr.Dom, logic.ValidMask(len(chunk)))
 		est := meters[w].PackedEstimate(b.N1, b.N2, b.Valid)
 		for s := range chunk {
 			ps := &out[lo+s]

@@ -36,7 +36,6 @@ var (
 	cEarlyExit = obs.NewCounter("faultsim.early_exits")
 	cConeGates = obs.NewCounter("faultsim.cone_gate_evals")
 	cDropped   = obs.NewCounter("faultsim.faults_dropped")
-	hConeGates = obs.NewHistogram("faultsim.cone_gates_per_detect")
 )
 
 func init() {
@@ -56,8 +55,9 @@ func init() {
 // gate table, which reports every flop D pin the fault effect reaches to
 // one of two observers, detector (Detect) or signature (FailSlots).
 //
-// Concurrency: the good-machine methods (GoodSim, GoodSimShift,
-// Activation) touch no Sim scratch and are safe to call concurrently.
+// Concurrency: the good-machine methods (GoodSim, GoodSimInto,
+// GoodSimShiftInto, Activation) touch no Sim scratch and are safe to call
+// concurrently on distinct batches.
 // Detect and FailSlots own mutable scratch and must not run concurrently
 // on one Sim — Clone produces additional Sims sharing the immutable
 // design and slot-domain tables for exactly that. Drop, DetectionCounts
@@ -97,6 +97,9 @@ func newSim(s *sim.Simulator, dom []int) *Sim {
 	return &Sim{s: s, d: s.Design(), dom: dom, cone: sim.NewCone(s)}
 }
 
+// Simulator returns the zero-delay simulator fs propagates over.
+func (fs *Sim) Simulator() *sim.Simulator { return fs.s }
+
 // Clone returns a Sim with private cone scratch that shares the design
 // and the slot-domain table with fs — the per-worker constructor of the
 // parallel fault-dropping pipeline. It is O(nets) for the scratch
@@ -128,7 +131,10 @@ func (fs *Sim) dets(n int) []uint64 {
 }
 
 // Batch holds the good-machine simulation of up to 64 launch-off-capture
-// pattern pairs targeting one clock domain.
+// pattern pairs targeting one clock domain. The zero Batch is ready to
+// fill; GoodSimInto and GoodSimShiftInto refill one in place, so a caller
+// that simulates batch after batch allocates its vectors once. A batch is
+// sized for the design of the first Sim that fills it.
 type Batch struct {
 	Dom int
 	// N1 and N2 are the per-net frame-1 (initialization) and frame-2
@@ -137,68 +143,85 @@ type Batch struct {
 	// Valid masks the slots that carry real patterns.
 	Valid uint64
 
-	pis []logic.Word
+	v2 []logic.Word // launch-state scratch, per flop
 }
 
 // GoodSim simulates the good machine for a batch of launch-off-capture
-// pattern pairs: v1 is the per-flop scan-in state, pis the constant
-// primary-input values. Only flops of domain dom launch and capture; all
-// others hold their v1 value. GoodSim touches no Sim scratch and is safe
-// to call concurrently.
+// pattern pairs into a new Batch; see GoodSimInto.
 func (fs *Sim) GoodSim(v1, pis []logic.Word, dom int, valid uint64) *Batch {
+	return fs.GoodSimInto(new(Batch), v1, pis, dom, valid)
+}
+
+// GoodSimInto simulates the good machine for a batch of launch-off-capture
+// pattern pairs into b and returns it: v1 is the per-flop scan-in state,
+// pis the constant primary-input values (nil: all X). Only flops of domain
+// dom launch and capture; all others hold their v1 value. GoodSimInto
+// touches no Sim scratch and is safe to call concurrently on distinct
+// batches.
+func (fs *Sim) GoodSimInto(b *Batch, v1, pis []logic.Word, dom int, valid uint64) *Batch {
 	defer obs.TraceStart().End("faultsim", "good-sim")
-	b := fs.frame1(v1, pis, dom, valid)
-	v2 := fs.s.CaptureStateW(b.N1)
+	fs.frame1(b, v1, pis, dom, valid)
+	v2 := fs.s.CaptureStateWInto(b.v2, b.N1)
 	for i := range v2 {
 		if fs.dom[i] != dom {
 			v2[i] = v1[i]
 		}
 	}
-	fs.frame2(b, v2)
+	fs.frame2(b, v2, pis)
 	return b
 }
 
-// GoodSimShift simulates the good machine for launch-off-shift patterns:
-// the launch state of each domain flop is the frame-1 value of its shift
-// source net (previous chain cell or scan-in pin); flops absent from src
-// hold.
-func (fs *Sim) GoodSimShift(v1, pis []logic.Word, dom int, valid uint64,
+// GoodSimShiftInto simulates the good machine for launch-off-shift
+// patterns into b: the launch state of each domain flop is the frame-1
+// value of its shift source net (previous chain cell or scan-in pin);
+// flops absent from src hold.
+func (fs *Sim) GoodSimShiftInto(b *Batch, v1, pis []logic.Word, dom int, valid uint64,
 	src map[netlist.InstID]netlist.NetID) *Batch {
 
-	b := fs.frame1(v1, pis, dom, valid)
-	v2 := make([]logic.Word, len(v1))
+	fs.frame1(b, v1, pis, dom, valid)
 	for i, f := range fs.d.Flops {
 		if n, ok := src[f]; ok && fs.dom[i] == dom {
-			v2[i] = b.N1[n]
+			b.v2[i] = b.N1[n]
 		} else {
-			v2[i] = v1[i]
+			b.v2[i] = v1[i]
 		}
 	}
-	fs.frame2(b, v2)
+	fs.frame2(b, b.v2, pis)
 	return b
 }
 
-// frame1 settles the initialization frame into a new batch.
-func (fs *Sim) frame1(v1, pis []logic.Word, dom int, valid uint64) *Batch {
+// frame1 sizes b's vectors on first use and settles the initialization
+// frame into it.
+func (fs *Sim) frame1(b *Batch, v1, pis []logic.Word, dom int, valid uint64) {
 	cBatches.Add(1)
 	s := fs.s
-	if pis == nil {
-		pis = make([]logic.Word, len(fs.d.PIs)) // all-X primary inputs
+	if b.N1 == nil {
+		b.N1, b.N2 = s.NewNetsW(), s.NewNetsW()
+		b.v2 = make([]logic.Word, len(fs.d.Flops))
 	}
-	b := &Batch{Dom: dom, Valid: valid, pis: pis, N1: s.NewNetsW()}
-	s.SetPIsW(b.N1, pis)
+	b.Dom, b.Valid = dom, valid
+	fs.setPIs(b.N1, pis)
 	s.ApplyStateW(b.N1, v1)
 	s.PropagateW(b.N1)
-	return b
 }
 
 // frame2 settles the launch/capture frame for the launch state v2.
-func (fs *Sim) frame2(b *Batch, v2 []logic.Word) {
+func (fs *Sim) frame2(b *Batch, v2, pis []logic.Word) {
 	s := fs.s
-	b.N2 = s.NewNetsW()
-	s.SetPIsW(b.N2, b.pis)
+	fs.setPIs(b.N2, pis)
 	s.ApplyStateW(b.N2, v2)
 	s.PropagateW(b.N2)
+}
+
+// setPIs writes the primary-input values onto nets; nil writes all X.
+func (fs *Sim) setPIs(nets, pis []logic.Word) {
+	if pis != nil {
+		fs.s.SetPIsW(nets, pis)
+		return
+	}
+	for _, n := range fs.d.PIs {
+		nets[n] = logic.Word{}
+	}
 }
 
 // Activation returns the slot mask where fault f's launch transition occurs
@@ -270,7 +293,6 @@ func (fs *Sim) Detect(b *Batch, f *fault.Fault) uint64 {
 		cEarlyExit.Add(1)
 	}
 	cConeGates.Add(int64(evals))
-	hConeGates.Observe(float64(evals))
 	return fs.det.mask
 }
 

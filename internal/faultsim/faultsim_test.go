@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scap/internal/cell"
@@ -514,6 +515,50 @@ func TestCloneSharesTablesNotScratch(t *testing.T) {
 		c.Detect(b, &l.Faults[(fi+37)%len(l.Faults)]) // desync the clone's scratch
 		if again := c.Detect(b, &l.Faults[fi]); again != want {
 			t.Fatalf("fault %d: clone %b, parent %b", fi, again, want)
+		}
+	}
+}
+
+// TestGoodSimIntoReusesBatch checks the caller-owned batch: refilling a
+// batch whose vectors exist allocates nothing, and every refill (LOC and
+// LOS, defined and all-X primary inputs, every domain) equals a fresh
+// batch simulated from the same inputs.
+func TestGoodSimIntoReusesBatch(t *testing.T) {
+	d, fs, _ := socHarness(t, 5, 0)
+	r := rand.New(rand.NewSource(5))
+	src := map[netlist.InstID]netlist.NetID{}
+	prev := d.PIs[0]
+	for _, f := range d.Flops {
+		src[f] = prev
+		prev = d.Insts[f].Out
+	}
+	var b Batch
+	v1, pis := randomWords(r, len(d.Flops)), randomWords(r, len(d.PIs))
+	fs.GoodSimInto(&b, v1, pis, 0, ^uint64(0))
+	if a := testing.AllocsPerRun(20, func() { fs.GoodSimInto(&b, v1, pis, 0, ^uint64(0)) }); a != 0 {
+		t.Errorf("GoodSimInto into a reused batch: %v allocations per call", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { fs.GoodSimShiftInto(&b, v1, pis, 1, 7, src) }); a != 0 {
+		t.Errorf("GoodSimShiftInto into a reused batch: %v allocations per call", a)
+	}
+	for k := 0; k < 4*len(d.Domains); k++ {
+		dom := k % len(d.Domains)
+		v1 := randomWords(r, len(d.Flops))
+		var pis []logic.Word
+		if k%3 != 0 {
+			pis = randomWords(r, len(d.PIs))
+		}
+		valid := logic.ValidMask(1 + r.Intn(64))
+		var got, want *Batch
+		if k%2 == 0 {
+			got, want = fs.GoodSimInto(&b, v1, pis, dom, valid), fs.GoodSim(v1, pis, dom, valid)
+		} else {
+			got = fs.GoodSimShiftInto(&b, v1, pis, dom, valid, src)
+			want = fs.GoodSimShiftInto(new(Batch), v1, pis, dom, valid, src)
+		}
+		if got.Dom != want.Dom || got.Valid != want.Valid ||
+			!slices.Equal(got.N1, want.N1) || !slices.Equal(got.N2, want.N2) {
+			t.Fatalf("refill %d (dom %d): reused batch differs from a fresh one", k, dom)
 		}
 	}
 }

@@ -211,7 +211,7 @@ func oracleBatches(fs *Sim, seed int64) []*Batch {
 		if k < len(d.Domains) {
 			out = append(out, fs.GoodSim(v1, pis, dom, valid))
 		} else {
-			out = append(out, fs.GoodSimShift(v1, pis, dom, valid, src))
+			out = append(out, fs.GoodSimShiftInto(new(Batch), v1, pis, dom, valid, src))
 		}
 	}
 	return out

@@ -13,8 +13,6 @@ func resetForTest(t *testing.T) {
 	t.Helper()
 	reg.mu.Lock()
 	reg.counters = map[string]*Counter{}
-	reg.gauges = map[string]*Gauge{}
-	reg.hists = map[string]*Histogram{}
 	reg.topks = map[string]*TopK{}
 	reg.derived = map[string]func(map[string]int64) (float64, bool){}
 	reg.mu.Unlock()
@@ -49,14 +47,9 @@ func resetForTest(t *testing.T) {
 func TestDisabledRecordingIsNoop(t *testing.T) {
 	resetForTest(t)
 	c := NewCounter("t.disabled.counter")
-	g := NewGauge("t.disabled.gauge")
-	h := NewHistogram("t.disabled.hist")
 	c.Add(5)
-	g.Max(5)
-	h.Observe(5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("disabled instrumentation recorded: c=%d g=%d h=%d",
-			c.Value(), g.Value(), h.Count())
+	if c.Value() != 0 {
+		t.Fatalf("disabled instrumentation recorded: c=%d", c.Value())
 	}
 	if s := StartSpan("t.disabled.span"); s != nil {
 		t.Fatalf("StartSpan returned non-nil while disabled")
@@ -68,73 +61,29 @@ func TestDisabledRecordingIsNoop(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording hammers every metric kind from many
-// goroutines; run under -race this is the data-race proof, and the
-// totals prove no increments are lost.
+// TestConcurrentRecording hammers a counter from many goroutines; run
+// under -race this is the data-race proof, and the total proves no
+// increments are lost.
 func TestConcurrentRecording(t *testing.T) {
 	resetForTest(t)
 	Enable()
 	c := NewCounter("t.conc.counter")
-	g := NewGauge("t.conc.gauge")
-	h := NewHistogram("t.conc.hist")
 
 	const goroutines, perG = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				c.Add(1)
-				g.Max(int64(w*perG + i))
-				h.Observe(1.0)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
 	if got := c.Value(); got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
-	}
-	if got := g.Value(); got != goroutines*perG-1 {
-		t.Errorf("gauge high-water = %d, want %d", got, goroutines*perG-1)
-	}
-	if got := h.Count(); got != goroutines*perG {
-		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
-	}
-	if got := h.Sum(); got != goroutines*perG {
-		t.Errorf("histogram sum = %v, want %v", got, goroutines*perG)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	resetForTest(t)
-	Enable()
-	h := NewHistogram("t.buckets.hist")
-	// One sample per interesting region: subnormal-small clamps to the
-	// first bucket, huge clamps to the last, each power of two starts a
-	// new bucket at its own lower bound.
-	for _, v := range []float64{0, -1, 1e-300, 0.5, 0.75, 1, 1.5, 2, 1e300} {
-		h.Observe(v)
-	}
-	rep := histReport(h)
-	if rep.Count != 9 {
-		t.Fatalf("count = %d, want 9", rep.Count)
-	}
-	want := map[float64]int64{
-		bucketLo(0):  3, // 0, -1, 1e-300
-		0.5:          2, // 0.5, 0.75
-		1:            2, // 1, 1.5
-		2:            1,
-		bucketLo(63): 1, // 1e300 clamps to the last bucket
-	}
-	if len(rep.Buckets) != len(want) {
-		t.Fatalf("got %d non-empty buckets %+v, want %d", len(rep.Buckets), rep.Buckets, len(want))
-	}
-	for _, b := range rep.Buckets {
-		if want[b.Lo] != b.Count {
-			t.Errorf("bucket lo=%g count=%d, want %d", b.Lo, b.Count, want[b.Lo])
-		}
 	}
 }
 
@@ -143,11 +92,8 @@ func TestRegistryDedup(t *testing.T) {
 	if NewCounter("t.dup") != NewCounter("t.dup") {
 		t.Error("NewCounter returned distinct counters for one name")
 	}
-	if NewGauge("t.dup") != NewGauge("t.dup") {
-		t.Error("NewGauge returned distinct gauges for one name")
-	}
-	if NewHistogram("t.dup") != NewHistogram("t.dup") {
-		t.Error("NewHistogram returned distinct histograms for one name")
+	if NewTopK("t.dup", 2, "cost") != NewTopK("t.dup", 2, "cost") {
+		t.Error("NewTopK returned distinct tables for one name")
 	}
 }
 

@@ -22,8 +22,10 @@ import (
 // top-K hotspot tables (`hotspots`), periodic metric snapshots
 // (`snapshots`) and p50/p95/p99 quantiles on histograms. v4 dropped
 // `snapshots` together with the sampler that filled it. v5 dropped the
-// per-worker vectors (`per_worker`) and the histogram quantiles.
-const SchemaVersion = "scap/run-report/v5"
+// per-worker vectors (`per_worker`) and the histogram quantiles. v6
+// dropped the `gauges` and `histograms` blocks: no question the run
+// report answers read them.
+const SchemaVersion = "scap/run-report/v6"
 
 // runInfo is the process-wide run-information block: small key/value
 // facts about how the run was configured or what the build produced
@@ -128,20 +130,6 @@ type SpanReport struct {
 	Children  []*SpanReport `json:"children,omitempty"`
 }
 
-// HistBucket is one non-empty histogram bucket: Lo is the inclusive
-// power-of-two lower bound of the bucket's range.
-type HistBucket struct {
-	Lo    float64 `json:"lo"`
-	Count int64   `json:"count"`
-}
-
-// HistogramReport serializes one bounded histogram.
-type HistogramReport struct {
-	Count   int64        `json:"count"`
-	Sum     float64      `json:"sum"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
-}
-
 // TopKReport serializes one hotspot table: the ranking cost's name, the
 // per-entry field names (aligning with each entry's Fields slice) and
 // the entries best-first.
@@ -155,17 +143,15 @@ type TopKReport struct {
 // emits. Map keys marshal sorted, so the JSON is stable for a given
 // run.
 type Report struct {
-	Schema     string                     `json:"schema"`
-	Tool       string                     `json:"tool"`
-	Provenance Provenance                 `json:"provenance"`
-	Config     any                        `json:"config,omitempty"`
-	Info       map[string]any             `json:"info,omitempty"`
-	Stages     []*SpanReport              `json:"stages,omitempty"`
-	Counters   map[string]int64           `json:"counters,omitempty"`
-	Gauges     map[string]int64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramReport `json:"histograms,omitempty"`
-	Hotspots   map[string]TopKReport      `json:"hotspots,omitempty"`
-	Derived    map[string]float64         `json:"derived,omitempty"`
+	Schema     string                `json:"schema"`
+	Tool       string                `json:"tool"`
+	Provenance Provenance            `json:"provenance"`
+	Config     any                   `json:"config,omitempty"`
+	Info       map[string]any        `json:"info,omitempty"`
+	Stages     []*SpanReport         `json:"stages,omitempty"`
+	Counters   map[string]int64      `json:"counters,omitempty"`
+	Hotspots   map[string]TopKReport `json:"hotspots,omitempty"`
+	Derived    map[string]float64    `json:"derived,omitempty"`
 }
 
 // BuildReport snapshots the registry and span tree into a Report.
@@ -196,18 +182,6 @@ func BuildReport(tool string, config any) *Report {
 	if len(counters) > 0 {
 		r.Counters = counters
 	}
-	if len(reg.gauges) > 0 {
-		r.Gauges = make(map[string]int64, len(reg.gauges))
-		for name, g := range reg.gauges {
-			r.Gauges[name] = g.Value()
-		}
-	}
-	if len(reg.hists) > 0 {
-		r.Histograms = make(map[string]HistogramReport, len(reg.hists))
-		for name, h := range reg.hists {
-			r.Histograms[name] = histReport(h)
-		}
-	}
 	for name, t := range reg.topks {
 		if entries := t.Snapshot(); len(entries) > 0 {
 			if r.Hotspots == nil {
@@ -236,16 +210,6 @@ func BuildReport(tool string, config any) *Report {
 	}
 	trace.mu.Unlock()
 	return r
-}
-
-func histReport(h *Histogram) HistogramReport {
-	out := HistogramReport{Count: h.Count(), Sum: h.Sum()}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			out.Buckets = append(out.Buckets, HistBucket{Lo: bucketLo(i), Count: n})
-		}
-	}
-	return out
 }
 
 func spanReport(s *Span, epoch time.Time) *SpanReport {

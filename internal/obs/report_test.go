@@ -22,11 +22,6 @@ func buildGoldenReport(t *testing.T) *Report {
 
 	NewCounter("pgrid.sparse.factor.calls").Add(7)
 	NewCounter("pgrid.sparse.factor.builds").Add(1)
-	NewGauge("sim.queue_high_water").Max(42)
-	h := NewHistogram("pgrid.sparse.fill_ratio")
-	for _, v := range []float64{0.5, 1, 1.5, 3} {
-		h.Observe(v)
-	}
 	RegisterDerived("pgrid.sparse.factor.cache_hits", func(c map[string]int64) (float64, bool) {
 		calls := c["pgrid.sparse.factor.calls"]
 		return float64(calls - c["pgrid.sparse.factor.builds"]), calls > 0
@@ -72,7 +67,7 @@ func buildGoldenReport(t *testing.T) *Report {
 // with `go test ./internal/obs -run Golden -update`.
 func TestReportGolden(t *testing.T) {
 	r := buildGoldenReport(t)
-	if r.Schema != "scap/run-report/v5" {
+	if r.Schema != "scap/run-report/v6" {
 		t.Fatalf("schema = %q; bump the golden and this pin together", r.Schema)
 	}
 	got, err := json.MarshalIndent(r, "", "  ")

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Snapshots are timed samples of the counter/gauge registry, taken on
+// Snapshots are timed samples of the counter registry, taken on
 // request. A caller that runs several units in one process (the
 // repository benchmark) takes one at the end of each unit to read that
 // unit's counters; the run report does not carry them.
@@ -15,7 +15,6 @@ import (
 type Snapshot struct {
 	AtMs     float64          `json:"at_ms"`
 	Counters map[string]int64 `json:"counters,omitempty"`
-	Gauges   map[string]int64 `json:"gauges,omitempty"`
 }
 
 var series struct {
@@ -40,14 +39,6 @@ func TakeSnapshot() {
 				snap.Counters = map[string]int64{}
 			}
 			snap.Counters[name] = v
-		}
-	}
-	for name, g := range reg.gauges {
-		if v := g.Value(); v != 0 {
-			if snap.Gauges == nil {
-				snap.Gauges = map[string]int64{}
-			}
-			snap.Gauges[name] = v
 		}
 	}
 	reg.mu.Unlock()

@@ -21,8 +21,6 @@ var (
 	cFactorBuilds = obs.NewCounter("pgrid.sparse.factor.builds")
 	cSolves       = obs.NewCounter("pgrid.sparse.solves")
 	cSweeps       = obs.NewCounter("pgrid.sparse.triangular_sweeps")
-	gFactorNNZ    = obs.NewGauge("pgrid.sparse.factor_nnz")
-	hFillRatio    = obs.NewHistogram("pgrid.sparse.fill_ratio")
 	// Subtree utilization of the parallel numeric pass: row chunks
 	// eliminated (one per recursion-tree node) vs chunks handed to a
 	// spawned goroutine.
@@ -289,8 +287,6 @@ func factorize(g *Grid) (*Factorization, error) {
 	}
 	numSpan.End()
 
-	gFactorNNZ.Max(f.NNZ())
-	hFillRatio.Observe(f.FillRatio())
 	obs.SetRunInfo("sparse_factor_nnz", f.NNZ())
 	obs.SetRunInfo("sparse_fill_ratio", math.Round(f.FillRatio()*1000)/1000)
 	return f, nil

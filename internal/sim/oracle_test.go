@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scap/internal/cell"
@@ -358,17 +359,60 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// dropEntry returns copies of the CSR list (start, list) without entry k
+// of net n's row.
+func dropEntry(start, list []int32, n netlist.NetID, k int) ([]int32, []int32) {
+	at := int(start[n]) + k
+	list = append(append([]int32(nil), list[:at]...), list[at+1:]...)
+	start = append([]int32(nil), start...)
+	for i := int(n) + 1; i < len(start); i++ {
+		start[i]--
+	}
+	return start, list
+}
+
 // dropFanout returns a copy of s whose table lacks entry k of net n's
 // fanout list.
 func dropFanout(s *Simulator, n netlist.NetID, k int) *Simulator {
 	m := *s
-	at := int(s.fanStart[n]) + k
-	m.fanout = append(append([]int32(nil), s.fanout[:at]...), s.fanout[at+1:]...)
-	m.fanStart = append([]int32(nil), s.fanStart...)
-	for i := int(n) + 1; i < len(m.fanStart); i++ {
-		m.fanStart[i]--
-	}
+	m.fanStart, m.fanout = dropEntry(s.fanStart, s.fanout, n, k)
 	return &m
+}
+
+// dropGateLoad returns a copy of s whose gate-only fanout list lacks
+// entry k of net n's row.
+func dropGateLoad(s *Simulator, n netlist.NetID, k int) *Simulator {
+	m := *s
+	m.gateStart, m.gateFan = dropEntry(s.gateStart, s.gateFan, n, k)
+	return &m
+}
+
+// catchesMutation runs the property test's cases on the mutated table
+// mut and reports whether any launch differs from the reference.
+func catchesMutation(t *testing.T, d *netlist.Design, mut *Simulator) bool {
+	tms := oracleTimings(t, d, mut)
+	ls := NewLaunchScratch(mut)
+	for k, c := range oracleCases(d, mut, 24, 11) {
+		if diffLaunch(tms[k%len(tms)], ls, c) != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// invOfFlop finds an inverter or buffer fed by a flop output, so any
+// change of the flop must reach it: the net and the gate's position.
+func invOfFlop(t *testing.T, s *Simulator) (netlist.NetID, int32) {
+	for i := range s.flops {
+		q := s.flops[i].out
+		for _, e := range s.loadsOf(q) {
+			if e >= 0 && (s.gates[e].kind == cell.Inv || s.gates[e].kind == cell.Buf) {
+				return q, e
+			}
+		}
+	}
+	t.Fatal("no flop output drives an inverter or buffer")
+	return 0, 0
 }
 
 // TestReferenceCatchesDroppedFanout is the mutation check of the
@@ -377,28 +421,19 @@ func dropFanout(s *Simulator, n netlist.NetID, k int) *Simulator {
 // must reach it), the comparison has to fail on the same cases.
 func TestReferenceCatchesDroppedFanout(t *testing.T) {
 	d, s := socSim(t)
-	var mut *Simulator
-	for i := range s.flops {
-		q := s.flops[i].out
-		for k, e := range s.loadsOf(q) {
-			if e >= 0 && (s.gates[e].kind == cell.Inv || s.gates[e].kind == cell.Buf) {
-				mut = dropFanout(s, q, k)
-				break
-			}
-		}
-		if mut != nil {
-			break
-		}
+	q, p := invOfFlop(t, s)
+	if !catchesMutation(t, d, dropFanout(s, q, slices.Index(s.loadsOf(q), p))) {
+		t.Fatal("the reference comparison missed a dropped fanout entry")
 	}
-	if mut == nil {
-		t.Fatal("no flop output drives an inverter or buffer")
+}
+
+// TestReferenceCatchesDroppedGateLoad is the same check for the gate-only
+// fanout list the settle marks from: with the inverter's entry missing,
+// an incremental settle leaves it stale and the comparison has to fail.
+func TestReferenceCatchesDroppedGateLoad(t *testing.T) {
+	d, s := socSim(t)
+	q, p := invOfFlop(t, s)
+	if !catchesMutation(t, d, dropGateLoad(s, q, slices.Index(s.GateLoads(q), p))) {
+		t.Fatal("the reference comparison missed a dropped gate-only fanout entry")
 	}
-	tms := oracleTimings(t, d, mut)
-	ls := NewLaunchScratch(mut)
-	for k, c := range oracleCases(d, mut, 24, 11) {
-		if diffLaunch(tms[k%len(tms)], ls, c) != nil {
-			return
-		}
-	}
-	t.Fatal("the reference comparison missed a dropped fanout entry")
 }

@@ -21,8 +21,6 @@ var (
 	cSettleInc    = obs.NewCounter("sim.settles_incremental")
 	cSettleSkip   = obs.NewCounter("sim.settles_skipped")
 	cSettleGates  = obs.NewCounter("sim.settle_gates_evaluated")
-	hSettleCone   = obs.NewHistogram("sim.settle_cone_gates")
-	hConeEvents   = obs.NewHistogram("sim.cone_events")
 )
 
 func init() {
@@ -222,26 +220,22 @@ func (ls *LaunchScratch) settle(v1, pis []logic.V) {
 	copy(ls.basePIs, pis)
 	cSettleInc.Add(1)
 	cSettleGates.Add(int64(evals))
-	hSettleCone.Observe(float64(evals))
 }
 
-// markLoads marks every combinational load of net n dirty. Flop D pins
-// are skipped: flop inputs do not feed back combinationally, and the
-// launch state v1/v2 is supplied by the caller, not captured here.
+// markLoads marks every gate load of net n dirty, from the ascending
+// gate-only fanout list. Flop D pins are not in it: flop inputs do not
+// feed back combinationally, and the launch state v1/v2 is supplied by
+// the caller, not captured here.
 func (ls *LaunchScratch) markLoads(n netlist.NetID) {
-	for _, e := range ls.s.loadsOf(n) {
-		if e < 0 {
-			continue
-		}
-		p := int(e)
-		ls.dirty[p>>6] |= 1 << uint(p&63)
-		if p < ls.lo {
-			ls.lo = p
-		}
-		if p > ls.hi {
-			ls.hi = p
-		}
+	loads := ls.s.GateLoads(n)
+	if len(loads) == 0 {
+		return
 	}
+	for _, p := range loads {
+		ls.dirty[p>>6] |= 1 << uint(p&63)
+	}
+	ls.lo = min(ls.lo, int(loads[0]))
+	ls.hi = max(ls.hi, int(loads[len(loads)-1]))
 }
 
 // pushEvent schedules net n to take value v at time t; width is the

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"scap/internal/cell"
 	"scap/internal/logic"
@@ -31,21 +32,29 @@ import (
 //   - fanStart/fanout is a CSR fanout list per net, in the netlist's load
 //     order: a gate position, or ^slot for the D pin of flop slot. The
 //     other flop pins (SI, SE) have no combinational or endpoint effect
-//     during a launch and are dropped;
+//     during a launch and are dropped. The timing event loop and the
+//     fault cone read it: its order fixes event seq and observer order;
+//   - gateStart/gateFan is a second CSR list per net holding only its gate
+//     loads, each position once, in ascending order. Dirty sweeps (the
+//     launch settle and ATPG implication) mark from it and take the
+//     marked range from its first and last entry;
 //   - driver[n] is net n's driving instance, NoInst for a primary input.
 type Simulator struct {
-	d        *netlist.Design
-	gates    []gate
-	flops    []gate
-	fanStart []int32
-	fanout   []int32
-	driver   []netlist.InstID
+	d         *netlist.Design
+	gates     []Gate
+	flops     []Gate
+	fanStart  []int32
+	fanout    []int32
+	gateStart []int32
+	gateFan   []int32
+	driver    []netlist.InstID
 }
 
-// gate is one row of the flat table: the cell kind and arity, four input
+// Gate is one row of the flat table: the cell kind and arity, four input
 // nets in pin order (pins past the arity repeat pin 0), the output net and
-// the instance (the key of sdf.Delays.Of).
-type gate struct {
+// the instance (the key of sdf.Delays.Of). Rows are read only outside
+// this package.
+type Gate struct {
 	in   [4]netlist.NetID
 	out  netlist.NetID
 	id   netlist.InstID
@@ -53,12 +62,32 @@ type gate struct {
 	n    uint8
 }
 
+// Kind returns the gate's cell kind.
+func (g *Gate) Kind() cell.Kind { return g.kind }
+
+// Inputs returns the gate's input nets in pin order.
+func (g *Gate) Inputs() []netlist.NetID { return g.in[:g.n] }
+
+// Out returns the gate's output net.
+func (g *Gate) Out() netlist.NetID { return g.out }
+
+// ID returns the gate's instance.
+func (g *Gate) ID() netlist.InstID { return g.id }
+
 // eval returns the gate's output under the net values nets. It packs all
 // four pins and masks off those past the arity, so a gate costs the same
 // four loads and no branch whatever its kind.
-func (g *gate) eval(nets []logic.V) logic.V {
+func (g *Gate) eval(nets []logic.V) logic.V {
 	idx := uint32(nets[g.in[0]]) | uint32(nets[g.in[1]])<<2 |
 		uint32(nets[g.in[2]])<<4 | uint32(nets[g.in[3]])<<6
+	return cell.EvalPacked(g.kind, idx&(1<<(2*g.n)-1))
+}
+
+// EvalAt is eval over packed net values: each byte of vals holds several
+// logic.V fields, and the gate reads the 2-bit field at bit shift.
+func (g *Gate) EvalAt(vals []uint8, shift uint) logic.V {
+	idx := uint32(vals[g.in[0]]>>shift&3) | uint32(vals[g.in[1]]>>shift&3)<<2 |
+		uint32(vals[g.in[2]]>>shift&3)<<4 | uint32(vals[g.in[3]]>>shift&3)<<6
 	return cell.EvalPacked(g.kind, idx&(1<<(2*g.n)-1))
 }
 
@@ -69,19 +98,20 @@ func New(d *netlist.Design) (*Simulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	row := func(inst *netlist.Instance) gate {
+	row := func(inst *netlist.Instance) Gate {
 		in0 := inst.In[0]
-		g := gate{in: [4]netlist.NetID{in0, in0, in0, in0}, out: inst.Out, id: inst.ID,
+		g := Gate{in: [4]netlist.NetID{in0, in0, in0, in0}, out: inst.Out, id: inst.ID,
 			kind: inst.Kind, n: uint8(len(inst.In))}
 		copy(g.in[:], inst.In)
 		return g
 	}
 	s := &Simulator{
-		d:        d,
-		gates:    make([]gate, 0, d.NumGates()),
-		flops:    make([]gate, len(d.Flops)),
-		fanStart: make([]int32, d.NumNets()+1),
-		driver:   make([]netlist.InstID, d.NumNets()),
+		d:         d,
+		gates:     make([]Gate, 0, d.NumGates()),
+		flops:     make([]Gate, len(d.Flops)),
+		fanStart:  make([]int32, d.NumNets()+1),
+		gateStart: make([]int32, d.NumNets()+1),
+		driver:    make([]netlist.InstID, d.NumNets()),
 	}
 	// pos[id] is a gate's position or ^slot for a flop: the fanout encoding.
 	pos := make([]int32, d.NumInsts())
@@ -110,7 +140,40 @@ func New(d *netlist.Design) (*Simulator, error) {
 		}
 		s.fanStart[i+1] = int32(len(s.fanout))
 	}
+	s.buildGateFanout()
 	return s, nil
+}
+
+// buildGateFanout fills gateStart/gateFan by counting sort: it counts
+// each net's gate loads, turns the counts into row ends, then visits the
+// gates in descending position and fills each row from its end, so every
+// row comes out ascending and no list needs sorting. A net on several
+// pins of one gate is listed once.
+func (s *Simulator) buildGateFanout() {
+	end := s.gateStart[:len(s.gateStart)-1]
+	for i := range s.gates {
+		g := &s.gates[i]
+		for p, n := range g.in[:g.n] {
+			if !slices.Contains(g.in[:p], n) {
+				end[n]++
+			}
+		}
+	}
+	for n := 1; n < len(end); n++ {
+		end[n] += end[n-1]
+	}
+	total := end[len(end)-1]
+	s.gateFan = make([]int32, total)
+	for i := len(s.gates) - 1; i >= 0; i-- {
+		g := &s.gates[i]
+		for p, n := range g.in[:g.n] {
+			if !slices.Contains(g.in[:p], n) {
+				end[n]--
+				s.gateFan[end[n]] = int32(i)
+			}
+		}
+	}
+	s.gateStart[len(s.gateStart)-1] = total
 }
 
 // Design returns the simulated design.
@@ -119,6 +182,16 @@ func (s *Simulator) Design() *netlist.Design { return s.d }
 // loadsOf returns net n's fanout entries (see Simulator).
 func (s *Simulator) loadsOf(n netlist.NetID) []int32 {
 	return s.fanout[s.fanStart[n]:s.fanStart[n+1]]
+}
+
+// Gates returns the gate rows in position (topological) order. The slice
+// is the table itself: read only.
+func (s *Simulator) Gates() []Gate { return s.gates }
+
+// GateLoads returns the positions of net n's gate loads, ascending, each
+// once. The slice is the table itself: read only.
+func (s *Simulator) GateLoads(n netlist.NetID) []int32 {
+	return s.gateFan[s.gateStart[n]:s.gateStart[n+1]]
 }
 
 // NewNets returns a fresh all-X net-value vector.
@@ -185,7 +258,7 @@ func (s *Simulator) PropagateW(nets []logic.Word) {
 }
 
 // evalW is the 64-way parallel counterpart of eval.
-func (g *gate) evalW(nets []logic.Word) logic.Word {
+func (g *Gate) evalW(nets []logic.Word) logic.Word {
 	var buf [4]logic.Word
 	in := buf[:g.n]
 	for p := range in {
@@ -196,7 +269,12 @@ func (g *gate) evalW(nets []logic.Word) logic.Word {
 
 // CaptureStateW is the 64-way parallel counterpart of CaptureState.
 func (s *Simulator) CaptureStateW(nets []logic.Word) []logic.Word {
-	out := make([]logic.Word, len(s.flops))
+	return s.CaptureStateWInto(make([]logic.Word, len(s.flops)), nets)
+}
+
+// CaptureStateWInto is the buffer-reusing form of CaptureStateW: it writes
+// into out (which must be len(d.Flops)) and returns it.
+func (s *Simulator) CaptureStateWInto(out, nets []logic.Word) []logic.Word {
 	for i := range s.flops {
 		out[i] = s.flops[i].evalW(nets)
 	}

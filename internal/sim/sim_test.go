@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scap/internal/cell"
@@ -113,6 +114,36 @@ func socSim(t *testing.T) (*netlist.Design, *Simulator) {
 		t.Fatal(err)
 	}
 	return d, s
+}
+
+// TestGateLoadsAscending checks the gate-only fanout list against the
+// netlist: each net's row holds exactly the positions of the gates that
+// read it, each once, in ascending order, and a gate's loads all sit
+// above it.
+func TestGateLoadsAscending(t *testing.T) {
+	d, s := socSim(t)
+	pos := map[netlist.InstID]int32{}
+	for p := range s.gates {
+		pos[s.gates[p].id] = int32(p)
+	}
+	for n := range d.Nets {
+		var want []int32
+		for _, ld := range d.Nets[n].Loads {
+			if p, ok := pos[ld.Inst]; ok && !slices.Contains(want, p) {
+				want = append(want, p)
+			}
+		}
+		slices.Sort(want)
+		got := s.GateLoads(netlist.NetID(n))
+		if !slices.Equal(got, want) {
+			t.Fatalf("net %s: gate loads %v, want %v", d.Nets[n].Name, got, want)
+		}
+	}
+	for p := range s.gates {
+		if loads := s.GateLoads(s.gates[p].out); len(loads) > 0 && int(loads[0]) <= p {
+			t.Fatalf("gate %d drives position %d", p, loads[0])
+		}
+	}
 }
 
 // TestParallelMatchesScalar is the key cross-check between the two

@@ -9,14 +9,13 @@ import (
 	"scap/internal/sdf"
 )
 
-// Event-loop observability: dispatched/suppressed counts and the queue
-// high-water mark are tracked in launch-local variables and flushed
-// once per Launch, so the event loop itself carries no atomic traffic.
+// Event-loop observability: dispatched/suppressed counts are tracked in
+// launch-local variables and flushed once per Launch, so the event loop
+// itself carries no atomic traffic.
 var (
 	cLaunches   = obs.NewCounter("sim.launches")
 	cDispatched = obs.NewCounter("sim.events_dispatched")
 	cSuppressed = obs.NewCounter("sim.events_suppressed")
-	gQueueHWM   = obs.NewGauge("sim.queue_high_water")
 )
 
 // Clock supplies per-flop clock arrival times (ns after the clock-source
@@ -252,11 +251,8 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 	}
 
 	horizon := 4 * period // safety: glitch tails beyond this are abandoned
-	dispatched, queueHWM := 0, len(ls.q)
+	dispatched := 0
 	for len(ls.q) > 0 {
-		if len(ls.q) > queueHWM {
-			queueHWM = len(ls.q)
-		}
 		ev := ls.q.pop()
 		dispatched++
 		if ls.voidStamp[ev.seq] == ls.gen {
@@ -317,7 +313,5 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 	cLaunches.Add(1)
 	cDispatched.Add(int64(dispatched))
 	cSuppressed.Add(int64(res.Suppressed))
-	gQueueHWM.Max(int64(queueHWM))
-	hConeEvents.Observe(float64(dispatched))
 	return res, nil
 }
