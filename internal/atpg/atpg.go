@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"fmt"
-	"time"
 
 	"scap/internal/fault"
 	"scap/internal/faultsim"
@@ -13,16 +12,12 @@ import (
 	"scap/internal/scan"
 )
 
-// ATPG observability: the fill/expansion step is attributed separately
-// from generation (it runs once per emitted pattern), timed only while
-// instrumentation is enabled and flushed once per Run. The implication
-// counters come from the per-engine genStats sums, so they are identical
-// for any worker count.
+// ATPG observability, flushed once per Run. The implication counters come
+// from the per-engine genStats sums, so they are identical for any worker
+// count.
 var (
 	cATPGRuns      = obs.NewCounter("atpg.runs")
 	cATPGPatterns  = obs.NewCounter("atpg.patterns")
-	cFillExpand    = obs.NewCounter("atpg.fill_expansions")
-	cFillBusyNs    = obs.NewCounter("atpg.fill_busy_ns")
 	cGenWaves      = obs.NewCounter("atpg.implication_waves")
 	cGenBacktracks = obs.NewCounter("atpg.backtracks")
 )
@@ -179,8 +174,6 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	if maxSec == 0 {
 		maxSec = 32
 	}
-	measureFill := obs.On()
-	var fillBusy int64
 
 	// Epoch-based sharded generation. Each epoch snapshots the next (up
 	// to) 64 undetected primaries, generates them in parallel on
@@ -277,14 +270,7 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 					kept = append(kept, fj)
 				}
 			}
-			var fillT0 time.Time
-			if measureFill {
-				fillT0 = time.Now()
-			}
 			v1, pis := fil.Expand(po.cube)
-			if measureFill {
-				fillBusy += time.Since(fillT0).Nanoseconds()
-			}
 			patIdx := opts.PatternBase + len(res.Patterns)
 			recordFault("detected", patIdx)
 			res.Patterns = append(res.Patterns, Pattern{
@@ -323,8 +309,6 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 
 	cATPGRuns.Add(1)
 	cATPGPatterns.Add(int64(len(res.Patterns)))
-	cFillExpand.Add(int64(len(res.Patterns)))
-	cFillBusyNs.Add(fillBusy)
 	cGenWaves.Add(res.Gen.Waves)
 	cGenBacktracks.Add(res.Gen.Backtracks)
 	res.Counts = l.CountOf(subset)

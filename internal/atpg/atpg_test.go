@@ -234,6 +234,48 @@ func TestFillZeroQuietsUntargetedBlocks(t *testing.T) {
 	}
 }
 
+// TestAdjacentFillMinimizesShiftPower is the classic fill trade-off: on
+// real ATPG patterns, adjacent fill must give far fewer transitions
+// between neighbouring cells of a chain (the bits that toggle the chain
+// while it shifts) than random fill, and fill-0 fewer too.
+func TestAdjacentFillMinimizesShiftPower(t *testing.T) {
+	r := newRig(t, 96)
+	flopIdx := make(map[netlist.InstID]int, len(r.d.Flops))
+	for i, f := range r.d.Flops {
+		flopIdx[f] = i
+	}
+	rates := map[Fill]float64{}
+	for _, fill := range []Fill{FillRandom, FillAdjacent, Fill0} {
+		res, err := Run(r.fs, fault.Universe(r.d), r.sc, Options{
+			Dom: 0, Fill: fill, Seed: 3, MaxPatterns: 40,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		transitions, pairs := 0, 0
+		for _, p := range res.Patterns {
+			for _, c := range r.sc.Chains {
+				for k := 1; k < len(c.Flops); k++ {
+					pairs++
+					if p.V1[flopIdx[c.Flops[k-1]]] != p.V1[flopIdx[c.Flops[k]]] {
+						transitions++
+					}
+				}
+			}
+		}
+		rates[fill] = float64(transitions) / float64(pairs)
+	}
+	t.Logf("shift transition rates: random=%.3f adjacent=%.3f fill0=%.3f",
+		rates[FillRandom], rates[FillAdjacent], rates[Fill0])
+	if rates[FillAdjacent] >= rates[FillRandom]/2 {
+		t.Fatalf("adjacent fill (%.3f) not well below random (%.3f)",
+			rates[FillAdjacent], rates[FillRandom])
+	}
+	if rates[Fill0] >= rates[FillRandom] {
+		t.Fatal("fill0 should also beat random on shift activity")
+	}
+}
+
 func TestLOSMode(t *testing.T) {
 	r := newRig(t, 96)
 	res, err := Run(r.fs, r.l, r.sc, Options{Dom: 0, Mode: LOS, Fill: FillRandom, Seed: 6})

@@ -197,14 +197,3 @@ func New180nm() *Library {
 	def(SDFF, 0.200, 0.190, 0.0015, 0.0014, 3.0, 3.6, 10)
 	return l
 }
-
-// ScaleDelay applies the library's voltage-derating model: the returned
-// delay is delay*(1 + KVolt*dropV) where dropV is the supply droop in volts
-// seen by the cell (>= 0 under IR-drop). This is the paper's
-// ScaledCellDelay = Delay * (1 + k_volt * dV) formula.
-func (l *Library) ScaleDelay(delay, dropV float64) float64 {
-	if dropV < 0 {
-		dropV = 0
-	}
-	return delay * (1 + l.KVolt*dropV)
-}

@@ -64,27 +64,6 @@ func TestLibraryCharacterization(t *testing.T) {
 	}
 }
 
-func TestScaleDelayMatchesPaperFormula(t *testing.T) {
-	l := New180nm()
-	// Paper: k_volt = 0.9 means a 0.1 V droop increases delay by 9%.
-	got := l.ScaleDelay(1.0, 0.1)
-	if want := 1.09; !closeTo(got, want, 1e-12) {
-		t.Fatalf("ScaleDelay(1, 0.1) = %v, want %v", got, want)
-	}
-	// Negative droop (overshoot) must not speed the cell up in this model.
-	if l.ScaleDelay(1.0, -0.2) != 1.0 {
-		t.Fatal("negative droop should clamp to nominal delay")
-	}
-}
-
-func closeTo(a, b, eps float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= eps
-}
-
 func TestEvalBasicGates(t *testing.T) {
 	z, o, x := logic.Zero, logic.One, logic.X
 	cases := []struct {

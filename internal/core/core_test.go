@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scap/internal/atpg"
+	"scap/internal/fault"
 	"scap/internal/soc"
 )
 
@@ -379,30 +380,39 @@ func TestGradeDetections(t *testing.T) {
 	}
 }
 
+// TestFullChipCoversAllDomains runs ATPG to completion on every clock
+// domain over one shared fault list (the paper generates "transition
+// fault test patterns per clock domain").
 func TestFullChipCoversAllDomains(t *testing.T) {
 	sys, _, _, _ := build(t)
-	sums, total, err := sys.FullChip()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sums) != len(sys.D.Domains) {
-		t.Fatalf("%d summaries for %d domains", len(sums), len(sys.D.Domains))
-	}
+	l := sys.NewFaultList()
+	var total fault.Counts
 	pats := 0
-	for _, s := range sums {
-		if s.Counts.Total == 0 {
-			t.Fatalf("domain %s has no faults", s.Name)
+	for dom := range sys.D.Domains {
+		res, err := sys.ATPG(l, atpg.Options{
+			Dom: dom, Fill: atpg.FillRandom, Seed: sys.Cfg.Seed + 40 + int64(dom),
+			PatternBase: pats,
+		})
+		if err != nil {
+			t.Fatalf("domain %d: %v", dom, err)
 		}
-		if s.Counts.Detected == 0 {
-			t.Fatalf("domain %s detected nothing", s.Name)
+		pats += len(res.Patterns)
+		c := l.CountOf(res.Subset)
+		name := sys.D.Domains[dom].Name
+		if c.Total == 0 {
+			t.Fatalf("domain %s has no faults", name)
 		}
-		pats += s.Patterns
-	}
-	if total.Detected == 0 || total.Total == 0 {
-		t.Fatal("empty totals")
+		if c.Detected == 0 {
+			t.Fatalf("domain %s detected nothing", name)
+		}
+		total.Total += c.Total
+		total.Detected += c.Detected
+		total.Undetected += c.Undetected
+		total.Aborted += c.Aborted
+		total.Untestable += c.Untestable
 	}
 	t.Logf("full chip: %d patterns across %d domains, %d/%d detected (TC %.1f%%)",
-		pats, len(sums), total.Detected, total.Total, 100*total.TestCoverage())
+		pats, len(sys.D.Domains), total.Detected, total.Total, 100*total.TestCoverage())
 	if total.TestCoverage() < 0.6 {
 		t.Fatalf("full-chip coverage %.1f%% too low", 100*total.TestCoverage())
 	}

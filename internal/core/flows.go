@@ -22,10 +22,6 @@ import (
 var tkPatterns = obs.NewTopK("core.pattern_hotspots", 16, "scap_nw",
 	"scap_mw", "cap_mw", "stw_ns", "toggles", "step", "target")
 
-// cAboveThreshold tallies AboveThreshold verdicts: how many profiled
-// patterns exceeded the paper's screening criterion.
-var cAboveThreshold = obs.NewCounter("core.patterns_above_threshold")
-
 // FlowResult is one complete pattern-generation flow for a clock domain.
 type FlowResult struct {
 	Name     string
@@ -290,46 +286,5 @@ func AboveThreshold(profiles []PatternProfile, block int, thresholdMW float64) i
 			n++
 		}
 	}
-	cAboveThreshold.Add(int64(n))
 	return n
-}
-
-// DomainSummary is one domain's contribution to a full-chip run.
-type DomainSummary struct {
-	Dom      int
-	Name     string
-	Patterns int
-	Counts   fault.Counts
-}
-
-// FullChip runs the conventional flow for every clock domain (the paper
-// generates "transition fault test patterns per clock domain") and returns
-// the per-domain summaries plus chip totals.
-func (sys *System) FullChip() ([]DomainSummary, fault.Counts, error) {
-	defer obs.StartSpan("full-chip").End()
-	l := sys.NewFaultList()
-	var out []DomainSummary
-	var total fault.Counts
-	base := 0
-	for dom := range sys.D.Domains {
-		res, err := sys.ATPG(l, atpg.Options{
-			Dom: dom, Fill: atpg.FillRandom, Seed: sys.Cfg.Seed + 40 + int64(dom),
-			PatternBase: base,
-		})
-		if err != nil {
-			return nil, total, fmt.Errorf("core: domain %d: %w", dom, err)
-		}
-		base += len(res.Patterns)
-		c := l.CountOf(res.Subset)
-		out = append(out, DomainSummary{
-			Dom: dom, Name: sys.D.Domains[dom].Name,
-			Patterns: len(res.Patterns), Counts: c,
-		})
-		total.Total += c.Total
-		total.Detected += c.Detected
-		total.Undetected += c.Undetected
-		total.Aborted += c.Aborted
-		total.Untestable += c.Untestable
-	}
-	return out, total, nil
 }

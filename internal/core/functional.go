@@ -83,19 +83,19 @@ func (sys *System) FunctionalPowerSim(dom, cycles int, seed int64) (*FunctionalP
 	return fp, nil
 }
 
-// TestVsFunctionalRatio compares a pattern set's mean launch power against
-// the functional baseline, per block (the paper: "the switching activity
+// TestVsFunctionalRatio compares a pattern set's launch power against the
+// functional baseline, per block (the paper: "the switching activity
 // during test is far greater and non-uniform than during functional
-// operation").
+// operation"). The ratio is the set's mean VDD SCAP of the block (each
+// pattern's energy over its own switching window) divided by the block's
+// functional mean CAP over VDD and VSS together (energy over the whole
+// tester cycle), so its two sides average over different windows.
 func TestVsFunctionalRatio(profiles []PatternProfile, functional *FunctionalPower, block int) float64 {
 	if len(profiles) == 0 || functional.MeanPowerMW[block] <= 0 {
 		return 0
 	}
 	sum := 0.0
 	for i := range profiles {
-		// Convert the block's SCAP back to cycle-average power for an
-		// apples-to-apples mean: CAP = SCAP * STW / T is already tracked
-		// chip-level only, so approximate with SCAP*STW/T per pattern.
 		sum += profiles[i].BlockSCAPVdd[block]
 	}
 	meanSCAP := sum / float64(len(profiles))

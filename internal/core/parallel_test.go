@@ -220,6 +220,35 @@ func TestScreenPatternsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestScreenPatternsMatchesOneByOne screens a set with a full and a
+// partial 64-pattern chunk on one worker, so the second chunk reuses the
+// first one's packing buffers, and checks every pattern reads the same
+// estimate as when it is screened alone: no slot of an earlier chunk leaks.
+func TestScreenPatternsMatchesOneByOne(t *testing.T) {
+	sys, _, conv, _ := build(t)
+	setWorkers(t, sys, 1)
+	const n = 100
+	if len(conv.Patterns) < n {
+		t.Fatalf("flow has %d patterns, want at least %d", len(conv.Patterns), n)
+	}
+	set := &FlowResult{Dom: conv.Dom, Patterns: conv.Patterns[:n]}
+	screens, err := sys.ScreenPatterns(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range set.Patterns {
+		alone, err := sys.ScreenPatterns(&FlowResult{Dom: conv.Dom, Patterns: set.Patterns[i : i+1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := screens[i], alone[0]
+		if got.Toggles != want.Toggles || got.EstChipCAPVdd != want.EstChipCAPVdd ||
+			!reflect.DeepEqual(got.EstBlockCAPVdd, want.EstBlockCAPVdd) {
+			t.Fatalf("pattern %d: in the set %+v, alone %+v", i, got, want)
+		}
+	}
+}
+
 // TestScreenTopSelection pins the triage contract: the selection is the
 // requested fraction (rounded up), sorted ascending, and every selected
 // pattern's block estimate dominates every rejected one's.

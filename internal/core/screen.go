@@ -4,8 +4,7 @@ import (
 	"math"
 	"sort"
 
-	"scap/internal/faultsim"
-	"scap/internal/logic"
+	"scap/internal/atpg"
 	"scap/internal/obs"
 	"scap/internal/parallel"
 	"scap/internal/power"
@@ -58,7 +57,7 @@ func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 		workers = nBatches
 	}
 	meters := make([]*power.Meter, workers)
-	batches := make([]faultsim.Batch, workers)
+	packers := make([]atpg.Packer, workers)
 	meters[0] = power.NewMeter(sys.D)
 	for w := 1; w < workers; w++ {
 		meters[w] = meters[0].Clone()
@@ -70,17 +69,9 @@ func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 			hi = n
 		}
 		chunk := fr.Patterns[lo:hi]
-		slotV1 := make([][]logic.V, len(chunk))
-		slotPI := make([][]logic.V, len(chunk))
-		for s := range chunk {
-			slotV1[s] = chunk[s].V1
-			slotPI[s] = chunk[s].PIs
-		}
-		v1W := logic.PackSlots(nil, slotV1)
-		piW := logic.PackSlots(nil, slotPI)
-		// GoodSimInto touches no Sim scratch, so the shared FSim serves
-		// every worker concurrently, each into its own batch.
-		b := sys.FSim.GoodSimInto(&batches[w], v1W, piW, fr.Dom, logic.ValidMask(len(chunk)))
+		// GoodSim touches no Sim scratch, so the shared FSim serves every
+		// worker concurrently, each through its own packer.
+		b := packers[w].GoodSim(sys.FSim, chunk, fr.Dom)
 		est := meters[w].PackedEstimate(b.N1, b.N2, b.Valid)
 		for s := range chunk {
 			ps := &out[lo+s]

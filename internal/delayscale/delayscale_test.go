@@ -86,6 +86,14 @@ func TestScaleDelaysAppliesPaperFormula(t *testing.T) {
 			t.Fatalf("inst %s: scaled %v, want %v", inst.Name, scaled.Rise[i], want)
 		}
 	}
+	// A negative droop (overshoot) clamps to zero: no cell speeds up.
+	scaled = ScaleDelays(w.d, w.dl, w.g, hotSolution(w, -0.2), 0.9)
+	for i := range w.d.Insts {
+		if scaled.Rise[i] != w.dl.Rise[i] || scaled.Fall[i] != w.dl.Fall[i] {
+			t.Fatalf("inst %s: overshoot scaled %v/%v, want nominal %v/%v", w.d.Insts[i].Name,
+				scaled.Rise[i], scaled.Fall[i], w.dl.Rise[i], w.dl.Fall[i])
+		}
+	}
 }
 
 func TestScaledClockSlowsOnlyAffectedRoutes(t *testing.T) {
@@ -187,47 +195,4 @@ func launchVectors(w *world) (v1, v2, pis []logic.V) {
 		}
 	}
 	return v1, v2, pis
-}
-
-func TestCompareCorners(t *testing.T) {
-	w := build(t)
-	sol := hotSolution(w, 0.3)
-	v1, v2, pis := launchVectors(w)
-	// Pick a tight period so violations exist: just above the nominal max
-	// endpoint delay.
-	// One scratch serves all five launches of this test (two Compare,
-	// three CompareCorners runs) — every settle after the first is a
-	// cone-cache hit on the identical pattern.
-	ls := sim.NewLaunchScratch(w.s)
-	imp, err := Compare(w.s, w.dl, w.tree, w.g, sol, w.kvolt, v1, v2, pis, 20, ls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxNom := 0.0
-	for i := range imp.Endpoints {
-		if imp.Endpoints[i].Active && imp.Endpoints[i].Nominal > maxNom {
-			maxNom = imp.Endpoints[i].Nominal
-		}
-	}
-	period := maxNom * 1.05
-	cc, err := CompareCorners(w.s, w.dl, w.tree, w.g, sol, w.kvolt, 1.30,
-		v1, v2, pis, period, ls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("period %.2f: nominal %d, slow-corner %d, IR-aware %d (missed %d, corner overkill %d)",
-		period, cc.NominalViol, cc.SlowCornerViol, cc.IRAwareViol,
-		cc.MissedBySlow, cc.OverkillOfSlow)
-	if cc.NominalViol != 0 {
-		t.Fatal("period was chosen above the nominal max — no nominal violations expected")
-	}
-	// The uniform slow corner derates everything by 30%; the hot-spot is
-	// localized, so the corner must flag at least as many endpoints as the
-	// IR-aware run fails in the hot region — the paper's pessimism.
-	if cc.SlowCornerViol == 0 {
-		t.Fatal("slow corner flagged nothing — scenario degenerate")
-	}
-	if cc.OverkillOfSlow == 0 {
-		t.Fatal("uniform corner showed no pessimism vs the localized analysis")
-	}
 }

@@ -16,7 +16,6 @@ import (
 	"scap/internal/atpg"
 	"scap/internal/fault"
 	"scap/internal/faultsim"
-	"scap/internal/logic"
 )
 
 // Observation is one pattern's tester response: the flops (design flop
@@ -69,14 +68,15 @@ func Run(fs *faultsim.Sim, l *fault.List, obs []Observation, opts Options) ([]Ca
 	tallies := make(map[int]*tally)
 	observedTotal := 0
 
-	var batch faultsim.Batch
+	var pk atpg.Packer
+	pats := make([]atpg.Pattern, 0, 64)
 	for base := 0; base < len(obs); base += 64 {
 		chunk := obs[base:min(base+64, len(obs))]
-		pats := make([]atpg.Pattern, len(chunk))
+		pats = pats[:0]
 		for s := range chunk {
-			pats[s] = chunk[s].Pattern
+			pats = append(pats, chunk[s].Pattern)
 		}
-		b := goodSim(fs, &batch, pats, opts.Dom)
+		b := pk.GoodSim(fs, pats, opts.Dom)
 
 		// Observed failure masks per flop for this chunk.
 		obsMask := map[int]uint64{}
@@ -132,10 +132,10 @@ func Run(fs *faultsim.Sim, l *fault.List, obs []Observation, opts Options) ([]Ca
 // flops. It is the test-side oracle used in the examples and tests.
 func Observe(fs *faultsim.Sim, l *fault.List, defect int, pats []atpg.Pattern, dom int) ([]Observation, error) {
 	var out []Observation
-	var batch faultsim.Batch
+	var pk atpg.Packer
 	for base := 0; base < len(pats); base += 64 {
 		chunk := pats[base:min(base+64, len(pats))]
-		b := goodSim(fs, &batch, chunk, dom)
+		b := pk.GoodSim(fs, chunk, dom)
 		flops, masks := fs.FailSlots(b, &l.Faults[defect])
 		for s := range chunk {
 			ob := Observation{Pattern: chunk[s]}
@@ -149,14 +149,4 @@ func Observe(fs *faultsim.Sim, l *fault.List, defect int, pats []atpg.Pattern, d
 		}
 	}
 	return out, nil
-}
-
-// goodSim packs up to 64 patterns into batch b, simulated for dom.
-func goodSim(fs *faultsim.Sim, b *faultsim.Batch, pats []atpg.Pattern, dom int) *faultsim.Batch {
-	v1 := make([][]logic.V, len(pats))
-	pis := make([][]logic.V, len(pats))
-	for s := range pats {
-		v1[s], pis[s] = pats[s].V1, pats[s].PIs
-	}
-	return fs.GoodSimInto(b, logic.PackSlots(nil, v1), logic.PackSlots(nil, pis), dom, logic.ValidMask(len(pats)))
 }

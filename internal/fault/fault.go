@@ -145,22 +145,6 @@ func representative(d *netlist.Design, n netlist.NetID, t Type) (netlist.NetID, 
 	}
 }
 
-// InBlocks returns the indexes of faults whose site lies in any of the
-// given blocks.
-func (l *List) InBlocks(blocks ...int) []int {
-	want := make(map[int]bool, len(blocks))
-	for _, b := range blocks {
-		want[b] = true
-	}
-	var out []int
-	for i := range l.Faults {
-		if want[l.Faults[i].Block] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // InDomain returns the indexes of faults whose site's fanout can be
 // captured by flops of the given clock domain — approximated structurally
 // as: the site's driver (or, for PI/flop-output sites, any load) belongs to

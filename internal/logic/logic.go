@@ -171,9 +171,6 @@ func (w Word) Xor(x Word) Word {
 // Known returns a mask of the slots that hold a defined (non-X) value.
 func (w Word) Known() uint64 { return w.Zero | w.One }
 
-// Eq reports whether the two words are identical in every slot.
-func (w Word) Eq(x Word) bool { return w == x }
-
 // Diff returns a mask of slots where w and x hold different *defined*
 // values (one is 0 and the other is 1). Slots where either side is X are
 // never reported as different.
@@ -226,23 +223,6 @@ func ValidMask(n int) uint64 {
 		return 0
 	}
 	return uint64(1)<<uint(n) - 1
-}
-
-// ClearSlots returns w with every masked slot forced to X.
-func (w Word) ClearSlots(mask uint64) Word {
-	return Word{Zero: w.Zero &^ mask, One: w.One &^ mask}
-}
-
-// SetSlots returns w with every masked slot forced to the scalar v.
-func (w Word) SetSlots(mask uint64, v V) Word {
-	w = w.ClearSlots(mask)
-	switch v {
-	case Zero:
-		w.Zero |= mask
-	case One:
-		w.One |= mask
-	}
-	return w
 }
 
 // Select returns a Word that takes slots from a where mask bits are 0 and

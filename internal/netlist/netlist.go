@@ -202,20 +202,6 @@ func (d *Design) LoadCap(id InstID) float64 {
 	return c
 }
 
-// NetCap returns the capacitance switched when net n toggles regardless of
-// driver type (used for primary-input nets, whose toggles are rare).
-func (d *Design) NetCap(n NetID) float64 {
-	net := &d.Nets[n]
-	c := net.WireCap
-	if net.Driver != NoInst {
-		c += d.Lib.Cell(d.Insts[net.Driver].Kind).OutputCap
-	}
-	for _, p := range net.Loads {
-		c += d.Lib.Cell(d.Insts[p.Inst].Kind).InputCap
-	}
-	return c
-}
-
 // BlockName returns the display name of block b ("B1".. by default).
 func (d *Design) BlockName(b int) string {
 	if b == NoBlock {

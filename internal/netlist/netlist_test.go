@@ -215,7 +215,7 @@ func TestBlockName(t *testing.T) {
 	}
 }
 
-func TestAccessorsAndNetCap(t *testing.T) {
+func TestNetAccessors(t *testing.T) {
 	d := buildToy(t)
 	if d.NumNets() != len(d.Nets) {
 		t.Fatal("NumNets")
@@ -228,21 +228,6 @@ func TestAccessorsAndNetCap(t *testing.T) {
 	}
 	if d.Net(n1).Name != "n1" {
 		t.Fatal("Net accessor")
-	}
-	// NetCap on an instance-driven net equals LoadCap of its driver.
-	drv := d.Net(n1).Driver
-	if got, want := d.NetCap(n1), d.LoadCap(drv); got != want {
-		t.Fatalf("NetCap %v, LoadCap %v", got, want)
-	}
-	// NetCap on a PI net counts only wire + load pins.
-	a := d.PIs[0]
-	d.Nets[a].WireCap = 3
-	want := 3.0
-	for _, p := range d.Nets[a].Loads {
-		want += d.Lib.Cell(d.Insts[p.Inst].Kind).InputCap
-	}
-	if got := d.NetCap(a); got != want {
-		t.Fatalf("PI NetCap %v, want %v", got, want)
 	}
 }
 

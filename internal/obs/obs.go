@@ -129,9 +129,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
-
 // RegisterDerived registers a metric computed from the counter snapshot
 // at report time (e.g. pool utilization = busy/capacity, factor cache
 // hits = calls - builds). fn returns ok=false to omit the metric (for

@@ -143,9 +143,6 @@ func (t *TopK) Snapshot() []TopEntry {
 	return out
 }
 
-// Name returns the registered name.
-func (t *TopK) Name() string { return t.name }
-
 // CostKey returns the name of the ranking cost.
 func (t *TopK) CostKey() string { return t.costKey }
 

@@ -23,15 +23,12 @@ import (
 	"scap/internal/obs"
 )
 
-// Pool observability: tasks dealt, busy time and pool utilization
-// (busy / capacity). Timing is only taken while
-// instrumentation is enabled; workers accumulate locally and flush
-// once per For call.
+// Pool observability: busy time and pool utilization (busy / capacity).
+// Timing is only taken while instrumentation is enabled; workers
+// accumulate locally and flush once per For call.
 var (
-	cPoolRuns  = obs.NewCounter("parallel.runs")
-	cPoolTasks = obs.NewCounter("parallel.tasks")
-	cBusyNs    = obs.NewCounter("parallel.busy_ns")
-	cCapNs     = obs.NewCounter("parallel.capacity_ns")
+	cBusyNs = obs.NewCounter("parallel.busy_ns")
+	cCapNs  = obs.NewCounter("parallel.capacity_ns")
 )
 
 func init() {
@@ -95,13 +92,11 @@ func For(workers, n int, body func(worker, i int) error) error {
 	}
 	if workers == 1 {
 		// Serial path: the one worker is busy for the whole wall time.
-		flush := func(tasks int64) {
+		flush := func() {
 			if !measure {
 				return
 			}
 			busy := time.Since(t0).Nanoseconds()
-			cPoolRuns.Add(1)
-			cPoolTasks.Add(tasks)
 			cBusyNs.Add(busy)
 			cCapNs.Add(busy)
 		}
@@ -116,11 +111,11 @@ func For(workers, n int, body func(worker, i int) error) error {
 				obs.TraceTask(0, stage, ts, time.Since(ts))
 			}
 			if err != nil {
-				flush(int64(i))
+				flush()
 				return err
 			}
 		}
-		flush(int64(n))
+		flush()
 		return nil
 	}
 
@@ -133,7 +128,6 @@ func For(workers, n int, body func(worker, i int) error) error {
 		firstIdx = n
 		firstErr error
 
-		tasksDone atomic.Int64
 		busyTotal atomic.Int64
 	)
 	for w := 0; w < workers; w++ {
@@ -172,15 +166,12 @@ func For(workers, n int, body func(worker, i int) error) error {
 			}
 			if measure {
 				busyTotal.Add(busy)
-				tasksDone.Add(tasks)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if measure {
 		wall := time.Since(t0).Nanoseconds()
-		cPoolRuns.Add(1)
-		cPoolTasks.Add(tasksDone.Load())
 		cBusyNs.Add(busyTotal.Load())
 		cCapNs.Add(wall * int64(workers))
 	}

@@ -93,40 +93,35 @@ func TestForErrorStopsAndSurfacesSmallestIndex(t *testing.T) {
 }
 
 // TestForFlushesPoolMetrics checks that both the serial and pooled
-// paths flush run/task counters once per For call when instrumentation
-// is enabled, and record nothing while disabled.
+// paths flush busy and capacity time when instrumentation is enabled,
+// that the serial path counts its one worker busy for the whole call,
+// and that nothing is recorded while disabled.
 func TestForFlushesPoolMetrics(t *testing.T) {
-	runsOff, tasksOff := cPoolRuns.Value(), cPoolTasks.Value()
+	busyOff, capOff := cBusyNs.Value(), cCapNs.Value()
 	if err := For(4, 50, func(_, _ int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if cPoolRuns.Value() != runsOff || cPoolTasks.Value() != tasksOff {
-		t.Fatalf("disabled run recorded metrics: runs=%d tasks=%d",
-			cPoolRuns.Value()-runsOff, cPoolTasks.Value()-tasksOff)
+	if cBusyNs.Value() != busyOff || cCapNs.Value() != capOff {
+		t.Fatalf("disabled run recorded metrics: busy=%d capacity=%d",
+			cBusyNs.Value()-busyOff, cCapNs.Value()-capOff)
 	}
 
 	obs.Enable()
 	defer obs.Disable()
-	runs0, tasks0, cap0 := cPoolRuns.Value(), cPoolTasks.Value(), cCapNs.Value()
+	cap0 := cCapNs.Value()
 	if err := For(4, 100, func(_, _ int) error { return nil }); err != nil {
 		t.Fatal(err)
-	}
-	if got := cPoolRuns.Value() - runs0; got != 1 {
-		t.Errorf("pooled For flushed %d runs, want 1", got)
-	}
-	if got := cPoolTasks.Value() - tasks0; got != 100 {
-		t.Errorf("pooled For flushed %d tasks, want 100", got)
 	}
 	if cCapNs.Value() <= cap0 {
 		t.Error("pooled For did not record capacity time")
 	}
 
-	runs0, tasks0 = cPoolRuns.Value(), cPoolTasks.Value()
+	busy0, cap0 := cBusyNs.Value(), cCapNs.Value()
 	if err := For(1, 10, func(_, _ int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got, gotT := cPoolRuns.Value()-runs0, cPoolTasks.Value()-tasks0; got != 1 || gotT != 10 {
-		t.Errorf("serial For flushed runs=%d tasks=%d, want 1/10", got, gotT)
+	if busy, capacity := cBusyNs.Value()-busy0, cCapNs.Value()-cap0; busy != capacity {
+		t.Errorf("serial For flushed busy=%d capacity=%d, want equal", busy, capacity)
 	}
 }
 

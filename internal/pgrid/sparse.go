@@ -21,24 +21,12 @@ var (
 	cFactorBuilds = obs.NewCounter("pgrid.sparse.factor.builds")
 	cSolves       = obs.NewCounter("pgrid.sparse.solves")
 	cSweeps       = obs.NewCounter("pgrid.sparse.triangular_sweeps")
-	// Subtree utilization of the parallel numeric pass: row chunks
-	// eliminated (one per recursion-tree node) vs chunks handed to a
-	// spawned goroutine.
-	cSubtreeTasks  = obs.NewCounter("pgrid.sparse.factor_subtree_tasks")
-	cSubtreeSpawns = obs.NewCounter("pgrid.sparse.factor_subtree_spawns")
 )
 
 func init() {
 	obs.RegisterDerived("pgrid.sparse.factor.cache_hits", func(c map[string]int64) (float64, bool) {
 		calls, builds := c["pgrid.sparse.factor.calls"], c["pgrid.sparse.factor.builds"]
 		return float64(calls - builds), calls > 0
-	})
-	obs.RegisterDerived("pgrid.sparse.factor_subtree_parallel_frac", func(c map[string]int64) (float64, bool) {
-		tasks, spawns := c["pgrid.sparse.factor_subtree_tasks"], c["pgrid.sparse.factor_subtree_spawns"]
-		if tasks <= 0 {
-			return 0, false
-		}
-		return float64(spawns) / float64(tasks), true
 	})
 }
 
@@ -406,12 +394,10 @@ func (f *Factorization) numericFactor(workers int, ap []int64, ai []int32, ax []
 	var walk func(idx int32, depth int)
 	walk = func(idx int32, depth int) {
 		nd := tree[idx]
-		cSubtreeTasks.Add(1)
 		if nd.left >= 0 {
 			l, r := tree[nd.left], tree[nd.right]
 			if workers > 1 && depth < spawnDepth &&
 				l.hi-l.lo >= subtreeMinRows && r.hi-r.lo >= subtreeMinRows {
-				cSubtreeSpawns.Add(1)
 				var wg sync.WaitGroup
 				wg.Add(1)
 				go func() {

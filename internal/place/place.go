@@ -27,9 +27,6 @@ func (r Rect) W() float64 { return r.X1 - r.X0 }
 // H returns the rectangle height.
 func (r Rect) H() float64 { return r.Y1 - r.Y0 }
 
-// Area returns the rectangle area.
-func (r Rect) Area() float64 { return r.W() * r.H() }
-
 // Center returns the rectangle midpoint.
 func (r Rect) Center() (float64, float64) {
 	return (r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2
@@ -38,11 +35,6 @@ func (r Rect) Center() (float64, float64) {
 // Contains reports whether (x, y) lies inside the rectangle.
 func (r Rect) Contains(x, y float64) bool {
 	return x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1
-}
-
-// Overlaps reports whether two rectangles intersect with positive area.
-func (r Rect) Overlaps(o Rect) bool {
-	return r.X0 < o.X1 && o.X0 < r.X1 && r.Y0 < o.Y1 && o.Y0 < r.Y1
 }
 
 // DieSize is the fixed die edge length in die units (~µm at the default

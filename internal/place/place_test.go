@@ -8,6 +8,14 @@ import (
 	"scap/internal/soc"
 )
 
+// Area returns the rectangle area.
+func (r Rect) Area() float64 { return r.W() * r.H() }
+
+// Overlaps reports whether two rectangles intersect with positive area.
+func (r Rect) Overlaps(o Rect) bool {
+	return r.X0 < o.X1 && o.X0 < r.X1 && r.Y0 < o.Y1 && o.Y0 < r.Y1
+}
+
 func TestFloorplanGeometry(t *testing.T) {
 	fp := NewFloorplan()
 	if len(fp.Blocks) != soc.NumBlocks {

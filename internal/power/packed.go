@@ -7,8 +7,6 @@ import (
 	"scap/internal/obs"
 )
 
-var cPackedEstimates = obs.NewCounter("power.packed_estimates")
-
 // PackedEstimate is the zero-delay switching estimate of up to 64 packed
 // patterns: for every pattern slot, the toggle count and switched energy
 // a settled-frames view of the launch cycle predicts. It deliberately
@@ -55,7 +53,6 @@ func (e *PackedEstimate) CAPVdd(s int, periodNs float64) float64 {
 // clones.
 func (m *Meter) PackedEstimate(n1, n2 []logic.Word, valid uint64) *PackedEstimate {
 	defer obs.TraceStart().End("power", "packed-estimate")
-	cPackedEstimates.Add(1)
 	d := m.d
 	nb := d.NumBlocks
 	est := &PackedEstimate{
@@ -91,41 +88,6 @@ func (m *Meter) PackedEstimate(n1, n2 []logic.Word, valid uint64) *PackedEstimat
 			} else {
 				est.EnergyVSS[s] += e
 			}
-		}
-	}
-	return est
-}
-
-// Estimate is the scalar single-pattern counterpart of PackedEstimate —
-// the reference the packed path is property-tested against (bit-identical
-// floats: both accumulate in instance order).
-type Estimate struct {
-	Toggles              int
-	EnergyVDD, EnergyVSS float64
-	BlockEnergyVDD       []float64
-}
-
-// ZeroDelayEstimate computes the zero-delay switching estimate of one
-// pattern from scalar settled frames (per-net values, e.g. a Simulator
-// Propagate result per frame).
-func (m *Meter) ZeroDelayEstimate(n1, n2 []logic.V) *Estimate {
-	d := m.d
-	est := &Estimate{BlockEnergyVDD: make([]float64, d.NumBlocks)}
-	for i := range d.Insts {
-		out := d.Insts[i].Out
-		v1, v2 := n1[out], n2[out]
-		if v1 == logic.X || v2 == logic.X || v1 == v2 {
-			continue
-		}
-		est.Toggles++
-		e := m.capOf[i] * m.vdd2
-		if v2 == logic.One {
-			est.EnergyVDD += e
-			if b := d.Insts[i].Block; b >= 0 {
-				est.BlockEnergyVDD[b] += e
-			}
-		} else {
-			est.EnergyVSS += e
 		}
 	}
 	return est

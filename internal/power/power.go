@@ -28,27 +28,7 @@ import (
 // loop, so toggles are counted in a meter-local field and flushed to
 // the shared counter once per pattern (on Reset and ReportBlocks, or
 // FlushToggles after a meter's last pattern).
-var (
-	cMeterResets   = obs.NewCounter("power.meter_resets")
-	cTogglesMeterd = obs.NewCounter("power.toggles_metered")
-)
-
-// Rail selects the VDD or VSS accounting.
-type Rail uint8
-
-// Rails.
-const (
-	VDD Rail = iota
-	VSS
-)
-
-// String names the rail.
-func (r Rail) String() string {
-	if r == VDD {
-		return "VDD"
-	}
-	return "VSS"
-}
+var cTogglesMeterd = obs.NewCounter("power.toggles_metered")
 
 // BlockPower is the per-block switching profile of one pattern.
 type BlockPower struct {
@@ -67,22 +47,6 @@ type BlockPower struct {
 	SCAPVdd, SCAPVss float64
 }
 
-// CAP returns the rail's cycle average power in mW.
-func (b *BlockPower) CAP(r Rail) float64 {
-	if r == VDD {
-		return b.CAPVdd
-	}
-	return b.CAPVss
-}
-
-// SCAP returns the rail's switching cycle average power in mW.
-func (b *BlockPower) SCAP(r Rail) float64 {
-	if r == VDD {
-		return b.SCAPVdd
-	}
-	return b.SCAPVss
-}
-
 // Profile is the complete power report of one pattern.
 type Profile struct {
 	Period float64 // tester cycle, ns
@@ -99,9 +63,6 @@ type Profile struct {
 
 // Chip returns the chip-level totals.
 func (p *Profile) Chip() *BlockPower { return &p.Blocks[len(p.Blocks)-1] }
-
-// Block returns block b's profile.
-func (p *Profile) Block(b int) *BlockPower { return &p.Blocks[b] }
 
 // Meter accumulates toggles from a timing simulation into a Profile.
 // It implements the paper's PLI-based SCAP calculator.
@@ -157,7 +118,6 @@ func (m *Meter) Clone() *Meter {
 // the meter sits in a per-pattern hot loop, and Report already copies
 // everything that escapes.
 func (m *Meter) Reset() {
-	cMeterResets.Add(1)
 	m.FlushToggles()
 	m.instEnergyVDD = resetF(m.instEnergyVDD, m.d.NumInsts())
 	m.instEnergyVSS = resetF(m.instEnergyVSS, m.d.NumInsts())

@@ -86,7 +86,7 @@ func TestMeterCountsEnergyAndSTW(t *testing.T) {
 		t.Fatalf("SCAP/CAP = %v, want %v", ratio, 20/chip.STW)
 	}
 	// Per-block split: block 0 has f1+i1 energy, block 1 has i2.
-	b0, b1 := p.Block(0), p.Block(1)
+	b0, b1 := &p.Blocks[0], &p.Blocks[1]
 	if !close(b0.EnergyVDD+b0.EnergyVSS, (d.LoadCap(f1ID)+d.LoadCap(i1ID))*vdd2) {
 		t.Fatalf("block0 energy %v", b0.EnergyVDD+b0.EnergyVSS)
 	}
@@ -116,16 +116,6 @@ func TestMeterReset(t *testing.T) {
 	}
 	if p.Chip().CAPVdd != 0 || p.Chip().SCAPVdd != 0 {
 		t.Fatal("zero-activity powers should be 0")
-	}
-}
-
-func TestRailAccessorsAndStrings(t *testing.T) {
-	b := BlockPower{CAPVdd: 1, CAPVss: 2, SCAPVdd: 3, SCAPVss: 4}
-	if b.CAP(VDD) != 1 || b.CAP(VSS) != 2 || b.SCAP(VDD) != 3 || b.SCAP(VSS) != 4 {
-		t.Fatal("rail accessors")
-	}
-	if VDD.String() != "VDD" || VSS.String() != "VSS" {
-		t.Fatal("rail strings")
 	}
 }
 

@@ -12,13 +12,6 @@ import (
 	"scap/internal/textplot"
 )
 
-// extension experiment ids appended to Experiments by init.
-var extensionIDs = []string{"ext-functional", "ext-ftas", "ext-quality", "ext-sched"}
-
-func init() {
-	Experiments = append(Experiments, extensionIDs...)
-}
-
 // ExtFunctional quantifies the paper's premise: test-mode switching far
 // exceeds mission-mode switching.
 func (r *Runner) ExtFunctional() (string, error) {

@@ -333,10 +333,3 @@ func (r *Runner) Fig7() (string, error) {
 		imp.Slowed > 0 && sped > 0, imp.MaxSlowdownFrac > 0.02 && imp.MaxSlowdownFrac < 1.0)
 	return b.String(), nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -86,49 +86,48 @@ func (r *Runner) NewProcedure() (*core.FlowResult, []core.PatternProfile, error)
 	return r.nw, r.newProf, nil
 }
 
-// Experiments lists every experiment id in paper order.
-var Experiments = []string{
-	"table1", "table2", "table3", "table4",
-	"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+// experiments is the one table of experiment ids, in report order (the
+// paper's tables and figures, then the extensions), and the method each
+// runs.
+var experiments = []struct {
+	id  string
+	run func(*Runner) (string, error)
+}{
+	{"table1", (*Runner).Table1},
+	{"table2", (*Runner).Table2},
+	{"table3", (*Runner).Table3},
+	{"table4", (*Runner).Table4},
+	{"fig1", (*Runner).Fig1},
+	{"fig2", (*Runner).Fig2},
+	{"fig3", (*Runner).Fig3},
+	{"fig4", (*Runner).Fig4},
+	{"fig5", (*Runner).Fig5},
+	{"fig6", (*Runner).Fig6},
+	{"fig7", (*Runner).Fig7},
+	{"ext-functional", (*Runner).ExtFunctional},
+	{"ext-ftas", (*Runner).ExtFTAS},
+	{"ext-quality", (*Runner).ExtQuality},
+	{"ext-sched", (*Runner).ExtSched},
 }
+
+// Experiments lists every experiment id in report order.
+var Experiments = func() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}()
 
 // Run dispatches one experiment by id.
 func (r *Runner) Run(id string) (string, error) {
-	switch id {
-	case "table1":
-		return r.Table1()
-	case "table2":
-		return r.Table2()
-	case "table3":
-		return r.Table3()
-	case "table4":
-		return r.Table4()
-	case "fig1":
-		return r.Fig1()
-	case "fig2":
-		return r.Fig2()
-	case "fig3":
-		return r.Fig3()
-	case "fig4":
-		return r.Fig4()
-	case "fig5":
-		return r.Fig5()
-	case "fig6":
-		return r.Fig6()
-	case "fig7":
-		return r.Fig7()
-	case "ext-functional":
-		return r.ExtFunctional()
-	case "ext-ftas":
-		return r.ExtFTAS()
-	case "ext-quality":
-		return r.ExtQuality()
-	case "ext-sched":
-		return r.ExtSched()
-	default:
-		return "", fmt.Errorf("repro: unknown experiment %q (have %s)",
-			id, strings.Join(Experiments, ", "))
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(r)
+		}
 	}
+	return "", fmt.Errorf("repro: unknown experiment %q (have %s)",
+		id, strings.Join(Experiments, ", "))
 }
 
 // All runs every experiment and concatenates the reports.

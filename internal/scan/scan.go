@@ -27,12 +27,6 @@ type Chain struct {
 	Flops []netlist.InstID
 }
 
-// Pos locates a flop inside the chain set.
-type Pos struct {
-	Chain int // index into Scan.Chains
-	Index int // position within the chain
-}
-
 // Scan is the result of scan insertion.
 type Scan struct {
 	D      *netlist.Design
@@ -41,8 +35,6 @@ type Scan struct {
 	SE  netlist.NetID   // global scan-enable net (a primary input)
 	SIs []netlist.NetID // per-chain scan-in nets (primary inputs)
 	SOs []netlist.NetID // per-chain scan-out nets (marked primary outputs)
-
-	pos map[netlist.InstID]Pos
 }
 
 // Config controls scan insertion.
@@ -89,7 +81,7 @@ func Insert(d *netlist.Design, cfg Config) (*Scan, error) {
 	}
 	total := len(d.Flops) - len(neg)
 
-	sc := &Scan{D: d, pos: make(map[netlist.InstID]Pos, len(d.Flops))}
+	sc := &Scan{D: d}
 	sc.SE = d.AddPI("scan_enable")
 
 	addChain := func(name string, domain int, negEdge bool, flops []netlist.InstID) {
@@ -102,9 +94,8 @@ func Insert(d *netlist.Design, cfg Config) (*Scan, error) {
 		ci := len(sc.Chains)
 		si := d.AddPI(fmt.Sprintf("si%d", ci))
 		prev := si
-		for k, f := range flops {
+		for _, f := range flops {
 			d.ConvertToScan(f, prev, sc.SE)
-			sc.pos[f] = Pos{Chain: ci, Index: k}
 			prev = d.Inst(f).Out
 		}
 		d.MarkPO(prev)
@@ -173,21 +164,6 @@ func serpentine(d *netlist.Design, flops []netlist.InstID) {
 	}
 }
 
-// PosOf returns the chain position of flop f.
-func (sc *Scan) PosOf(f netlist.InstID) (Pos, bool) {
-	p, ok := sc.pos[f]
-	return p, ok
-}
-
-// NumFlops returns the total number of scan cells over all chains.
-func (sc *Scan) NumFlops() int {
-	n := 0
-	for i := range sc.Chains {
-		n += len(sc.Chains[i].Flops)
-	}
-	return n
-}
-
 // MaxChainLen returns the longest chain length (the shift cycle count).
 func (sc *Scan) MaxChainLen() int {
 	m := 0
@@ -197,100 +173,6 @@ func (sc *Scan) MaxChainLen() int {
 		}
 	}
 	return m
-}
-
-// ShiftIn performs a functional scan shift of the given per-chain vectors
-// (vectors[c][0] ends up in chain c's first cell, i.e. it is shifted in
-// last) using the zero-delay simulator, starting from state start
-// (d.Flops order; may be nil for all-X). It returns the resulting state.
-// Every vector must match its chain length. PIs other than scan pins hold
-// the provided values.
-func (sc *Scan) ShiftIn(s *sim.Simulator, start []logic.V, vectors [][]logic.V, pis []logic.V) ([]logic.V, error) {
-	d := sc.D
-	if len(vectors) != len(sc.Chains) {
-		return nil, fmt.Errorf("scan: %d vectors for %d chains", len(vectors), len(sc.Chains))
-	}
-	for c := range vectors {
-		if len(vectors[c]) != len(sc.Chains[c].Flops) {
-			return nil, fmt.Errorf("scan: chain %d vector length %d, want %d",
-				c, len(vectors[c]), len(sc.Chains[c].Flops))
-		}
-	}
-	state := make([]logic.V, len(d.Flops))
-	if start == nil {
-		for i := range state {
-			state[i] = logic.X
-		}
-	} else {
-		copy(state, start)
-	}
-	if pis == nil {
-		pis = make([]logic.V, len(d.PIs))
-		for i := range pis {
-			pis[i] = logic.X
-		}
-	} else {
-		cp := make([]logic.V, len(d.PIs))
-		copy(cp, pis)
-		pis = cp
-	}
-	pis[d.Nets[sc.SE].PI] = logic.One
-
-	cycles := sc.MaxChainLen()
-	nets := s.NewNets()
-	for cyc := 0; cyc < cycles; cyc++ {
-		// The bit destined for position p must enter at cycle cycles-1-p,
-		// so shorter chains see don't-care padding during the early cycles
-		// and their real bits during the last len(chain) cycles.
-		for c := range sc.Chains {
-			vec := vectors[c]
-			idx := cycles - 1 - cyc
-			bit := logic.X
-			if idx < len(vec) {
-				bit = vec[idx]
-			}
-			pis[d.Nets[sc.SIs[c]].PI] = bit
-		}
-		s.SetPIs(nets, pis)
-		s.ApplyState(nets, state)
-		s.Propagate(nets)
-		state = s.CaptureState(nets)
-	}
-	return state, nil
-}
-
-// StateOf converts per-chain vectors directly into a per-flop state vector
-// without simulating the shift (vectors[c][k] lands in chain c cell k).
-func (sc *Scan) StateOf(vectors [][]logic.V) ([]logic.V, error) {
-	if len(vectors) != len(sc.Chains) {
-		return nil, fmt.Errorf("scan: %d vectors for %d chains", len(vectors), len(sc.Chains))
-	}
-	d := sc.D
-	state := make([]logic.V, len(d.Flops))
-	for i := range state {
-		state[i] = logic.X
-	}
-	flopIdx := make(map[netlist.InstID]int, len(d.Flops))
-	for i, f := range d.Flops {
-		flopIdx[f] = i
-	}
-	for c := range sc.Chains {
-		if len(vectors[c]) != len(sc.Chains[c].Flops) {
-			return nil, fmt.Errorf("scan: chain %d vector length %d, want %d",
-				c, len(vectors[c]), len(sc.Chains[c].Flops))
-		}
-		for k, f := range sc.Chains[c].Flops {
-			state[flopIdx[f]] = vectors[c][k]
-		}
-	}
-	return state, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FlushTest performs the classical chain-integrity check: a known bit

@@ -13,7 +13,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -209,6 +208,3 @@ func Check(s *Schedule, tests []DomainTest, budgetMW float64) error {
 	}
 	return nil
 }
-
-// Popcount is exposed for tests of the DP's session enumeration.
-func Popcount(m int) int { return bits.OnesCount(uint(m)) }

@@ -148,9 +148,3 @@ func TestCheckCatchesCorruption(t *testing.T) {
 		t.Fatal("missing domain accepted")
 	}
 }
-
-func TestPopcount(t *testing.T) {
-	if Popcount(0b1011) != 3 {
-		t.Fatal("popcount")
-	}
-}

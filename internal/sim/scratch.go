@@ -16,22 +16,11 @@ import (
 // requested (v1, pis) — the cone-cache hit of same-pattern
 // re-simulation.
 var (
-	cScratchReuse = obs.NewCounter("sim.scratch_reuses")
-	cSettleFull   = obs.NewCounter("sim.settles_full")
-	cSettleInc    = obs.NewCounter("sim.settles_incremental")
-	cSettleSkip   = obs.NewCounter("sim.settles_skipped")
-	cSettleGates  = obs.NewCounter("sim.settle_gates_evaluated")
+	cSettleFull  = obs.NewCounter("sim.settles_full")
+	cSettleInc   = obs.NewCounter("sim.settles_incremental")
+	cSettleSkip  = obs.NewCounter("sim.settles_skipped")
+	cSettleGates = obs.NewCounter("sim.settle_gates_evaluated")
 )
-
-func init() {
-	obs.RegisterDerived("sim.scratch_reuse_share", func(c map[string]int64) (float64, bool) {
-		launches := c["sim.launches"]
-		if launches <= 0 {
-			return 0, false
-		}
-		return float64(c["sim.scratch_reuses"]) / float64(launches), true
-	})
-}
 
 // schedEntry is one undo-log record: net n held value old in the
 // settled baseline before the launch touched it.
@@ -94,9 +83,8 @@ type LaunchScratch struct {
 	// res and resNets are reused across launches; the Result returned
 	// by LaunchInto points into them and is valid until the next
 	// LaunchInto on this scratch.
-	res      Result
-	resNets  []logic.V
-	launches int
+	res     Result
+	resNets []logic.V
 }
 
 // NewLaunchScratch allocates a scratch sized for s. All per-launch

@@ -267,13 +267,8 @@ func (g *Gate) evalW(nets []logic.Word) logic.Word {
 	return cell.EvalWord(g.kind, in)
 }
 
-// CaptureStateW is the 64-way parallel counterpart of CaptureState.
-func (s *Simulator) CaptureStateW(nets []logic.Word) []logic.Word {
-	return s.CaptureStateWInto(make([]logic.Word, len(s.flops)), nets)
-}
-
-// CaptureStateWInto is the buffer-reusing form of CaptureStateW: it writes
-// into out (which must be len(d.Flops)) and returns it.
+// CaptureStateWInto is the 64-way parallel counterpart of CaptureState: it
+// writes into out (which must be len(d.Flops)) and returns it.
 func (s *Simulator) CaptureStateWInto(out, nets []logic.Word) []logic.Word {
 	for i := range s.flops {
 		out[i] = s.flops[i].evalW(nets)

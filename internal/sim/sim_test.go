@@ -168,7 +168,7 @@ func TestParallelMatchesScalar(t *testing.T) {
 	s.SetPIsW(netsW, piW)
 	s.ApplyStateW(netsW, stW)
 	s.PropagateW(netsW)
-	capW := s.CaptureStateW(netsW)
+	capW := s.CaptureStateWInto(make([]logic.Word, len(d.Flops)), netsW)
 
 	for slot := uint(0); slot < 64; slot += 13 {
 		nets := s.NewNets()

@@ -216,9 +216,6 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 	} else if ls.s != s {
 		return nil, fmt.Errorf("sim: scratch bound to a different simulator")
 	}
-	if ls.launches > 0 {
-		cScratchReuse.Add(1)
-	}
 
 	ls.settle(v1, pis)
 	nets := ls.nets
@@ -309,7 +306,6 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 	copy(ls.resNets, nets)
 	res.Nets = ls.resNets
 	ls.restore()
-	ls.launches++
 	cLaunches.Add(1)
 	cDispatched.Add(int64(dispatched))
 	cSuppressed.Add(int64(res.Suppressed))

@@ -216,13 +216,6 @@ func Profile(ys []float64, w, h int, title, yUnit string) string {
 	return b.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // StageRow is one row of StageTable: a (possibly indented) stage label
 // and its wall time in milliseconds.
 type StageRow struct {
