@@ -58,6 +58,9 @@ func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 	}
 	meters := make([]*power.Meter, workers)
 	packers := make([]atpg.Packer, workers)
+	ests := make([]power.PackedEstimate, workers)
+	nb := sys.D.NumBlocks
+	blockCAP := make([]float64, n*nb)
 	meters[0] = power.NewMeter(sys.D)
 	for w := 1; w < workers; w++ {
 		meters[w] = meters[0].Clone()
@@ -72,15 +75,17 @@ func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 		// GoodSim touches no Sim scratch, so the shared FSim serves every
 		// worker concurrently, each through its own packer.
 		b := packers[w].GoodSim(sys.FSim, chunk, fr.Dom)
-		est := meters[w].PackedEstimate(b.N1, b.N2, b.Valid)
+		est := &ests[w]
+		meters[w].PackedEstimate(est, b.N1, b.N2, b.Valid)
 		for s := range chunk {
-			ps := &out[lo+s]
-			ps.Index = lo + s
+			i := lo + s
+			ps := &out[i]
+			ps.Index = i
 			ps.Step = chunk[s].Step
 			ps.Toggles = est.Toggles[s]
 			ps.EstChipCAPVdd = est.CAPVdd(s, sys.Period)
-			ps.EstBlockCAPVdd = make([]float64, sys.D.NumBlocks)
-			for blk := 0; blk < sys.D.NumBlocks; blk++ {
+			ps.EstBlockCAPVdd = blockCAP[i*nb : (i+1)*nb : (i+1)*nb]
+			for blk := 0; blk < nb; blk++ {
 				ps.EstBlockCAPVdd[blk] = est.BlockEnergyVDD[s][blk] / sys.Period * 1e-3
 			}
 		}

@@ -39,32 +39,27 @@ func (e *PackedEstimate) CAPVdd(s int, periodNs float64) float64 {
 	return mw(e.EnergyVDD[s], periodNs)
 }
 
-// PackedEstimate computes the zero-delay switching estimate of up to 64
-// packed patterns in one pass over the design: per gate output, the
-// dual-rail XOR of the settled frame-1 and frame-2 words (`Diff`, the
-// defined-difference mask) gives the slots that toggle, `bits.OnesCount64`
-// totals them, and each set bit adds the instance's switched capacitance ×
-// VDD² to its slot's (and block's) energy. n1 and n2 are per-net settled
-// values (a faultsim Batch's N1/N2); valid masks the live slots. Flop
-// outputs are included — the event-driven meter counts their launch-edge Q
-// transitions too, so the estimate stays comparable. The meter's
+// PackedEstimate fills est with the zero-delay switching estimate of up to
+// 64 packed patterns, computed in one pass over the design: per gate
+// output, the dual-rail XOR of the settled frame-1 and frame-2 words
+// (`Diff`, the defined-difference mask) gives the slots that toggle,
+// `bits.OnesCount64` totals them, and each set bit adds the instance's
+// switched capacitance × VDD² to its slot's (and block's) energy. n1 and
+// n2 are per-net settled values (a faultsim Batch's N1/N2); valid masks
+// the live slots. Flop outputs are included — the event-driven meter
+// counts their launch-edge Q transitions too, so the estimate stays
+// comparable.
+//
+// est is caller-owned and zeroed first: a zero PackedEstimate gets its
+// slices on the first fill, and a refill reuses them, so a caller that
+// keeps one estimate per worker allocates nothing per batch. The meter's
 // accumulated pattern state is untouched; the method reads only the
 // immutable capacitance table and is safe to call concurrently on meter
-// clones.
-func (m *Meter) PackedEstimate(n1, n2 []logic.Word, valid uint64) *PackedEstimate {
+// clones, each with its own est.
+func (m *Meter) PackedEstimate(est *PackedEstimate, n1, n2 []logic.Word, valid uint64) {
 	defer obs.TraceStart().End("power", "packed-estimate")
 	d := m.d
-	nb := d.NumBlocks
-	est := &PackedEstimate{
-		Valid:     valid,
-		Toggles:   make([]int, 64),
-		EnergyVDD: make([]float64, 64),
-		EnergyVSS: make([]float64, 64),
-	}
-	est.BlockEnergyVDD = make([][]float64, 64)
-	for s := range est.BlockEnergyVDD {
-		est.BlockEnergyVDD[s] = make([]float64, nb)
-	}
+	est.reset(valid, d.NumBlocks)
 	for i := range d.Insts {
 		out := d.Insts[i].Out
 		w1, w2 := n1[out], n2[out]
@@ -90,5 +85,27 @@ func (m *Meter) PackedEstimate(n1, n2 []logic.Word, valid uint64) *PackedEstimat
 			}
 		}
 	}
-	return est
+}
+
+// reset zeroes e for a fill over nb blocks, allocating its slices only
+// when e is new or was last filled for another block count.
+func (e *PackedEstimate) reset(valid uint64, nb int) {
+	e.Valid, e.TotalToggles = valid, 0
+	if len(e.BlockEnergyVDD) == 64 && len(e.BlockEnergyVDD[0]) == nb {
+		clear(e.Toggles)
+		clear(e.EnergyVDD)
+		clear(e.EnergyVSS)
+		for _, row := range e.BlockEnergyVDD {
+			clear(row)
+		}
+		return
+	}
+	e.Toggles = make([]int, 64)
+	e.EnergyVDD = make([]float64, 64)
+	e.EnergyVSS = make([]float64, 64)
+	e.BlockEnergyVDD = make([][]float64, 64)
+	blocks := make([]float64, 64*nb)
+	for s := range e.BlockEnergyVDD {
+		e.BlockEnergyVDD[s] = blocks[s*nb : (s+1)*nb : (s+1)*nb]
+	}
 }

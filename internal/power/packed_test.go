@@ -88,7 +88,24 @@ func TestPackedEstimateMatchesScalarZeroDelay(t *testing.T) {
 	v1W := logic.PackSlots(nil, slotV1)
 	piW := logic.PackSlots(nil, slotPI)
 	b := fs.GoodSim(v1W, piW, dom, logic.ValidMask(nPat))
-	est := m.PackedEstimate(b.N1, b.N2, b.Valid)
+	// Fill the estimate from an unrelated full batch first: the refill
+	// must zero every slot, the ones past the valid mask included, and
+	// reuse the slices it already has.
+	otherV1 := make([][]logic.V, 64)
+	otherPI := make([][]logic.V, 64)
+	for p := range otherV1 {
+		otherV1[p] = randomScalar(r, len(d.Flops))
+		otherPI[p] = randomScalar(r, len(d.PIs))
+	}
+	var est PackedEstimate
+	full := fs.GoodSim(logic.PackSlots(nil, otherV1), logic.PackSlots(nil, otherPI), dom, ^uint64(0))
+	m.PackedEstimate(&est, full.N1, full.N2, full.Valid)
+	if est.Toggles[63] == 0 {
+		t.Fatal("degenerate test: the first fill left the last slot empty")
+	}
+	if a := testing.AllocsPerRun(4, func() { m.PackedEstimate(&est, b.N1, b.N2, b.Valid) }); a != 0 {
+		t.Fatalf("refilling an estimate: %v allocations per call", a)
+	}
 
 	totToggles := 0
 	for p := 0; p < nPat; p++ {
@@ -159,7 +176,8 @@ func TestZeroDelayEstimateCountsFlops(t *testing.T) {
 	}
 	f := d.Flops[0]
 	n2[d.Inst(f).Out] = logic.Splat(logic.One)
-	est := m.PackedEstimate(n1, n2, logic.ValidMask(1))
+	var est PackedEstimate
+	m.PackedEstimate(&est, n1, n2, logic.ValidMask(1))
 	// With every other net pinned equal, the flop's own output is the only
 	// toggle, and it charges from VDD.
 	if est.Toggles[0] != 1 || est.TotalToggles != 1 {

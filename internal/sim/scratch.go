@@ -58,7 +58,7 @@ type LaunchScratch struct {
 	lastSeq   []int
 	prevProj  []logic.V
 
-	q   eventQueue
+	q   calQueue
 	seq int
 
 	// gen stamps the per-launch dirty sets so they reset with a single
@@ -281,5 +281,5 @@ func (ls *LaunchScratch) restore() {
 		ls.lastSeq[e.net] = -1
 	}
 	ls.sched = ls.sched[:0]
-	ls.q = ls.q[:0]
+	ls.q.clear()
 }

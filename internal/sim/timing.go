@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"scap/internal/logic"
 	"scap/internal/netlist"
@@ -49,12 +50,26 @@ type Timing struct {
 	// than the time it takes to switch). Zero keeps only the per-gate
 	// window; a negative value disables filtering (pure transport delay).
 	MinPulseNs float64
+
+	// width is the event queue's bucket width: the smallest positive
+	// rise or fall delay of the table, 0 when it has none.
+	width float64
 }
 
 // NewTiming builds a timing simulator from a combinational simulator, a
-// delay table and an optional clock tree.
+// delay table and an optional clock tree. It reads the table's smallest
+// delay once, as the event queue's bucket width; a Timing is read-only
+// after this, so workers can share clones.
 func NewTiming(s *Simulator, delays *sdf.Delays, tree Clock) *Timing {
-	return &Timing{sim: s, delays: delays, tree: tree, MaxEventsPerNet: 128, MinPulseNs: 0.12}
+	tm := &Timing{sim: s, delays: delays, tree: tree, MaxEventsPerNet: 128, MinPulseNs: 0.12}
+	for _, tab := range [][]float64{delays.Rise, delays.Fall} {
+		for _, d := range tab {
+			if d > 0 && (tm.width == 0 || d < tm.width) {
+				tm.width = d
+			}
+		}
+	}
+	return tm
 }
 
 // Clone returns an independent Timing with the same configuration. The
@@ -100,69 +115,187 @@ type event struct {
 	val logic.V
 }
 
-// eventQueue is a value-typed 4-ary min-heap ordered by (t, seq). A
-// hand-rolled heap instead of container/heap: the interface{} Push/Pop
-// of the standard library boxes every event onto the garbage-collected
-// heap, one allocation per scheduled transition, which dominated the
-// allocation profile of the timing hot loop. Arity 4 halves the tree
-// depth of the binary heap, trading (cheap, cache-resident) sibling
-// comparisons for (expensive) level-to-level moves. (t, seq) is a total
-// order — seq is unique — so pop order, and with it every simulation
-// result, is independent of the heap's internal layout.
-type eventQueue []event
+// maxBuckets caps the calendar queue's bucket array. The nominal
+// geometry (a 4 × 20 ns horizon over the smallest library delay) needs
+// about 3,000 buckets; a longer horizon widens the buckets instead of
+// adding more.
+const maxBuckets = 4096
 
-func (q eventQueue) less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
-	}
-	return q[i].seq < q[j].seq
+// qslot is one pending event in the queue's pooled slot array, linked to
+// the next event of its bucket (or, when free, to the next free slot).
+type qslot struct {
+	ev   event
+	next int32
 }
 
-// push appends e and sifts it up to its heap position.
-func (q *eventQueue) push(e event) {
-	h := append(*q, e)
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 4
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+// calQueue is the launch's event queue, a calendar queue (R. Brown,
+// "Calendar Queues", CACM 31(10), 1988): bucket k holds the pending
+// events with int(t·(1/w)) == k, clamped to the first and last bucket,
+// and the buckets drain in order, each sorted by (t, seq) when it opens.
+// The bucket index is monotone in t, so bucket order never contradicts
+// time order, and a launch never pushes an event earlier than the one it
+// is dispatching, so no push lands in a bucket that has already drained.
+// The pops therefore come out in exact (t, seq) order — a total order,
+// since seq is unique — and every simulation result is that of a (t, seq)
+// priority queue, float accumulation order included.
+//
+// With w at the smallest positive delay of the Timing's table, a gate
+// event lands at least one bucket ahead of the one being drained. A push
+// into the open bucket (a lastSched clamp, a zero delay, rounding at a
+// bucket edge, or a width the bucket cap widened) is inserted in order
+// behind the read cursor: it carries the largest seq yet, so it goes
+// after every unread event whose t is at most its own. Pending events
+// live in one pooled slot array, linked per bucket with a free list, so
+// the queue's memory follows the number of pending events, not the
+// number of buckets, and steady-state launches allocate nothing.
+type calQueue struct {
+	inv   float64 // 1/w: the bucket of t is int(t*inv)
+	last  int     // index of the last bucket this launch uses
+	head  []int32 // per bucket: its first slot, -1 when empty
+	slots []qslot
+	free  int32   // first free slot, -1 when none
+	k     int     // the open bucket, -1 before the first pop
+	open  []event // the open bucket's events, sorted by (t, seq)
+	at    int     // read cursor into open
+	n     int     // pending events, voided ones included
+}
+
+// reset sets the geometry for one launch — bucket width w, widened so
+// that the horizon spans at most maxBuckets buckets — on an empty queue.
+func (q *calQueue) reset(w, horizon float64) {
+	w = max(w, horizon/maxBuckets)
+	q.inv = 1 / w
+	q.last = maxBuckets - 1
+	if x := horizon * q.inv; x < maxBuckets-1 {
+		q.last = int(x) + 1
 	}
-	*q = h
+	if len(q.head) <= q.last {
+		q.head = make([]int32, q.last+1) // every head is empty between launches
+		for i := range q.head {
+			q.head[i] = -1
+		}
+	}
+	q.k = -1
+	q.slots = q.slots[:0]
+	q.free = -1
+	q.open = q.open[:0]
+	q.at = 0
+}
+
+// bucket maps time t to its bucket, clamped to [0, last]. The comparisons
+// run in floating point, so a negative or huge t never reaches the
+// integer conversion.
+func (q *calQueue) bucket(t float64) int {
+	x := t * q.inv
+	switch {
+	case x < 1:
+		return 0
+	case x < float64(q.last):
+		return int(x)
+	}
+	return q.last
+}
+
+// push adds e, which must not be earlier than the last popped event.
+func (q *calQueue) push(e event) {
+	q.n++
+	b := q.bucket(e.t)
+	if b <= q.k {
+		i := len(q.open)
+		q.open = append(q.open, e)
+		for i > q.at && q.open[i-1].t > e.t {
+			q.open[i] = q.open[i-1]
+			i--
+		}
+		q.open[i] = e
+		return
+	}
+	s := q.free
+	if s >= 0 {
+		q.free = q.slots[s].next
+	} else {
+		s = int32(len(q.slots))
+		q.slots = append(q.slots, qslot{})
+	}
+	q.slots[s] = qslot{ev: e, next: q.head[b]}
+	q.head[b] = s
 }
 
 // pop removes and returns the earliest event. The caller must check
-// emptiness first.
-func (q *eventQueue) pop() event {
-	h := *q
-	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
-	h = h[:n]
-	*q = h
-	for i := 0; ; {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h.less(c, min) {
-				min = c
-			}
-		}
-		if !h.less(min, i) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+// q.n > 0 first.
+func (q *calQueue) pop() event {
+	if q.at == len(q.open) {
+		q.fill()
 	}
-	return top
+	e := q.open[q.at]
+	q.at++
+	q.n--
+	return e
+}
+
+// fill opens the next non-empty bucket: its events move from their slots
+// into open, the slots go to the free list, and open is sorted.
+func (q *calQueue) fill() {
+	k := q.k + 1
+	for q.head[k] < 0 {
+		k++
+	}
+	q.k = k
+	q.open = q.open[:0]
+	q.at = 0
+	for s := q.head[k]; s >= 0; {
+		sl := &q.slots[s]
+		q.open = append(q.open, sl.ev)
+		next := sl.next
+		sl.next = q.free
+		q.free = s
+		s = next
+	}
+	q.head[k] = -1
+	sortEvents(q.open)
+}
+
+// before is the queue's order: by time, then by push sequence.
+func before(a, b event) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
+}
+
+// sortEvents sorts a bucket's events by (t, seq). Most buckets hold a
+// few events, which an insertion sort orders fastest; a large one (the
+// launch edge of a dense pattern, or a bucket the cap widened) goes to
+// the library sort, which stays O(n log n).
+func sortEvents(ev []event) {
+	if len(ev) > 32 {
+		slices.SortFunc(ev, func(a, b event) int {
+			switch {
+			case before(a, b):
+				return -1
+			case before(b, a):
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	for i := 1; i < len(ev); i++ {
+		e := ev[i]
+		j := i
+		for ; j > 0 && before(e, ev[j-1]); j-- {
+			ev[j] = ev[j-1]
+		}
+		ev[j] = e
+	}
+}
+
+// clear drops the events a launch cut at the horizon left pending, so
+// every bucket is empty again for the next reset.
+func (q *calQueue) clear() {
+	if q.n > 0 {
+		for b := q.k + 1; b <= q.last; b++ {
+			q.head[b] = -1
+		}
+		q.n = 0
+	}
 }
 
 // Launch runs one at-speed launch-to-capture cycle:
@@ -224,8 +357,10 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 	// nets, eventsOn == 0, lastSched == 0, lastSeq == -1 everywhere (the
 	// undo log restored them), and one gen bump empties the void and
 	// undo sets.
+	horizon := 4 * period // safety: glitch tails beyond this are abandoned
 	ls.gen++
 	ls.seq = 0
+	ls.q.reset(tm.width, horizon)
 	res := &ls.res
 	res.Toggles, res.Suppressed = 0, 0
 	res.FirstEvent, res.LastEvent, res.STW = -1, 0, 0
@@ -247,9 +382,8 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 		ls.pushEvent(tm, t, s.flops[i].out, v2[i], 0)
 	}
 
-	horizon := 4 * period // safety: glitch tails beyond this are abandoned
 	dispatched := 0
-	for len(ls.q) > 0 {
+	for ls.q.n > 0 {
 		ev := ls.q.pop()
 		dispatched++
 		if ls.voidStamp[ev.seq] == ls.gen {
@@ -259,7 +393,7 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 			ls.lastSeq[ev.net] = -1 // no longer cancellable
 		}
 		if ev.t > horizon {
-			res.Suppressed += len(ls.q) + 1
+			res.Suppressed += ls.q.n + 1
 			break
 		}
 		old := nets[ev.net]
