@@ -283,11 +283,11 @@ func BenchmarkTimingSimulation(b *testing.B) {
 	meter := power.NewMeter(sys.D)
 	tm := sim.NewTiming(sys.Sim, sys.Delays, sys.Tree)
 	p := &conv.Patterns[0]
-	v2 := sys.LaunchState(p.V1, p.PIs, 0)
+	v2 := launchState(b, sys, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		meter.Reset()
-		if _, err := tm.Launch(p.V1, v2, p.PIs, sys.Period, meter.OnToggle); err != nil {
+		if _, err := tm.LaunchInto(nil, p.V1, v2, p.PIs, sys.Period, meter.OnToggle); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,9 +308,21 @@ func benchLaunchWorkload(b *testing.B) (*core.System, []*atpg.Pattern, [][]logic
 	v2s := make([][]logic.V, len(np.Patterns))
 	for i := range np.Patterns {
 		pats[i] = &np.Patterns[i]
-		v2s[i] = sys.LaunchState(pats[i].V1, pats[i].PIs, 0)
+		v2s[i] = launchState(b, sys, pats[i])
 	}
 	return sys, pats, v2s
+}
+
+// launchState derives p's clka launch-off-capture V2 state into a fresh
+// buffer.
+func launchState(b *testing.B, sys *core.System, p *atpg.Pattern) []logic.V {
+	b.Helper()
+	nf := len(sys.D.Flops)
+	v2, err := sys.LaunchStateInto(sim.NewLaunchScratch(sys.Sim), make([]logic.V, nf), make([]logic.V, nf), p.V1, p.PIs, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v2
 }
 
 // BenchmarkLaunch / BenchmarkLaunchReuse are the headline pair of the
@@ -325,7 +337,7 @@ func BenchmarkLaunch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(pats)
-		if _, err := tm.Launch(pats[k].V1, v2s[k], pats[k].PIs, sys.Period, nil); err != nil {
+		if _, err := tm.LaunchInto(nil, pats[k].V1, v2s[k], pats[k].PIs, sys.Period, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,29 +1,49 @@
-// Package cmd holds the test every command shares: a bad flag value
-// exits with status 2 before anything is built. It builds the commands
-// once and runs each bad value against the binaries.
+// Package cmd holds the tests every command shares: a bad flag value
+// exits with status 2 before anything is built, and irdrop prints the
+// same for any worker count while launching each pattern once. TestMain
+// builds the commands once for all of them.
 package cmd
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 var commands = []string{"atpg", "diagnose", "flow", "irdrop", "repro", "scap", "socgen", "timing"}
 
-func TestBadFlagValuesExit2BeforeBuild(t *testing.T) {
-	bin := t.TempDir()
+// bin is the directory TestMain builds the commands into.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "scap-cmd")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	bin = dir
 	args := []string{"build", "-o", bin + string(os.PathSeparator)}
 	for _, c := range commands {
 		args = append(args, "./"+c)
 	}
+	code := 1
 	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+	} else {
+		code = m.Run()
 	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
+func TestBadFlagValuesExit2BeforeBuild(t *testing.T) {
 	type run struct {
 		cmd  string
 		args []string
@@ -84,5 +104,59 @@ func TestBadFlagValuesExit2BeforeBuild(t *testing.T) {
 				t.Errorf("created %s in the working directory", entries[0].Name())
 			}
 		})
+	}
+}
+
+// elapsed matches the three forms elapsed times take in the output:
+// "in 1.2s", "(1.2s, ...)" and "(390ms total)".
+var elapsed = regexp.MustCompile(`in [0-9a-zµ.]+m?s|\([0-9.]+[mµ]?s[,) ]`)
+
+// TestIRDropSameForAnyWorkersOneLaunchPerPattern runs the batched
+// IR-drop (groups of four patterns), Monte-Carlo (23 trials leave a
+// partial last group of four) and dynamic sections at one and at three
+// workers. The analysis output must match once elapsed times are
+// stripped, and the run report must count one launch per pattern plus
+// the three of the -dynamic pattern: one for its IR-drop map, two for
+// the delay comparison.
+func TestIRDropSameForAnyWorkersOneLaunchPerPattern(t *testing.T) {
+	solved := regexp.MustCompile(`(\d+) patterns solved`)
+	var outs []string
+	for _, workers := range []string{"1", "3"} {
+		dir := t.TempDir()
+		cmd := exec.Command(filepath.Join(bin, "irdrop"), "-scale", "48", "-all", "-dynamic",
+			"-mc", "23", "-workers", workers, "-report", "r.json")
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("workers=%s: %v", workers, err)
+		}
+		// The analysis ends where the report's own output starts.
+		analysis, _, ok := strings.Cut(string(out), "  wrote r.json")
+		if !ok {
+			t.Fatalf("workers=%s: no report written:\n%s", workers, out)
+		}
+		outs = append(outs, elapsed.ReplaceAllString(analysis, ""))
+
+		m := solved.FindStringSubmatch(analysis)
+		if m == nil {
+			t.Fatalf("workers=%s: no batched pattern count in:\n%s", workers, analysis)
+		}
+		patterns, _ := strconv.Atoi(m[1])
+		raw, err := os.ReadFile(filepath.Join(dir, "r.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rep.Counters["sim.launches"], int64(patterns+3); got != want {
+			t.Errorf("workers=%s: sim.launches = %d, want %d (%d patterns + 3)", workers, got, want, patterns)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("output differs between 1 and 3 workers:\n--- 1 worker\n%s\n--- 3 workers\n%s", outs[0], outs[1])
 	}
 }

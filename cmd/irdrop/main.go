@@ -74,19 +74,21 @@ func main() {
 	}
 	fr, err := sys.ConventionalFlow(0)
 	c.Check(err)
-	prof, err := sys.ProfilePatterns(fr)
-	c.Check(err)
-
+	// prof is the SCAP profile the -dynamic pick reads: -all returns it
+	// with the IR-drop summaries, from the same launches.
+	var prof []core.PatternProfile
 	if *all {
 		t1 := time.Now()
 		sums, err := sys.DynamicIRDropAll(fr, *model)
 		c.Check(err)
 		nb := sys.D.NumBlocks
 		worstP := 0
+		prof = make([]core.PatternProfile, len(sums))
 		for i := range sums {
 			if sums[i].WorstVDD[nb] > sums[worstP].WorstVDD[nb] {
 				worstP = i
 			}
+			prof[i] = sums[i].PatternProfile
 		}
 		fmt.Printf("\nbatched %v-model analysis: %d patterns solved in %v\n",
 			*model, len(sums), time.Since(t1).Round(time.Millisecond))
@@ -98,6 +100,10 @@ func main() {
 	}
 	pick := *pattern
 	if pick < 0 {
+		if prof == nil {
+			prof, err = sys.ProfilePatterns(fr)
+			c.Check(err)
+		}
 		for i := range prof {
 			if pick < 0 || prof[i].BlockSCAPVdd[soc.B5] > prof[pick].BlockSCAPVdd[soc.B5] {
 				pick = i

@@ -22,9 +22,7 @@ import (
 
 	"scap/internal/cli"
 	"scap/internal/core"
-	"scap/internal/logic"
 	"scap/internal/power"
-	"scap/internal/sim"
 	"scap/internal/soc"
 	"scap/internal/textplot"
 )
@@ -102,15 +100,8 @@ func main() {
 		hot := prof[idx[0]].Index
 		meter := power.NewMeter(sys.D)
 		meter.EnableWaveform(sys.Period / 40)
-		tm := sim.NewTiming(sys.Sim, sys.Delays, sys.Tree)
-		ls := sim.NewLaunchScratch(sys.Sim)
-		p := &fr.Patterns[hot]
-		nf := len(sys.D.Flops)
-		v2, err := sys.LaunchStateInto(ls, make([]logic.V, nf), make([]logic.V, nf), p.V1, p.PIs, 0)
+		_, err := sys.LaunchPattern(&fr.Patterns[hot], fr.Dom, meter.OnToggle)
 		c.Check(err)
-		if _, err := tm.LaunchInto(ls, p.V1, v2, p.PIs, sys.Period, meter.OnToggle); err != nil {
-			c.Check(err)
-		}
 		w := meter.WaveformOf()
 		rep := meter.Report(sys.Period)
 		fmt.Println()

@@ -70,9 +70,9 @@ func TestHotspotTablesWorkerIndependent(t *testing.T) {
 
 // TestDynamicIRDropAllMetersEveryToggle: the batched IR-drop analysis
 // launches every pattern once, as ProfilePatterns does, so both must add
-// the same count to power.toggles_metered, for any worker count. Each
-// worker's meter only flushes on its next pattern, so the last pattern a
-// worker runs is counted only if the pool is flushed at the end.
+// the same count to power.toggles_metered, for any worker count. A meter
+// flushes its count on its next Reset or block report, so the last
+// pattern a worker runs is counted only if its step reports it.
 func TestDynamicIRDropAllMetersEveryToggle(t *testing.T) {
 	sys, _, conv, _ := build(t)
 	obs.Reset()

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"scap/internal/atpg"
+	"scap/internal/delayscale"
 	"scap/internal/fault"
+	"scap/internal/logic"
+	"scap/internal/sim"
 	"scap/internal/soc"
 )
 
@@ -296,6 +300,31 @@ func TestDelayImpact(t *testing.T) {
 		imp.Slowed, imp.Sped, 100*imp.MaxSlowdownFrac)
 	if imp.MaxSlowdownFrac <= 0 {
 		t.Fatal("no slowdown fraction")
+	}
+
+	// DelayImpact reuses its metered launch as the nominal run. The
+	// reference launches the nominal run on its own, on a fresh Timing
+	// and scratch, and must give the same Impact.
+	p := &conv.Patterns[hot]
+	ls := sim.NewLaunchScratch(sys.Sim)
+	nf := len(sys.D.Flops)
+	v2, err := sys.LaunchStateInto(ls, make([]logic.V, nf), make([]logic.V, nf), p.V1, p.PIs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nom, err := sim.NewTiming(sys.Sim, sys.Delays, sys.Tree).LaunchInto(ls, p.V1, v2, p.PIs, sys.Period, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := delayscale.Compare(sys.Sim, sys.Delays, sys.Tree, sys.GridVDD, dyn.CombinedDrop(),
+		sys.D.Lib.KVolt, nom, p.V1, v2, p.PIs, sys.Period, ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(imp, want) {
+		t.Fatalf("impact differs from an independent nominal launch: %d/%d/%d slowed/sped/vanished, max %v; want %d/%d/%d, max %v",
+			imp.Slowed, imp.Sped, imp.Vanished, imp.MaxSlowdownFrac,
+			want.Slowed, want.Sped, want.Vanished, want.MaxSlowdownFrac)
 	}
 }
 

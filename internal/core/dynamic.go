@@ -10,6 +10,7 @@ import (
 	"scap/internal/parallel"
 	"scap/internal/pgrid"
 	"scap/internal/power"
+	"scap/internal/sim"
 )
 
 // PowerModel selects the averaging window of the dynamic analysis.
@@ -56,20 +57,20 @@ type DynamicIR struct {
 // currents over the model's window, and solves both rail meshes.
 func (sys *System) DynamicIRDrop(p *atpg.Pattern, dom int, model PowerModel) (*DynamicIR, error) {
 	pool := sys.profPool(1)
-	return sys.dynamicIRDrop(&pool[0], p, dom, model)
+	dyn, _, err := sys.dynamicIRDrop(&pool[0], p, dom, model)
+	return dyn, err
 }
 
-// dynamicIRDrop is DynamicIRDrop on a caller-supplied worker scratch,
-// so composite analyses (DelayImpact) can keep reusing the scratch —
-// and its cached settled baseline — for follow-up launches of the same
-// pattern.
-func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, model PowerModel) (*DynamicIR, error) {
+// dynamicIRDrop is DynamicIRDrop on a caller-supplied worker scratch.
+// It also returns the pattern's launch Result, which lives in the
+// scratch: DelayImpact takes that launch as its nominal run.
+func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, model PowerModel) (*DynamicIR, *sim.Result, error) {
 	defer obs.StartSpan("dynamic-irdrop").End()
 	d := sys.D
 	ps.meter.Reset()
 	res, err := ps.launch(sys, p.V1, p.PIs, dom, ps.toggle)
 	if err != nil {
-		return nil, fmt.Errorf("core: dynamic sim: %w", err)
+		return nil, nil, fmt.Errorf("core: dynamic sim: %w", err)
 	}
 	prof := ps.meter.Report(sys.Period)
 	window := sys.Period
@@ -89,24 +90,24 @@ func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, mode
 		return sol, sol.WorstPerBlock(g, d.NumBlocks), nil
 	}
 	if out.SolVDD, out.WorstVDD, err = solve(sys.GridVDD, prof.InstEnergyVDD); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if out.SolVSS, out.WorstVSS, err = solve(sys.GridVSS, prof.InstEnergyVSS); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, res, nil
 }
 
 // IRDropSummary is one pattern's result from the batched dynamic
-// analysis: the worst node drop per block (chip entry at index
-// NumBlocks) on each rail, volts. The full node-by-node maps of
-// DynamicIR are deliberately not kept — screening a whole pattern set
-// only consumes the per-block extremes, and dropping the maps is what
-// lets each worker recycle its lane storage.
+// analysis: the pattern's SCAP profile, from the same launch, and the
+// worst node drop per block (chip entry at index NumBlocks) on each
+// rail, volts. The full node-by-node maps of DynamicIR are deliberately
+// not kept — screening a whole pattern set only consumes the per-block
+// extremes, and dropping the maps is what lets each worker recycle its
+// lane storage.
 type IRDropSummary struct {
-	Index    int
+	PatternProfile
 	Model    PowerModel
-	STW      float64
 	WorstVDD []float64
 	WorstVSS []float64
 }
@@ -120,10 +121,11 @@ type irScratch struct {
 
 // DynamicIRDropAll runs the dynamic per-pattern IR-drop analysis over a
 // whole flow, fanned across sys.Workers workers (0 = all cores, 1 = the
-// exact serial path).
+// exact serial path). Each pattern is launched once, and each summary
+// carries the profile ProfilePatterns would return for it.
 //
 // Patterns go in groups of pgrid.Lanes by index (4g…4g+3): a worker
-// launches a group's patterns one by one, writes each one's currents
+// profiles a group's patterns one by one, writes each one's currents
 // into its lane of the rail batches, and sweeps each rail once for the
 // whole group. Every lane is bit-identical to a single solve of its
 // pattern and groups do not depend on the worker that runs them, so
@@ -138,13 +140,6 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 	groups := (n + pgrid.Lanes - 1) / pgrid.Lanes
 	workers := min(parallel.Resolve(sys.Workers), groups)
 	pool := sys.profPool(workers)
-	// Each meter resets before its next pattern, so its last pattern's
-	// toggles are still unflushed when the pool is dropped.
-	defer func() {
-		for w := range pool {
-			pool[w].meter.FlushToggles()
-		}
-	}()
 	// Building the batches factors both rails here rather than inside
 	// the first group, so the one-time cost is not attributed to a
 	// worker's patterns.
@@ -169,9 +164,7 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 		sc.vdd.Reset()
 		sc.vss.Reset()
 		for i := lo; i < hi; i++ {
-			p := &fr.Patterns[i]
-			ps.meter.Reset()
-			res, err := ps.launch(sys, p.V1, p.PIs, fr.Dom, ps.toggle)
+			res, err := ps.profile(sys, fr, i, &out[i].PatternProfile)
 			if err != nil {
 				return fmt.Errorf("core: dynamic sim pattern %d: %w", i, err)
 			}
@@ -179,7 +172,7 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 			if model == ModelSCAP {
 				window = res.STW
 			}
-			out[i].Index, out[i].Model, out[i].STW = i, model, res.STW
+			out[i].Model = model
 			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, ps.meter.RawInstEnergyVDD(), window)
 			sc.vdd.Inject(i-lo, sys.D, sc.cur)
 			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, ps.meter.RawInstEnergyVSS(), window)
@@ -221,29 +214,26 @@ func (dyn *DynamicIR) CombinedDrop() *pgrid.Solution {
 
 // DelayImpact runs the paper's Figure 7 experiment on one pattern: dynamic
 // IR-drop with the SCAP window, then a nominal-vs-derated timing
-// re-simulation with cell and clock delays scaled by the local voltage
-// collapse.
+// comparison with cell and clock delays scaled by the local voltage
+// collapse. It launches the pattern twice: the metered launch of the
+// IR-drop analysis doubles as the nominal run, and the derated run is
+// the second.
 func (sys *System) DelayImpact(p *atpg.Pattern, dom int) (*delayscale.Impact, *DynamicIR, error) {
 	pool := sys.profPool(1)
 	ps := &pool[0]
-	dyn, err := sys.dynamicIRDrop(ps, p, dom, ModelSCAP)
+	dyn, nom, err := sys.dynamicIRDrop(ps, p, dom, ModelSCAP)
 	if err != nil {
 		return nil, nil, err
 	}
 	resim := obs.StartSpan("resimulation")
 	defer resim.End()
-	// The scratch still holds this pattern's settled baseline (the
-	// launch restored it), so the V2 re-derivation and both Compare
-	// launches are cone-cache hits: the baseline is delay- and
-	// clock-independent, which is exactly why the derated run may share
-	// the scratch.
-	v2, err := sys.LaunchStateInto(ps.ls, ps.v2, ps.capBuf, p.V1, p.PIs, dom)
-	if err != nil {
-		return nil, nil, err
-	}
+	// The metered launch is the nominal run, and ps.v2 still holds its
+	// V2 state. The scratch still holds the pattern's settled baseline,
+	// which is delay- and clock-independent, so the derated launch on
+	// the same scratch is a cone-cache hit.
 	imp, err := delayscale.Compare(sys.Sim, sys.Delays, sys.Tree,
-		sys.GridVDD, dyn.CombinedDrop(), sys.D.Lib.KVolt,
-		p.V1, v2, p.PIs, sys.Period, ps.ls)
+		sys.GridVDD, dyn.CombinedDrop(), sys.D.Lib.KVolt, nom,
+		p.V1, ps.v2, p.PIs, sys.Period, ps.ls)
 	if err != nil {
 		return nil, nil, err
 	}

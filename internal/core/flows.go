@@ -200,17 +200,48 @@ func (sys *System) profPool(workers int) []profScratch {
 	return pool
 }
 
-// launch derives the pattern's V2 state and runs one timing launch, all
-// on the worker's reusable scratch: the settle performed for the V2
-// derivation is cached in the scratch, so the launch itself re-settles
-// nothing. The returned Result lives in the scratch and is valid until
-// the worker's next launch.
+// launch derives the pattern's V2 state into ps.v2 and runs one timing
+// launch, all on the worker's reusable scratch: the settle performed for
+// the V2 derivation is cached in the scratch, so the launch itself
+// re-settles nothing. Every launch in this package runs here. The
+// returned Result lives in the scratch and is valid until the worker's
+// next launch; ps.v2 holds the V2 state until then too.
 func (ps *profScratch) launch(sys *System, v1, pis []logic.V, dom int, onToggle sim.ToggleFn) (*sim.Result, error) {
 	v2, err := sys.LaunchStateInto(ps.ls, ps.v2, ps.capBuf, v1, pis, dom)
 	if err != nil {
 		return nil, err
 	}
 	return ps.tm.LaunchInto(ps.ls, v1, v2, pis, sys.Period, onToggle)
+}
+
+// profile is the per-pattern step of the profiling loops: it resets the
+// worker's meter, runs one metered launch of fr.Patterns[pi], fills pp
+// from the meter's block report and records the pattern in the hotspot
+// table. The meter keeps the pattern's per-instance energies until its
+// next reset.
+func (ps *profScratch) profile(sys *System, fr *FlowResult, pi int, pp *PatternProfile) (*sim.Result, error) {
+	p := &fr.Patterns[pi]
+	ps.meter.Reset()
+	res, err := ps.launch(sys, p.V1, p.PIs, fr.Dom, ps.toggle)
+	if err != nil {
+		return nil, err
+	}
+	blocks := ps.meter.ReportBlocks(sys.Period)
+	chip := &blocks[sys.D.NumBlocks]
+	pp.Index, pp.Target, pp.Step = pi, p.Target, p.Step
+	pp.TargetBlock = fr.Faults.Faults[p.Target].Block
+	pp.STW = res.STW
+	pp.Toggles = res.Toggles
+	pp.ChipSCAPVdd = chip.SCAPVdd
+	pp.ChipCAPVdd = chip.CAPVdd
+	pp.BlockSCAPVdd = make([]float64, sys.D.NumBlocks)
+	for b := 0; b < sys.D.NumBlocks; b++ {
+		pp.BlockSCAPVdd[b] = blocks[b].SCAPVdd
+	}
+	tkPatterns.Record(int64(pi), int64(math.Round(pp.ChipSCAPVdd*1e6)), fr.Name,
+		pp.ChipSCAPVdd, pp.ChipCAPVdd, pp.STW, float64(pp.Toggles),
+		float64(pp.Step), float64(pp.Target))
+	return res, nil
 }
 
 // ProfilePatterns runs the streaming SCAP calculator (timing simulation +
@@ -245,30 +276,9 @@ func (sys *System) ProfilePatternsAt(fr *FlowResult, idx []int) ([]PatternProfil
 	pool := sys.profPool(workers)
 	out := make([]PatternProfile, len(idx))
 	err := parallel.For(workers, len(idx), func(w, i int) error {
-		pi := idx[i]
-		p := &fr.Patterns[pi]
-		s := &pool[w]
-		s.meter.Reset()
-		res, err := s.launch(sys, p.V1, p.PIs, fr.Dom, s.toggle)
-		if err != nil {
-			return fmt.Errorf("core: profile pattern %d: %w", pi, err)
+		if _, err := pool[w].profile(sys, fr, idx[i], &out[i]); err != nil {
+			return fmt.Errorf("core: profile pattern %d: %w", idx[i], err)
 		}
-		blocks := s.meter.ReportBlocks(sys.Period)
-		chip := &blocks[sys.D.NumBlocks]
-		pp := &out[i]
-		pp.Index, pp.Target, pp.Step = pi, p.Target, p.Step
-		pp.TargetBlock = fr.Faults.Faults[p.Target].Block
-		pp.STW = res.STW
-		pp.Toggles = res.Toggles
-		pp.ChipSCAPVdd = chip.SCAPVdd
-		pp.ChipCAPVdd = chip.CAPVdd
-		pp.BlockSCAPVdd = make([]float64, sys.D.NumBlocks)
-		for b := 0; b < sys.D.NumBlocks; b++ {
-			pp.BlockSCAPVdd[b] = blocks[b].SCAPVdd
-		}
-		tkPatterns.Record(int64(pi), int64(math.Round(pp.ChipSCAPVdd*1e6)), fr.Name,
-			pp.ChipSCAPVdd, pp.ChipCAPVdd, pp.STW, float64(pp.Toggles),
-			float64(pp.Step), float64(pp.Target))
 		return nil
 	})
 	if err != nil {

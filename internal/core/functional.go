@@ -5,8 +5,6 @@ import (
 	"math/rand"
 
 	"scap/internal/logic"
-	"scap/internal/power"
-	"scap/internal/sim"
 )
 
 // FunctionalPower is the per-block average switching power measured over
@@ -44,14 +42,8 @@ func (sys *System) FunctionalPowerSim(dom, cycles int, seed int64) (*FunctionalP
 		pis[d.Nets[sys.SC.SE].PI] = logic.Zero // functional mode
 	}
 
-	meter := power.NewMeter(d)
-	tm := sim.NewTiming(sys.Sim, sys.Delays, sys.Tree)
-	ls := sim.NewLaunchScratch(sys.Sim)
-	toggle := sim.ToggleFn(meter.OnToggle)
-	// state/next ping-pong so the V2 derivation never writes into the
-	// live V1 buffer; capBuf serves LaunchStateInto.
-	next := make([]logic.V, len(d.Flops))
-	capBuf := make([]logic.V, len(d.Flops))
+	pool := sys.profPool(1)
+	ps := &pool[0]
 	fp := &FunctionalPower{Cycles: cycles, MeanPowerMW: make([]float64, d.NumBlocks+1)}
 	toggles := 0
 	for cyc := 0; cyc < cycles; cyc++ {
@@ -61,20 +53,18 @@ func (sys *System) FunctionalPowerSim(dom, cycles int, seed int64) (*FunctionalP
 				pis[d.Nets[sys.SC.SE].PI] = logic.Zero
 			}
 		}
-		if _, err := sys.LaunchStateInto(ls, next, capBuf, state, pis, dom); err != nil {
-			return nil, fmt.Errorf("core: functional cycle %d: %w", cyc, err)
-		}
-		meter.Reset()
-		res, err := tm.LaunchInto(ls, state, next, pis, sys.Period, toggle)
+		ps.meter.Reset()
+		res, err := ps.launch(sys, state, pis, dom, ps.toggle)
 		if err != nil {
 			return nil, fmt.Errorf("core: functional cycle %d: %w", cyc, err)
 		}
-		prof := meter.Report(sys.Period)
+		blocks := ps.meter.ReportBlocks(sys.Period)
 		for b := 0; b <= d.NumBlocks; b++ {
-			fp.MeanPowerMW[b] += prof.Blocks[b].CAPVdd + prof.Blocks[b].CAPVss
+			fp.MeanPowerMW[b] += blocks[b].CAPVdd + blocks[b].CAPVss
 		}
 		toggles += res.Toggles
-		state, next = next, state
+		// The launched V2 state is the next cycle's V1.
+		copy(state, ps.v2)
 	}
 	for b := range fp.MeanPowerMW {
 		fp.MeanPowerMW[b] /= float64(cycles)

@@ -59,10 +59,16 @@ func TestProfilePatternsDeterministicAcrossWorkers(t *testing.T) {
 
 // TestDynamicIRDropAllDeterministicAcrossWorkers: every pattern is an
 // exact solve against the shared read-only factorization, so the batched
-// analysis is bit-identical for any worker count.
+// analysis is bit-identical for any worker count. Each summary's profile
+// comes from the pattern's one launch and must equal what
+// ProfilePatterns returns for it.
 func TestDynamicIRDropAllDeterministicAcrossWorkers(t *testing.T) {
 	sys, _, conv, _ := build(t)
 	setWorkers(t, sys, 1)
+	prof, err := sys.ProfilePatterns(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
 	serial, err := sys.DynamicIRDropAll(conv, ModelSCAP)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +83,13 @@ func TestDynamicIRDropAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for i := range serial {
 		s, p := &serial[i], &par[i]
-		if s.Index != p.Index || s.STW != p.STW {
-			t.Fatalf("pattern %d: %+v vs %+v", i, s, p)
+		for _, sum := range []*IRDropSummary{s, p} {
+			if !reflect.DeepEqual(sum.PatternProfile, prof[i]) {
+				t.Fatalf("pattern %d: profile %+v, ProfilePatterns %+v", i, sum.PatternProfile, prof[i])
+			}
+		}
+		if s.Model != p.Model {
+			t.Fatalf("pattern %d: model %v vs %v", i, s.Model, p.Model)
 		}
 		for b := range s.WorstVDD {
 			if s.WorstVDD[b] != p.WorstVDD[b] || s.WorstVSS[b] != p.WorstVSS[b] {

@@ -5,9 +5,9 @@ import (
 	"math"
 	"sort"
 
+	"scap/internal/atpg"
 	"scap/internal/fault"
 	"scap/internal/faultsim"
-	"scap/internal/logic"
 	"scap/internal/obs"
 	"scap/internal/parallel"
 )
@@ -114,10 +114,8 @@ func (sys *System) GradeDetections(fr *FlowResult, maxFaults int) (*QualityRepor
 		arr[s] = make([]float64, nf)
 		act[s] = make([]bool, nf)
 	}
-	var v1W, piW []logic.Word
-	var gb faultsim.Batch
-	slotV1 := make([][]logic.V, 0, nSlots)
-	slotPI := make([][]logic.V, 0, nSlots)
+	var pk atpg.Packer
+	batchPats := make([]atpg.Pattern, 0, nSlots)
 	var entries []gradeEntry
 	var delays []float64
 
@@ -129,14 +127,11 @@ func (sys *System) GradeDetections(fr *FlowResult, maxFaults int) (*QualityRepor
 		batch := pats[lo:hi]
 
 		// One packed good-machine simulation for the whole batch.
-		slotV1, slotPI = slotV1[:0], slotPI[:0]
+		batchPats = batchPats[:0]
 		for _, pi := range batch {
-			slotV1 = append(slotV1, fr.Patterns[pi].V1)
-			slotPI = append(slotPI, fr.Patterns[pi].PIs)
+			batchPats = append(batchPats, fr.Patterns[pi])
 		}
-		v1W = logic.PackSlots(v1W, slotV1)
-		piW = logic.PackSlots(piW, slotPI)
-		b := sys.FSim.GoodSimInto(&gb, v1W, piW, fr.Dom, logic.ValidMask(len(batch)))
+		b := pk.GoodSim(sys.FSim, batchPats, fr.Dom)
 
 		// Timing: per-endpoint arrivals of every batch pattern (no power
 		// accounting — the meters stay idle, the scratches are reused).

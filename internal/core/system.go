@@ -205,32 +205,14 @@ func (sys *System) buildGrids() error {
 	return nil
 }
 
-// LaunchState derives the launch-off-capture V2 state of a pattern for the
-// given domain: domain flops capture the frame-1 response, all others hold.
-func (sys *System) LaunchState(v1, pis []logic.V, dom int) []logic.V {
-	s, d := sys.Sim, sys.D
-	nets := s.NewNets()
-	s.SetPIs(nets, pis)
-	s.ApplyState(nets, v1)
-	s.Propagate(nets)
-	cap1 := s.CaptureState(nets)
-	v2 := make([]logic.V, len(d.Flops))
-	for i, f := range d.Flops {
-		if d.Inst(f).Domain == dom {
-			v2[i] = cap1[i]
-		} else {
-			v2[i] = v1[i]
-		}
-	}
-	return v2
-}
-
-// LaunchStateInto is the buffer-reusing form of LaunchState: the frame-1
-// settle runs inside ls (selective-trace from the scratch's cached
-// baseline) and the V2 state is written into v2, with capBuf as the
-// capture buffer (both len(d.Flops)). The settle stays cached in ls, so
-// a following LaunchInto on the same scratch with the same (v1, pis)
-// skips its own settle entirely — each pattern is settled exactly once.
+// LaunchStateInto derives the launch-off-capture V2 state of a pattern
+// for the given domain: domain flops capture the frame-1 response, all
+// others hold. The frame-1 settle runs inside ls (selective-trace from
+// the scratch's cached baseline) and the V2 state is written into v2,
+// with capBuf as the capture buffer (both len(d.Flops)). The settle
+// stays cached in ls, so a following LaunchInto on the same scratch with
+// the same (v1, pis) skips its own settle entirely — each pattern is
+// settled exactly once.
 func (sys *System) LaunchStateInto(ls *sim.LaunchScratch, v2, capBuf []logic.V, v1, pis []logic.V, dom int) ([]logic.V, error) {
 	nets, err := ls.SettleBaseline(v1, pis)
 	if err != nil {
@@ -246,6 +228,15 @@ func (sys *System) LaunchStateInto(ls *sim.LaunchScratch, v2, capBuf []logic.V, 
 		}
 	}
 	return v2, nil
+}
+
+// LaunchPattern runs one timing launch of pattern p in domain dom, with
+// the V2 state LaunchStateInto derives, and reports every output
+// transition to onToggle (optional). It is the one-off form of the
+// per-worker launch the analysis loops run; the Result is the caller's.
+func (sys *System) LaunchPattern(p *atpg.Pattern, dom int, onToggle sim.ToggleFn) (*sim.Result, error) {
+	pool := sys.profPool(1)
+	return pool[0].launch(sys, p.V1, p.PIs, dom, onToggle)
 }
 
 // NewFaultList returns a fresh collapsed fault universe for the design.

@@ -83,35 +83,29 @@ type Impact struct {
 	MaxSlowdownFrac float64
 }
 
-// Compare re-simulates one pattern without and with IR-drop-scaled delays
-// and reports per-endpoint path delays relative to each endpoint's own
-// (nominal vs derated) clock arrival. v1/v2/pis describe the launch as in
-// sim.Timing.Launch. ls (optional, nil allowed) is a reusable launch
-// scratch shared by both runs: the settled baseline is delay- and
-// clock-independent, so the derated run is a cone-cache hit, and a
-// caller whose scratch already holds this pattern's baseline pays no
-// settle at all.
+// Compare re-simulates one pattern with IR-drop-scaled delays and reports
+// per-endpoint path delays relative to each endpoint's own (nominal vs
+// derated) clock arrival. nom is the pattern's nominal run: a launch of
+// v1/v2/pis (as in sim.Timing.LaunchInto) on delays and tree, which the
+// caller has already simulated. ls (optional, nil allowed) is a reusable
+// launch scratch for the derated run; nom may live in it. The settled
+// baseline is delay- and clock-independent, so a scratch that already
+// holds this pattern's baseline pays no settle at all.
 func Compare(s *sim.Simulator, delays *sdf.Delays, tree *clocktree.Tree,
-	g *pgrid.Grid, sol *pgrid.Solution, kvolt float64,
+	g *pgrid.Grid, sol *pgrid.Solution, kvolt float64, nom *sim.Result,
 	v1, v2, pis []logic.V, period float64, ls *sim.LaunchScratch) (*Impact, error) {
 
 	d := s.Design()
-	nom := sim.NewTiming(s, delays, tree)
-	nomRes, err := nom.LaunchInto(ls, v1, v2, pis, period, nil)
-	if err != nil {
-		return nil, fmt.Errorf("delayscale: nominal run: %w", err)
-	}
-
 	// Harvest the nominal endpoints before the scaled run: a shared
-	// scratch reuses its Result, so the second launch overwrites nomRes.
+	// scratch reuses its Result, so the scaled launch overwrites nom.
 	imp := &Impact{Endpoints: make([]Endpoint, len(d.Flops))}
 	for i, f := range d.Flops {
 		ep := &imp.Endpoints[i]
 		ep.Flop = f
 		ep.Block = d.Inst(f).Block
-		ep.Active = nomRes.EndpointActive[i]
+		ep.Active = nom.EndpointActive[i]
 		if ep.Active {
-			ep.Nominal = nomRes.EndpointArrival[i] - tree.Arrival(f)
+			ep.Nominal = nom.EndpointArrival[i] - tree.Arrival(f)
 		}
 	}
 

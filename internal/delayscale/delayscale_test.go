@@ -120,7 +120,8 @@ func TestCompareZeroDropIsNeutral(t *testing.T) {
 	n := w.g.P.N
 	sol := &pgrid.Solution{N: n, Drop: make([]float64, n*n)}
 	v1, v2, pis := launchVectors(w)
-	imp, err := Compare(w.s, w.dl, w.tree, w.g, sol, w.kvolt, v1, v2, pis, 20, nil)
+	nom := nominal(t, w, nil, v1, v2, pis)
+	imp, err := Compare(w.s, w.dl, w.tree, w.g, sol, w.kvolt, nom, v1, v2, pis, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +137,11 @@ func TestCompareHotB5SlowsItsEndpoints(t *testing.T) {
 	w := build(t)
 	sol := hotSolution(w, 0.25)
 	v1, v2, pis := launchVectors(w)
-	// Exercise the shared-scratch path: both runs reuse one scratch.
-	imp, err := Compare(w.s, w.dl, w.tree, w.g, sol, w.kvolt, v1, v2, pis, 20,
-		sim.NewLaunchScratch(w.s))
+	// Exercise the shared-scratch path: the nominal Result lives in the
+	// scratch the derated run reuses.
+	ls := sim.NewLaunchScratch(w.s)
+	nom := nominal(t, w, ls, v1, v2, pis)
+	imp, err := Compare(w.s, w.dl, w.tree, w.g, sol, w.kvolt, nom, v1, v2, pis, 20, ls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +171,17 @@ func TestCompareHotB5SlowsItsEndpoints(t *testing.T) {
 		t.Fatal("no B5 endpoint slowed despite hot B5")
 	}
 	t.Logf("slowed %d, sped %d, max slowdown %.1f%%", imp.Slowed, imp.Sped, 100*imp.MaxSlowdownFrac)
+}
+
+// nominal launches v1/v2/pis on the nominal delays and clock tree at a
+// 20 ns period: the nominal run Compare takes.
+func nominal(t *testing.T, w *world, ls *sim.LaunchScratch, v1, v2, pis []logic.V) *sim.Result {
+	t.Helper()
+	res, err := sim.NewTiming(w.s, w.dl, w.tree).LaunchInto(ls, v1, v2, pis, 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // launchVectors builds a deterministic clka LOC launch.

@@ -26,8 +26,7 @@ import (
 
 // Meter observability: OnToggle sits in the timing simulator's event
 // loop, so toggles are counted in a meter-local field and flushed to
-// the shared counter once per pattern (on Reset and ReportBlocks, or
-// FlushToggles after a meter's last pattern).
+// the shared counter once per pattern, on Reset and ReportBlocks.
 var cTogglesMeterd = obs.NewCounter("power.toggles_metered")
 
 // BlockPower is the per-block switching profile of one pattern.
@@ -118,7 +117,7 @@ func (m *Meter) Clone() *Meter {
 // the meter sits in a per-pattern hot loop, and Report already copies
 // everything that escapes.
 func (m *Meter) Reset() {
-	m.FlushToggles()
+	m.flushToggles()
 	m.instEnergyVDD = resetF(m.instEnergyVDD, m.d.NumInsts())
 	m.instEnergyVSS = resetF(m.instEnergyVSS, m.d.NumInsts())
 	if m.blocks == nil {
@@ -142,11 +141,11 @@ func resetF(s []float64, n int) []float64 {
 	return s
 }
 
-// FlushToggles moves the meter-local toggle count into the shared
-// power.toggles_metered counter. Reset and ReportBlocks flush on their
-// own; a caller that drops a meter after its last pattern without either
-// flushes it here, or that pattern's toggles go uncounted.
-func (m *Meter) FlushToggles() {
+// flushToggles moves the meter-local toggle count into the shared
+// power.toggles_metered counter. A meter dropped after its last pattern
+// without a Reset or ReportBlocks leaves that pattern's toggles
+// uncounted.
+func (m *Meter) flushToggles() {
 	if m.unflushedToggles > 0 {
 		cTogglesMeterd.Add(m.unflushedToggles)
 		m.unflushedToggles = 0
@@ -200,7 +199,7 @@ func (m *Meter) Report(period float64) *Profile {
 // energy-vector copies of Report that the pattern-profiling loop never
 // consumes. The returned slice is independent of the meter.
 func (m *Meter) ReportBlocks(period float64) []BlockPower {
-	m.FlushToggles()
+	m.flushToggles()
 	blocks := make([]BlockPower, len(m.blocks))
 	copy(blocks, m.blocks)
 	for i := range blocks {

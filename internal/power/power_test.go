@@ -45,7 +45,7 @@ func chainDesign(t *testing.T) (*netlist.Design, *sim.Simulator, *sim.Timing) {
 func TestMeterCountsEnergyAndSTW(t *testing.T) {
 	d, _, tm := chainDesign(t)
 	m := NewMeter(d)
-	res, err := tm.Launch(
+	res, err := tm.LaunchInto(nil,
 		[]logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X},
 		nil, 20, m.OnToggle)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestMeterCountsEnergyAndSTW(t *testing.T) {
 func TestMeterReset(t *testing.T) {
 	d, _, tm := chainDesign(t)
 	m := NewMeter(d)
-	if _, err := tm.Launch([]logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X}, nil, 20, m.OnToggle); err != nil {
+	if _, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X}, nil, 20, m.OnToggle); err != nil {
 		t.Fatal(err)
 	}
 	m.Reset()
@@ -219,7 +219,7 @@ func TestStatCurrentsInto(t *testing.T) {
 func TestInstCurrentsConversion(t *testing.T) {
 	d, _, tm := chainDesign(t)
 	m := NewMeter(d)
-	if _, err := tm.Launch([]logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X}, nil, 20, m.OnToggle); err != nil {
+	if _, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X}, nil, 20, m.OnToggle); err != nil {
 		t.Fatal(err)
 	}
 	p := m.Report(20)
@@ -250,7 +250,7 @@ func TestWaveformBinsEnergy(t *testing.T) {
 	d, _, tm := chainDesign(t)
 	m := NewMeter(d)
 	m.EnableWaveform(0.5)
-	if _, err := tm.Launch([]logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X},
+	if _, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X},
 		nil, 20, m.OnToggle); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"scap/internal/netlist"
 	"scap/internal/parasitic"
 	"scap/internal/power"
-	"scap/internal/sim"
 	"scap/internal/soc"
 	"scap/internal/textplot"
 	"scap/internal/vcd"
@@ -169,12 +168,9 @@ func (r *Runner) Fig5() (string, error) {
 		spef.Len(), bytes.Count(spef.Bytes(), []byte("*D_NET ")), sys.D.NumNets())
 
 	// Self-check: streaming SCAP equals VCD-recomputed SCAP.
-	p := &conv.Patterns[0]
 	meter := power.NewMeter(sys.D)
 	rec := vcd.NewRecorder(sys.D)
-	tm := sim.NewTiming(sys.Sim, sys.Delays, sys.Tree)
-	v2 := sys.LaunchState(p.V1, p.PIs, 0)
-	res, err := tm.Launch(p.V1, v2, p.PIs, sys.Period, func(inst netlist.InstID, t float64, rising bool) {
+	res, err := sys.LaunchPattern(&conv.Patterns[0], conv.Dom, func(inst netlist.InstID, t float64, rising bool) {
 		meter.OnToggle(inst, t, rising)
 		rec.OnToggle(inst, t, rising)
 	})

@@ -132,7 +132,7 @@ func TestLaunchIntoMatchesFreshLaunch(t *testing.T) {
 	}
 	for k, c := range cases {
 		freshTog, reuseTog = freshTog[:0], reuseTog[:0]
-		want, err := tm.Launch(c.v1, c.v2, c.pis, 20, record(&freshTog))
+		want, err := tm.LaunchInto(nil, c.v1, c.v2, c.pis, 20, record(&freshTog))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestLaunchIntoWorkerEquivalence(t *testing.T) {
 
 	want := make([]*Result, len(cases))
 	for i, c := range cases {
-		res, err := tm.Launch(c.v1, c.v2, c.pis, 20, nil)
+		res, err := tm.LaunchInto(nil, c.v1, c.v2, c.pis, 20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestLaunchIntoSharedAcrossTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := der.Launch(c.v1, c.v2, c.pis, 20, nil)
+	want, err := der.LaunchInto(nil, c.v1, c.v2, c.pis, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSettleBaselineMatchesPropagate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := tm.Launch(c.v1, c.v2, c.pis, 20, nil)
+		fresh, err := tm.LaunchInto(nil, c.v1, c.v2, c.pis, 20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestFirstEventSentinel(t *testing.T) {
 	dl := delaysFor(t, d)
 	tm := NewTiming(s, dl, nil)
 	// v1 == v2: no launch edge, no events.
-	quiet, err := tm.Launch([]logic.V{logic.Zero, logic.One}, []logic.V{logic.Zero, logic.One}, nil, 20, nil)
+	quiet, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.One}, []logic.V{logic.Zero, logic.One}, nil, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFirstEventSentinel(t *testing.T) {
 			quiet.Toggles, quiet.FirstEvent)
 	}
 	// Ideal (zero-skew) clock: the flop output transitions exactly at t=0.
-	hot, err := tm.Launch([]logic.V{logic.Zero, logic.One}, []logic.V{logic.One, logic.One}, nil, 20, nil)
+	hot, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.One}, []logic.V{logic.One, logic.One}, nil, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,16 +306,16 @@ func TestLaunchRejectsDegenerateConfig(t *testing.T) {
 	v2 := []logic.V{logic.One, logic.One}
 	tm := NewTiming(s, dl, nil)
 	for _, period := range []float64{0, -5} {
-		if _, err := tm.Launch(v1, v2, nil, period, nil); err == nil {
+		if _, err := tm.LaunchInto(nil, v1, v2, nil, period, nil); err == nil {
 			t.Fatalf("period %v accepted", period)
 		}
 	}
 	tm.MaxEventsPerNet = 0
-	if _, err := tm.Launch(v1, v2, nil, 20, nil); err == nil {
+	if _, err := tm.LaunchInto(nil, v1, v2, nil, 20, nil); err == nil {
 		t.Fatal("MaxEventsPerNet 0 accepted")
 	}
 	tm.MaxEventsPerNet = -3
-	if _, err := tm.Launch(v1, v2, nil, 20, nil); err == nil {
+	if _, err := tm.LaunchInto(nil, v1, v2, nil, 20, nil); err == nil {
 		t.Fatal("negative MaxEventsPerNet accepted")
 	}
 	_ = d

@@ -217,7 +217,7 @@ func TestTimingChainArrival(t *testing.T) {
 	// v1: q1=0 (a=1,b=0,c=1); launch q1 -> 1.
 	v1 := []logic.V{logic.Zero, logic.One}
 	v2 := []logic.V{logic.One, logic.One}
-	res, err := tm.Launch(v1, v2, nil, 20, nil)
+	res, err := tm.LaunchInto(nil, v1, v2, nil, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTimingGlitchPropagation(t *testing.T) {
 	dl := delaysFor(t, d)
 	tm := NewTiming(s, dl, nil)
 	tm.MinPulseNs = -1 // pure transport delay: glitches propagate
-	res, err := tm.Launch([]logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X}, nil, 20, nil)
+	res, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X}, nil, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestTimingGlitchPropagation(t *testing.T) {
 	// swallowed by the xor's own switching window when it is narrower than
 	// the stage delay; the settled value must be unchanged either way.
 	tmI := NewTiming(s, dl, nil)
-	resI, err := tmI.Launch([]logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X}, nil, 20, nil)
+	resI, err := tmI.LaunchInto(nil, []logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X}, nil, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestTimingSettlesToZeroDelayState(t *testing.T) {
 	s.Propagate(nets)
 	v2 := s.CaptureState(nets)
 
-	res, err := tm.Launch(v1, v2, pis, 20, nil)
+	res, err := tm.LaunchInto(nil, v1, v2, pis, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestTimingToggleCallbackAndCounts(t *testing.T) {
 	dl := delaysFor(t, d)
 	tm := NewTiming(s, dl, nil)
 	var got int
-	res, err := tm.Launch([]logic.V{logic.Zero, logic.One}, []logic.V{logic.One, logic.One}, nil, 20,
+	res, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.One}, []logic.V{logic.One, logic.One}, nil, 20,
 		func(inst netlist.InstID, tt float64, rising bool) {
 			got++
 			if tt < 0 {
@@ -396,7 +396,7 @@ func TestTimingEventCapSuppresses(t *testing.T) {
 	s.ApplyState(nets, v1)
 	s.Propagate(nets)
 	v2 := s.CaptureState(nets)
-	res, err := tm.Launch(v1, v2, pis, 20, nil)
+	res, err := tm.LaunchInto(nil, v1, v2, pis, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,10 +409,10 @@ func TestTimingInputValidation(t *testing.T) {
 	d, s := chain(t)
 	dl := delaysFor(t, d)
 	tm := NewTiming(s, dl, nil)
-	if _, err := tm.Launch([]logic.V{logic.Zero}, []logic.V{logic.One, logic.One}, nil, 20, nil); err == nil {
+	if _, err := tm.LaunchInto(nil, []logic.V{logic.Zero}, []logic.V{logic.One, logic.One}, nil, 20, nil); err == nil {
 		t.Fatal("short v1 accepted")
 	}
-	if _, err := tm.Launch([]logic.V{logic.Zero, logic.One}, []logic.V{logic.One, logic.One},
+	if _, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.One}, []logic.V{logic.One, logic.One},
 		[]logic.V{logic.One}, 20, nil); err == nil {
 		t.Fatal("wrong pi length accepted")
 	}

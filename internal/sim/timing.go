@@ -11,7 +11,7 @@ import (
 )
 
 // Event-loop observability: dispatched/suppressed counts are tracked in
-// launch-local variables and flushed once per Launch, so the event loop
+// launch-local variables and flushed once per launch, so the event loop
 // itself carries no atomic traffic.
 var (
 	cLaunches   = obs.NewCounter("sim.launches")
@@ -75,7 +75,7 @@ func NewTiming(s *Simulator, delays *sdf.Delays, tree Clock) *Timing {
 // Clone returns an independent Timing with the same configuration. The
 // underlying simulator, delay table and clock tree are immutable after
 // construction and stay shared; Timing itself holds no scratch state
-// between Launch calls (launch buffers live in the caller-owned
+// between launches (launch buffers live in the caller-owned
 // LaunchScratch), so a clone is just a config copy. This is the
 // per-worker constructor path of the parallel profiling pipeline —
 // pair each clone with its own NewLaunchScratch.
@@ -298,7 +298,7 @@ func (q *calQueue) clear() {
 	}
 }
 
-// Launch runs one at-speed launch-to-capture cycle:
+// LaunchInto runs one at-speed launch-to-capture cycle:
 //
 //   - the network is settled at the pre-launch state v1 (per-flop values,
 //     d.Flops order) with constant primary inputs pis;
@@ -312,15 +312,8 @@ func (q *calQueue) clear() {
 // onToggle (optional) observes every output transition. The returned
 // Result carries switching statistics, the STW and per-endpoint arrivals.
 //
-// Launch allocates a fresh scratch per call; hot loops should hold a
-// per-worker LaunchScratch and call LaunchInto instead.
-func (tm *Timing) Launch(v1, v2 []logic.V, pis []logic.V, period float64, onToggle ToggleFn) (*Result, error) {
-	return tm.LaunchInto(nil, v1, v2, pis, period, onToggle)
-}
-
-// LaunchInto is the buffer-reusing form of Launch. A nil ls allocates a
-// one-shot scratch (exactly Launch); otherwise ls must have been built
-// for tm's simulator, and steady-state calls allocate nothing: the
+// A nil ls allocates a one-shot scratch; otherwise ls must have been
+// built for tm's simulator, and steady-state calls allocate nothing: the
 // pre-launch settle touches only the fanout cone of flops/PIs that
 // changed since the previous call (or nothing at all when the pattern
 // repeats), and an undo log restores the baseline afterwards.

@@ -130,7 +130,7 @@ func TestSTAUpperBoundsTimingSim(t *testing.T) {
 			v2[i] = v1[i]
 		}
 	}
-	simRes, err := tm.Launch(v1, v2, pis, 20, nil)
+	simRes, err := tm.LaunchInto(nil, v1, v2, pis, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func record(t testing.TB) (*Recorder, int) {
 	}
 	tm := sim.NewTiming(s, sdf.Compute(d), nil)
 	rec := NewRecorder(d)
-	res, err := tm.Launch([]logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X},
+	res, err := tm.LaunchInto(nil, []logic.V{logic.Zero, logic.X}, []logic.V{logic.One, logic.X},
 		nil, 20, rec.OnToggle)
 	if err != nil {
 		t.Fatal(err)
