@@ -295,7 +295,7 @@ func BenchmarkTimingSimulation(b *testing.B) {
 
 // benchLaunchWorkload precomputes the profiling workload the launch
 // benches cycle over: every pattern of the new-procedure flow (the
-// low-activity fill-0 set selective trace is built for) with its LOC v2.
+// low-activity fill-0 set) with its LOC v2.
 func benchLaunchWorkload(b *testing.B) (*core.System, []*atpg.Pattern, [][]logic.V) {
 	b.Helper()
 	r := benchRunner(b)
@@ -328,8 +328,8 @@ func launchState(b *testing.B, sys *core.System, p *atpg.Pattern) []logic.V {
 // BenchmarkLaunch / BenchmarkLaunchReuse are the headline pair of the
 // allocation-free scratch: the same pattern stream through the fresh
 // path (a new scratch + full settle per call) vs one reused per-worker
-// scratch (selective-trace settle, zero steady-state allocations). The
-// reuse path must be >= 2x cheaper in ns/op and >= 5x in allocs/op.
+// scratch (the same full settle, zero steady-state allocations). The
+// reuse path must be >= 5x cheaper in allocs/op.
 func BenchmarkLaunch(b *testing.B) {
 	sys, pats, v2s := benchLaunchWorkload(b)
 	tm := sim.NewTiming(sys.Sim, sys.Delays, sys.Tree)
@@ -358,7 +358,7 @@ func BenchmarkLaunchReuse(b *testing.B) {
 }
 
 // BenchmarkLaunchResim re-launches one fixed pattern (the Monte-Carlo /
-// delayscale re-simulation shape): the cone cache skips settling
+// delayscale re-simulation shape): the cached baseline skips settling
 // entirely, leaving only the event phase.
 func BenchmarkLaunchResim(b *testing.B) {
 	sys, pats, v2s := benchLaunchWorkload(b)

@@ -16,6 +16,7 @@ import (
 
 	"scap/internal/cli"
 	"scap/internal/core"
+	"scap/internal/delayscale"
 	"scap/internal/ftas"
 	"scap/internal/soc"
 	"scap/internal/textplot"
@@ -113,7 +114,15 @@ func main() {
 	if pick >= len(fr.Patterns) {
 		c.Reject(fmt.Errorf("pattern %d out of range (have %d)", pick, len(fr.Patterns)))
 	}
-	dyn, err := sys.DynamicIRDrop(&fr.Patterns[pick], 0, *model)
+	// DelayImpact runs the SCAP-model analysis of the pattern, so with
+	// that model its DynamicIR is the one to print.
+	var imp *delayscale.Impact
+	var dyn *core.DynamicIR
+	if *model == core.ModelSCAP {
+		imp, dyn, err = sys.DelayImpact(&fr.Patterns[pick], 0)
+	} else {
+		dyn, err = sys.DynamicIRDrop(&fr.Patterns[pick], 0, *model)
+	}
 	c.Check(err)
 	nb := sys.D.NumBlocks
 	fmt.Printf("\ndynamic %v-model analysis of pattern #%d (STW %.2f ns):\n", *model, pick, dyn.STW)
@@ -127,8 +136,10 @@ func main() {
 		fmt.Print(textplot.Heatmap(dyn.SolVDD.Drop, dyn.SolVDD.N, tenPct,
 			fmt.Sprintf("VDD drop map ('@' beyond 10%% VDD = %.2f V)", tenPct)))
 	}
-	imp, _, err := sys.DelayImpact(&fr.Patterns[pick], 0)
-	c.Check(err)
+	if imp == nil {
+		imp, _, err = sys.DelayImpact(&fr.Patterns[pick], 0)
+		c.Check(err)
+	}
 	fmt.Printf("\nIR-drop-aware re-simulation: %d endpoints slowed, %d sped up, max slowdown %.1f%%\n",
 		imp.Slowed, imp.Sped, 100*imp.MaxSlowdownFrac)
 

@@ -6,6 +6,7 @@ import (
 
 	"scap/internal/atpg"
 	"scap/internal/delayscale"
+	"scap/internal/netlist"
 	"scap/internal/obs"
 	"scap/internal/parallel"
 	"scap/internal/pgrid"
@@ -113,9 +114,9 @@ type IRDropSummary struct {
 }
 
 // irScratch is one worker's solver state for DynamicIRDropAll: the
-// per-instance currents buffer and a lane batch per rail.
+// buffer of switched instances and a lane batch per rail.
 type irScratch struct {
-	cur      []float64
+	switched []netlist.InstID
 	vdd, vss *pgrid.Batch
 }
 
@@ -127,9 +128,13 @@ type irScratch struct {
 // Patterns go in groups of pgrid.Lanes by index (4g…4g+3): a worker
 // profiles a group's patterns one by one, writes each one's currents
 // into its lane of the rail batches, and sweeps each rail once for the
-// whole group. Every lane is bit-identical to a single solve of its
-// pattern and groups do not depend on the worker that runs them, so
-// results are bit-identical for any worker count.
+// whole group. Only the instances the meter saw switch carry energy, so
+// only they are converted (power.InstCurrentsInto's expression) and
+// injected, in ascending InstID order: the order, and the skipped zero
+// currents, of a dense injection. Every lane is therefore bit-identical
+// to a single solve of its pattern, and groups do not depend on the
+// worker that runs them, so results are bit-identical for any worker
+// count.
 func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropSummary, error) {
 	defer obs.StartSpan("dynamic-irdrop-all").End()
 	n := len(fr.Patterns)
@@ -147,14 +152,15 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 	for w := range scratch {
 		sc := &scratch[w]
 		var err error
-		if sc.vdd, err = sys.GridVDD.NewBatch(); err != nil {
+		if sc.vdd, err = sys.GridVDD.NewBatch(sys.D); err != nil {
 			return nil, err
 		}
-		if sc.vss, err = sys.GridVSS.NewBatch(); err != nil {
+		if sc.vss, err = sys.GridVSS.NewBatch(sys.D); err != nil {
 			return nil, err
 		}
 	}
 	nb := sys.D.NumBlocks
+	vdd := sys.D.Lib.VDD
 
 	// eval simulates group g's patterns on worker w's scratch and sweeps
 	// both rails once for all of them.
@@ -173,10 +179,15 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 				window = res.STW
 			}
 			out[i].Model = model
-			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, ps.meter.RawInstEnergyVDD(), window)
-			sc.vdd.Inject(i-lo, sys.D, sc.cur)
-			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, ps.meter.RawInstEnergyVSS(), window)
-			sc.vss.Inject(i-lo, sys.D, sc.cur)
+			if window <= 0 {
+				continue // no window, no current
+			}
+			eVDD, eVSS := ps.meter.RawInstEnergyVDD(), ps.meter.RawInstEnergyVSS()
+			sc.switched = ps.meter.AppendSwitched(sc.switched[:0])
+			for _, id := range sc.switched {
+				sc.vdd.AddInst(i-lo, id, eVDD[id]/(vdd*window)*1e-3)
+				sc.vss.AddInst(i-lo, id, eVSS[id]/(vdd*window)*1e-3)
+			}
 		}
 		sc.vdd.Sweep(hi - lo)
 		sc.vss.Sweep(hi - lo)
@@ -230,7 +241,7 @@ func (sys *System) DelayImpact(p *atpg.Pattern, dom int) (*delayscale.Impact, *D
 	// The metered launch is the nominal run, and ps.v2 still holds its
 	// V2 state. The scratch still holds the pattern's settled baseline,
 	// which is delay- and clock-independent, so the derated launch on
-	// the same scratch is a cone-cache hit.
+	// the same scratch skips its settle.
 	imp, err := delayscale.Compare(sys.Sim, sys.Delays, sys.Tree,
 		sys.GridVDD, dyn.CombinedDrop(), sys.D.Lib.KVolt, nom,
 		p.V1, ps.v2, p.PIs, sys.Period, ps.ls)

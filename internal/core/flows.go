@@ -177,25 +177,23 @@ type profScratch struct {
 	v2, capBuf []logic.V
 }
 
-// profPool builds one scratch state per worker. The first is constructed
-// from the design; the rest clone it, sharing only immutable tables.
-// Every worker owns a private LaunchScratch, so steady-state launches
-// allocate nothing.
+// profPool builds one scratch state per worker. Each clones the
+// system's meter and Timing, sharing only their immutable tables, and
+// owns a private LaunchScratch, so steady-state launches allocate
+// nothing.
 func (sys *System) profPool(workers int) []profScratch {
 	pool := make([]profScratch, workers)
-	pool[0] = profScratch{
-		meter: power.NewMeter(sys.D),
-		tm:    sim.NewTiming(sys.Sim, sys.Delays, sys.Tree),
-	}
-	for w := 1; w < workers; w++ {
-		pool[w] = profScratch{meter: pool[0].meter.Clone(), tm: pool[0].tm.Clone()}
-	}
 	nf := len(sys.D.Flops)
 	for w := range pool {
-		pool[w].ls = sim.NewLaunchScratch(sys.Sim)
-		pool[w].toggle = pool[w].meter.OnToggle
-		pool[w].v2 = make([]logic.V, nf)
-		pool[w].capBuf = make([]logic.V, nf)
+		m := sys.meter.Clone()
+		pool[w] = profScratch{
+			meter:  m,
+			tm:     sys.tm.Clone(),
+			ls:     sim.NewLaunchScratch(sys.Sim),
+			toggle: m.OnToggle,
+			v2:     make([]logic.V, nf),
+			capBuf: make([]logic.V, nf),
+		}
 	}
 	return pool
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"scap/internal/pgrid"
@@ -102,35 +103,42 @@ func TestDynamicIRDropAllDeterministicAcrossWorkers(t *testing.T) {
 
 // TestDynamicIRDropAllMatchesSingle: each lane of a batched sweep and
 // the one-pattern API's single solve of the same injection agree bit
-// for bit, on every pattern of a set whose last group of pgrid.Lanes is
-// partial.
+// for bit. The single path injects every instance from a fresh meter,
+// the batched one only the instances its worker's reused meter saw
+// switch. The random-fill set is cut so its last group of pgrid.Lanes
+// is partial; on the fill-0 set, whose block steps switch different
+// instances, each of the two workers carries its meter across dozens
+// of patterns.
 func TestDynamicIRDropAllMatchesSingle(t *testing.T) {
-	sys, _, conv, _ := build(t)
-	set := *conv
-	set.Patterns = conv.Patterns[:len(conv.Patterns)-1]
-	if len(set.Patterns)%pgrid.Lanes == 0 {
-		set.Patterns = set.Patterns[:len(set.Patterns)-1]
-	}
-	all, err := sys.DynamicIRDropAll(&set, ModelSCAP)
-	if err != nil {
-		t.Fatal(err)
+	sys, _, conv, nt := build(t)
+	setWorkers(t, sys, 2)
+	random := *conv
+	random.Patterns = conv.Patterns[:len(conv.Patterns)-1]
+	if len(random.Patterns)%pgrid.Lanes == 0 {
+		random.Patterns = random.Patterns[:len(random.Patterns)-1]
 	}
 	nb := sys.D.NumBlocks
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for i := range set.Patterns {
-		single, err := sys.DynamicIRDrop(&set.Patterns[i], set.Dom, ModelSCAP)
+	for _, set := range []*FlowResult{&random, nt} {
+		all, err := sys.DynamicIRDropAll(set, ModelSCAP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !same(all[i].STW, single.STW) {
-			t.Fatalf("pattern %d: STW %v vs %v", i, all[i].STW, single.STW)
-		}
-		for b := 0; b <= nb; b++ {
-			if !same(all[i].WorstVDD[b], single.WorstVDD[b]) {
-				t.Fatalf("pattern %d block %d: VDD %v vs %v", i, b, all[i].WorstVDD[b], single.WorstVDD[b])
+		for i := range set.Patterns {
+			single, err := sys.DynamicIRDrop(&set.Patterns[i], set.Dom, ModelSCAP)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !same(all[i].WorstVSS[b], single.WorstVSS[b]) {
-				t.Fatalf("pattern %d block %d: VSS %v vs %v", i, b, all[i].WorstVSS[b], single.WorstVSS[b])
+			if !same(all[i].STW, single.STW) {
+				t.Fatalf("%s pattern %d: STW %v vs %v", set.Name, i, all[i].STW, single.STW)
+			}
+			for b := 0; b <= nb; b++ {
+				if !same(all[i].WorstVDD[b], single.WorstVDD[b]) {
+					t.Fatalf("%s pattern %d block %d: VDD %v vs %v", set.Name, i, b, all[i].WorstVDD[b], single.WorstVDD[b])
+				}
+				if !same(all[i].WorstVSS[b], single.WorstVSS[b]) {
+					t.Fatalf("%s pattern %d block %d: VSS %v vs %v", set.Name, i, b, all[i].WorstVSS[b], single.WorstVSS[b])
+				}
 			}
 		}
 	}
@@ -211,7 +219,8 @@ func summary(r *QualityReport) string {
 
 // TestScreenPatternsDeterministicAcrossWorkers: batches write
 // index-addressed slots and the per-slot energies accumulate in fixed
-// instance order, so the screen is bit-identical for any worker count.
+// instance order, so the screen is bit-identical for any worker count,
+// and for calls that run at once on one system and share its buffers.
 func TestScreenPatternsDeterministicAcrossWorkers(t *testing.T) {
 	sys, _, conv, _ := build(t)
 	setWorkers(t, sys, 1)
@@ -229,6 +238,21 @@ func TestScreenPatternsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: screens differ from serial", workers)
 		}
 	}
+	sys.Workers = 2
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			got, err := sys.ScreenPatterns(conv)
+			if err != nil {
+				t.Error(err)
+			} else if !reflect.DeepEqual(serial, got) {
+				t.Errorf("concurrent call %d: screens differ from serial", c)
+			}
+		}(c)
+	}
+	wg.Wait()
 }
 
 // TestScreenPatternsMatchesOneByOne screens a set with a full and a

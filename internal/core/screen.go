@@ -37,6 +37,13 @@ type PatternScreen struct {
 	EstBlockCAPVdd []float64
 }
 
+// screenScratch is one ScreenPatterns worker's state: the packer with
+// its good-machine batch, and the estimate it refills per batch.
+type screenScratch struct {
+	pk  atpg.Packer
+	est power.PackedEstimate
+}
+
 // ScreenPatterns runs the packed zero-delay SCAP pre-screen over a flow's
 // pattern set: patterns are packed 64 per good-machine batch, and each
 // batch costs two packed settles plus one popcount pass over the design
@@ -44,6 +51,8 @@ type PatternScreen struct {
 // profiler. Batches are independent and fan out across sys.Workers; every
 // pattern writes only its own slot and the per-slot energies accumulate in
 // fixed instance order, so the output is identical for any worker count.
+// The per-worker buffers are kept on the system across calls, and
+// concurrent calls take turns on them.
 func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 	defer obs.StartSpan("screen-patterns").End()
 	n := len(fr.Patterns)
@@ -56,15 +65,13 @@ func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 	if workers > nBatches {
 		workers = nBatches
 	}
-	meters := make([]*power.Meter, workers)
-	packers := make([]atpg.Packer, workers)
-	ests := make([]power.PackedEstimate, workers)
+	sys.screenMu.Lock()
+	defer sys.screenMu.Unlock()
+	for len(sys.screen) < workers {
+		sys.screen = append(sys.screen, screenScratch{})
+	}
 	nb := sys.D.NumBlocks
 	blockCAP := make([]float64, n*nb)
-	meters[0] = power.NewMeter(sys.D)
-	for w := 1; w < workers; w++ {
-		meters[w] = meters[0].Clone()
-	}
 	err := parallel.For(workers, nBatches, func(w, bi int) error {
 		lo := bi * 64
 		hi := lo + 64
@@ -73,10 +80,12 @@ func (sys *System) ScreenPatterns(fr *FlowResult) ([]PatternScreen, error) {
 		}
 		chunk := fr.Patterns[lo:hi]
 		// GoodSim touches no Sim scratch, so the shared FSim serves every
-		// worker concurrently, each through its own packer.
-		b := packers[w].GoodSim(sys.FSim, chunk, fr.Dom)
-		est := &ests[w]
-		meters[w].PackedEstimate(est, b.N1, b.N2, b.Valid)
+		// worker concurrently, each through its own packer, and the
+		// estimate reads only the meter's immutable tables.
+		sc := &sys.screen[w]
+		b := sc.pk.GoodSim(sys.FSim, chunk, fr.Dom)
+		est := &sc.est
+		sys.meter.PackedEstimate(est, b.N1, b.N2, b.Valid)
 		for s := range chunk {
 			i := lo + s
 			ps := &out[i]

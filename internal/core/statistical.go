@@ -155,7 +155,7 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 	}
 	scratch := make([]mcScratch, workers)
 	for w := range scratch {
-		b, err := sys.GridVDD.NewBatch()
+		b, err := sys.GridVDD.NewBatch(d)
 		if err != nil {
 			return nil, fmt.Errorf("core: MC factorization: %w", err)
 		}
@@ -175,7 +175,7 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 					sc.cur[i] = 0
 				}
 			}
-			sc.batch.Inject(t-lo, d, sc.cur)
+			sc.batch.Inject(t-lo, sc.cur)
 		}
 		sc.batch.Sweep(hi - lo)
 		for t := lo; t < hi; t++ {

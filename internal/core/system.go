@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"scap/internal/atpg"
 	"scap/internal/clocktree"
@@ -102,6 +103,19 @@ type System struct {
 	// Workers mirrors Config.Workers and may be changed between calls
 	// (0 = all cores, 1 = exact serial path).
 	Workers int
+
+	// meter and tm are the prototypes every worker scratch clones (see
+	// profPool): building a meter reads every instance's load
+	// capacitance, and a Timing scans the delay table, so Build pays
+	// both once. No launch runs on either; ScreenPatterns reads the
+	// meter's tables.
+	meter *power.Meter
+	tm    *sim.Timing
+
+	// screenMu guards screen, the per-worker packing buffers and
+	// estimates ScreenPatterns keeps across calls.
+	screenMu sync.Mutex
+	screen   []screenScratch
 }
 
 // Build constructs the complete system.
@@ -135,7 +149,9 @@ func Build(cfg Config) (*System, error) {
 		Delays:  sdf.Compute(d),
 		Period:  cfg.SOC.TestPeriodNs,
 		Workers: cfg.Workers,
+		meter:   power.NewMeter(d),
 	}
+	sys.tm = sim.NewTiming(s, sys.Delays, sys.Tree)
 	if err := sys.buildGrids(); err != nil {
 		return nil, err
 	}
@@ -207,8 +223,8 @@ func (sys *System) buildGrids() error {
 
 // LaunchStateInto derives the launch-off-capture V2 state of a pattern
 // for the given domain: domain flops capture the frame-1 response, all
-// others hold. The frame-1 settle runs inside ls (selective-trace from
-// the scratch's cached baseline) and the V2 state is written into v2,
+// others hold. The frame-1 settle runs inside ls (skipped when the
+// scratch's cached baseline matches) and the V2 state is written into v2,
 // with capBuf as the capture buffer (both len(d.Flops)). The settle
 // stays cached in ls, so a following LaunchInto on the same scratch with
 // the same (v1, pis) skips its own settle entirely — each pattern is

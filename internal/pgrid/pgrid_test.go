@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"scap/internal/netlist"
 	"scap/internal/parasitic"
 	"scap/internal/place"
 	"scap/internal/power"
@@ -202,8 +203,10 @@ func TestNodeMapping(t *testing.T) {
 
 // TestBatchInjectMatchesInjectInstCurrents: per-instance currents
 // written straight into a lane solve to the same bits as the per-node
-// vector InjectInstCurrents builds from them, and they land only in
-// that lane.
+// vector InjectInstCurrents builds from them, whether the lane takes the
+// dense vector (Inject) or its instances one by one in ascending order
+// (AddInst), and they land only in their lanes. Every third current is
+// zero, as for an instance that did not switch.
 func TestBatchInjectMatchesInjectInstCurrents(t *testing.T) {
 	d, _, err := soc.Generate(soc.DefaultConfig(96))
 	if err != nil {
@@ -218,34 +221,42 @@ func TestBatchInjectMatchesInjectInstCurrents(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := power.StatCurrents(d, 0.3, 10)
+	for i := 0; i < len(cur); i += 3 {
+		cur[i] = 0
+	}
 	want, err := g.Solve(g.InjectInstCurrents(d, cur))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.NewBatch()
+	b, err := g.NewBatch(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const lane = 2
-	b.Inject(lane, d, cur)
-	b.Sweep(1)
+	const dense, sparse = 2, 0
+	b.Inject(dense, cur)
+	for i, mA := range cur {
+		b.AddInst(sparse, netlist.InstID(i), mA)
+	}
+	b.Sweep(2)
 	for k := range b.y {
 		for l := 0; l < Lanes; l++ {
-			if l != lane && b.y[k][l] != 0 {
+			if l != dense && l != sparse && b.y[k][l] != 0 {
 				t.Fatalf("lane %d picked up %v at position %d", l, b.y[k][l], k)
 			}
 		}
 	}
-	got := b.solution(lane)
-	for node := range want.Drop {
-		if math.Float64bits(got.Drop[node]) != math.Float64bits(want.Drop[node]) {
-			t.Fatalf("node %d: %v != %v", node, got.Drop[node], want.Drop[node])
+	for _, lane := range []int{dense, sparse} {
+		got := b.solution(lane)
+		for node := range want.Drop {
+			if math.Float64bits(got.Drop[node]) != math.Float64bits(want.Drop[node]) {
+				t.Fatalf("lane %d node %d: %v != %v", lane, node, got.Drop[node], want.Drop[node])
+			}
 		}
-	}
-	worst := b.WorstPerBlock(lane, d.NumBlocks)
-	for blk, w := range want.WorstPerBlock(g, d.NumBlocks) {
-		if math.Float64bits(worst[blk]) != math.Float64bits(w) {
-			t.Fatalf("block %d: lane worst %v, Solve worst %v", blk, worst[blk], w)
+		worst := b.WorstPerBlock(lane, d.NumBlocks)
+		for blk, w := range want.WorstPerBlock(g, d.NumBlocks) {
+			if math.Float64bits(worst[blk]) != math.Float64bits(w) {
+				t.Fatalf("lane %d block %d: lane worst %v, Solve worst %v", lane, blk, worst[blk], w)
+			}
 		}
 	}
 }

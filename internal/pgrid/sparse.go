@@ -10,25 +10,15 @@ import (
 	"scap/internal/parallel"
 )
 
-// Solver observability (see DESIGN.md §10): calls vs builds
-// distinguishes factor cache hits, solves count injections while
-// triangular_sweeps counts passes over L (two per sweep of up to Lanes
-// injections), and the one-time build records the symbolic fill
-// (factor nnz, fill ratio) the ordering achieved. One flush per sweep,
-// so the disabled cost is a few gated atomic loads.
+// Solver observability (see DESIGN.md §10): builds counts the
+// factorizations, solves the injections swept, and the one-time build
+// records the symbolic fill (factor nnz, fill ratio) the ordering
+// achieved. One flush per sweep, so the disabled cost is a gated atomic
+// load.
 var (
-	cFactorCalls  = obs.NewCounter("pgrid.sparse.factor.calls")
 	cFactorBuilds = obs.NewCounter("pgrid.sparse.factor.builds")
 	cSolves       = obs.NewCounter("pgrid.sparse.solves")
-	cSweeps       = obs.NewCounter("pgrid.sparse.triangular_sweeps")
 )
-
-func init() {
-	obs.RegisterDerived("pgrid.sparse.factor.cache_hits", func(c map[string]int64) (float64, bool) {
-		calls, builds := c["pgrid.sparse.factor.calls"], c["pgrid.sparse.factor.builds"]
-		return float64(calls - builds), calls > 0
-	})
-}
 
 // Ordering is a fill-reducing elimination order of the n×n mesh nodes:
 // Perm[k] is the original node eliminated k-th, IPerm its inverse
@@ -173,7 +163,6 @@ func (f *Factorization) FillRatio() float64 { return float64(f.NNZ()) / float64(
 // concurrent first callers block until one factorization exists and
 // then share it read-only.
 func (g *Grid) Factor() (*Factorization, error) {
-	cFactorCalls.Add(1)
 	g.factOnce.Do(func() {
 		cFactorBuilds.Add(1)
 		g.fact, g.factErr = factorize(g)

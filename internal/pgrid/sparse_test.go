@@ -172,7 +172,7 @@ func TestSweepLanesMatchesSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := g.NewBatch()
+		b, err := g.newBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,10 +216,6 @@ func TestSweepLanesMatchesSolve(t *testing.T) {
 func TestSweepNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randGrid(t, rng)
-	b, err := g.NewBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A few inverters scattered over the die, each with its own current
 	// per lane.
 	d := netlist.New("scatter", cell.New180nm())
@@ -232,10 +228,14 @@ func TestSweepNoAlloc(t *testing.T) {
 			cur[l] = append(cur[l], 5*rng.Float64())
 		}
 	}
+	b, err := g.NewBatch(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		b.Reset()
 		for l := range cur {
-			b.Inject(l, d, cur[l])
+			b.Inject(l, cur[l])
 		}
 		b.Sweep(Lanes)
 	})
@@ -306,7 +306,7 @@ func concurrentSolves(t *testing.T, p Params, seed int64) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			b, err := g.NewBatch()
+			b, err := g.newBatch()
 			if err != nil {
 				errs[w] = err
 				return
@@ -435,7 +435,7 @@ func BenchmarkSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		batch, err := g.NewBatch()
+		batch, err := g.newBatch()
 		if err != nil {
 			b.Fatal(err)
 		}

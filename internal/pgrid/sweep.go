@@ -24,11 +24,30 @@ type Batch struct {
 	g *Grid
 	f *Factorization
 	y [][Lanes]float64
+	// rows[i] is the row of y that instance i's current lands in: the
+	// elimination position of the mesh node nearest the instance.
+	rows []int32
 }
 
-// NewBatch returns a zeroed batch over the grid's factorization,
-// building the factorization on first use.
-func (g *Grid) NewBatch() (*Batch, error) {
+// NewBatch returns a zeroed batch over the grid's factorization for the
+// instances of design d, building the factorization on first use. It
+// maps every instance to its mesh node's row once, so an injection costs
+// one lookup per instance.
+func (g *Grid) NewBatch(d *netlist.Design) (*Batch, error) {
+	b, err := g.newBatch()
+	if err != nil {
+		return nil, err
+	}
+	iperm := b.f.ord.IPerm
+	b.rows = make([]int32, len(d.Insts))
+	for i := range d.Insts {
+		b.rows[i] = iperm[g.NodeOf(d.Insts[i].X, d.Insts[i].Y)]
+	}
+	return b, nil
+}
+
+// newBatch is NewBatch without the instance map, for node injections.
+func (g *Grid) newBatch() (*Batch, error) {
 	f, err := g.Factor()
 	if err != nil {
 		return nil, err
@@ -41,13 +60,18 @@ func (b *Batch) Reset() { clear(b.y) }
 
 // Inject adds per-instance currents (mA, indexed by InstID) to lane l at
 // each instance's mesh node, as InjectInstCurrents does.
-func (b *Batch) Inject(l int, d *netlist.Design, cur []float64) {
-	iperm := b.f.ord.IPerm
-	for i := range d.Insts {
-		if cur[i] == 0 {
-			continue
-		}
-		b.y[iperm[b.g.NodeOf(d.Insts[i].X, d.Insts[i].Y)]][l] += cur[i]
+func (b *Batch) Inject(l int, cur []float64) {
+	for i, mA := range cur {
+		b.AddInst(l, netlist.InstID(i), mA)
+	}
+}
+
+// AddInst adds instance i's current (mA) to lane l at the instance's
+// mesh node; a zero current adds nothing. Instances added in ascending
+// order sum to the same bits as Inject of the dense vector holding them.
+func (b *Batch) AddInst(l int, i netlist.InstID, mA float64) {
+	if mA != 0 {
+		b.y[b.rows[i]][l] += mA
 	}
 }
 
@@ -63,7 +87,6 @@ func (b *Batch) load(l int, injMA []float64) {
 func (b *Batch) Sweep(n int) {
 	b.f.sweep(b.y)
 	cSolves.Add(int64(n))
-	cSweeps.Add(2)
 }
 
 // WorstPerBlock returns lane l's maximum node drop (volts) inside each
@@ -102,7 +125,7 @@ func (b *Batch) solution(l int) *Solution {
 // there; a zero lane in a column it does not skip subtracts a signed
 // zero, which leaves any value but -0 unchanged. No value becomes -0
 // unless an injection holds one (x − y is -0 only when x is), and
-// Inject never writes one.
+// AddInst never writes one.
 // The mesh conductances are in 1/Ω against mA, so the result is in mV.
 func (f *Factorization) sweep(y [][Lanes]float64) {
 	y = y[:f.nn]
@@ -151,7 +174,7 @@ func (f *Factorization) sweep(y [][Lanes]float64) {
 // injection (mA): a sweep with one lane in use over the grid's cached
 // sparse LDLᵀ factorization, exact to rounding.
 func (g *Grid) Solve(injMA []float64) (*Solution, error) {
-	b, err := g.NewBatch()
+	b, err := g.newBatch()
 	if err != nil {
 		return nil, err
 	}

@@ -54,8 +54,8 @@ func (e *PackedEstimate) CAPVdd(s int, periodNs float64) float64 {
 // slices on the first fill, and a refill reuses them, so a caller that
 // keeps one estimate per worker allocates nothing per batch. The meter's
 // accumulated pattern state is untouched; the method reads only the
-// immutable capacitance table and is safe to call concurrently on meter
-// clones, each with its own est.
+// immutable capacitance table, so concurrent calls on one meter are
+// safe as long as each fills its own est.
 func (m *Meter) PackedEstimate(est *PackedEstimate, n1, n2 []logic.Word, valid uint64) {
 	defer obs.TraceStart().End("power", "packed-estimate")
 	d := m.d

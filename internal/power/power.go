@@ -20,6 +20,8 @@
 package power
 
 import (
+	"math/bits"
+
 	"scap/internal/netlist"
 	"scap/internal/obs"
 )
@@ -74,7 +76,11 @@ type Meter struct {
 
 	instEnergyVDD []float64
 	instEnergyVSS []float64
-	blocks        []BlockPower
+	// switched has one bit per instance, set when the instance toggles;
+	// only those instances hold nonzero energies, so Reset clears only
+	// them.
+	switched []uint64
+	blocks   []BlockPower
 
 	// waveform binning (see waveform.go); disabled when binNs <= 0.
 	binNs float64
@@ -99,8 +105,7 @@ func NewMeter(d *netlist.Design) *Meter {
 		m.capOf[i] = d.LoadCap(netlist.InstID(i))
 		m.blockOf[i] = int32(d.Insts[i].Block)
 	}
-	m.Reset()
-	return m
+	return m.alloc()
 }
 
 // Clone returns a fresh, reset meter for the same design. The
@@ -109,36 +114,50 @@ func NewMeter(d *netlist.Design) *Meter {
 // cheap per-worker constructor path of the parallel profiling pipeline.
 func (m *Meter) Clone() *Meter {
 	c := &Meter{d: m.d, vdd2: m.vdd2, capOf: m.capOf, blockOf: m.blockOf, binNs: m.binNs}
-	c.Reset()
-	return c
+	return c.alloc()
+}
+
+// alloc gives m its zeroed accumulators and returns it.
+func (m *Meter) alloc() *Meter {
+	n := m.d.NumInsts()
+	m.instEnergyVDD = make([]float64, n)
+	m.instEnergyVSS = make([]float64, n)
+	m.switched = make([]uint64, (n+63)/64)
+	m.blocks = make([]BlockPower, m.d.NumBlocks+1)
+	m.Reset()
+	return m
 }
 
 // Reset clears the accumulated pattern, reusing the accumulator buffers:
 // the meter sits in a per-pattern hot loop, and Report already copies
-// everything that escapes.
+// everything that escapes. Only the instances that switched since the
+// last Reset hold energy, so only theirs are zeroed.
 func (m *Meter) Reset() {
 	m.flushToggles()
-	m.instEnergyVDD = resetF(m.instEnergyVDD, m.d.NumInsts())
-	m.instEnergyVSS = resetF(m.instEnergyVSS, m.d.NumInsts())
-	if m.blocks == nil {
-		m.blocks = make([]BlockPower, m.d.NumBlocks+1)
+	for w, word := range m.switched {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			m.instEnergyVDD[i] = 0
+			m.instEnergyVSS[i] = 0
+		}
 	}
+	clear(m.switched)
 	for i := range m.blocks {
 		m.blocks[i] = BlockPower{Block: i, First: -1}
 	}
 	m.bins = m.bins[:0]
 }
 
-// resetF returns a zeroed float slice of length n, reusing s's storage
-// when it is already the right size.
-func resetF(s []float64, n int) []float64 {
-	if len(s) != n {
-		return make([]float64, n)
+// AppendSwitched appends the instances that toggled since the last
+// Reset to dst, in ascending InstID order, and returns the extended
+// slice. Every other instance holds zero energy on both rails.
+func (m *Meter) AppendSwitched(dst []netlist.InstID) []netlist.InstID {
+	for w, word := range m.switched {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, netlist.InstID(w<<6|bits.TrailingZeros64(word)))
+		}
 	}
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return dst
 }
 
 // flushToggles moves the meter-local toggle count into the shared
@@ -155,6 +174,7 @@ func (m *Meter) flushToggles() {
 // OnToggle records one output transition; it has the sim.ToggleFn shape.
 func (m *Meter) OnToggle(inst netlist.InstID, t float64, rising bool) {
 	m.unflushedToggles++
+	m.switched[inst>>6] |= 1 << (inst & 63)
 	e := m.capOf[inst] * m.vdd2
 	m.waveformAccumulate(t, e)
 	if rising {

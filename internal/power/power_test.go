@@ -1,7 +1,10 @@
 package power
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"scap/internal/cell"
@@ -116,6 +119,81 @@ func TestMeterReset(t *testing.T) {
 	}
 	if p.Chip().CAPVdd != 0 || p.Chip().SCAPVdd != 0 {
 		t.Fatal("zero-activity powers should be 0")
+	}
+}
+
+// TestMeterSwitchedSetAcrossPatterns runs five random launches through
+// one meter. After each launch the switched set must be exactly the
+// instances that toggled, in ascending order, and every per-instance
+// energy must equal a fresh meter's for the same launch, so nothing of
+// an earlier pattern survives its Reset. Reset must leave every energy
+// at zero and the switched set empty.
+func TestMeterSwitchedSetAcrossPatterns(t *testing.T) {
+	d, _, err := soc.Generate(soc.DefaultConfig(96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := sim.NewTiming(s, sdf.Compute(d), nil)
+	ls := sim.NewLaunchScratch(s)
+	m := NewMeter(d)
+	r := rand.New(rand.NewSource(7))
+	zeroed := func(tag string) {
+		t.Helper()
+		if sw := m.AppendSwitched(nil); len(sw) != 0 {
+			t.Fatalf("%s: %d instances still switched", tag, len(sw))
+		}
+		for i := range d.Insts {
+			if m.RawInstEnergyVDD()[i] != 0 || m.RawInstEnergyVSS()[i] != 0 {
+				t.Fatalf("%s: instance %d keeps energy %v/%v", tag, i,
+					m.RawInstEnergyVDD()[i], m.RawInstEnergyVSS()[i])
+			}
+		}
+	}
+	zeroed("new meter")
+	var prev []netlist.InstID
+	for p := 0; p < 5; p++ {
+		v1 := randomScalar(r, len(d.Flops))
+		v2 := randomScalar(r, len(d.Flops))
+		pis := randomScalar(r, len(d.PIs))
+		toggled := map[netlist.InstID]bool{}
+		onToggle := func(inst netlist.InstID, at float64, rising bool) {
+			toggled[inst] = true
+			m.OnToggle(inst, at, rising)
+		}
+		if _, err := tm.LaunchInto(ls, v1, v2, pis, 20, onToggle); err != nil {
+			t.Fatal(err)
+		}
+		sw := m.AppendSwitched(nil)
+		if len(sw) != len(toggled) || len(sw) == 0 {
+			t.Fatalf("pattern %d: %d switched, %d toggled", p, len(sw), len(toggled))
+		}
+		for k, id := range sw {
+			if !toggled[id] || k > 0 && id <= sw[k-1] {
+				t.Fatalf("pattern %d: switched set %v is not the toggled instances in ascending order", p, sw)
+			}
+		}
+		if slices.Equal(sw, prev) {
+			t.Fatalf("pattern %d switched the same instances as pattern %d", p, p-1)
+		}
+		prev = sw
+		fresh := m.Clone()
+		if _, err := tm.LaunchInto(ls, v1, v2, pis, 20, fresh.OnToggle); err != nil {
+			t.Fatal(err)
+		}
+		for i := range d.Insts {
+			if m.RawInstEnergyVDD()[i] != fresh.RawInstEnergyVDD()[i] ||
+				m.RawInstEnergyVSS()[i] != fresh.RawInstEnergyVSS()[i] {
+				t.Fatalf("pattern %d instance %d: energy %v/%v, fresh meter %v/%v", p, i,
+					m.RawInstEnergyVDD()[i], m.RawInstEnergyVSS()[i],
+					fresh.RawInstEnergyVDD()[i], fresh.RawInstEnergyVSS()[i])
+			}
+		}
+		m.Reset()
+		zeroed(fmt.Sprintf("reset after pattern %d", p))
 	}
 }
 

@@ -2,22 +2,19 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"scap/internal/logic"
 	"scap/internal/netlist"
 	"scap/internal/obs"
 )
 
-// Scratch/settle observability. The settle counters distinguish the
-// three baseline paths: a cold full Propagate, an incremental
-// selective-trace settle (only the fanout cone of changed flops/PIs),
-// and a skipped settle when the cached baseline already matches the
-// requested (v1, pis) — the cone-cache hit of same-pattern
-// re-simulation.
+// Scratch/settle observability. The settle counters distinguish its two
+// cases: a full topological sweep, and a skipped settle when the cached
+// baseline already matches the requested (v1, pis) — the cache hit of
+// same-pattern re-simulation. settle_gates_evaluated counts the gates
+// the sweeps evaluated.
 var (
 	cSettleFull  = obs.NewCounter("sim.settles_full")
-	cSettleInc   = obs.NewCounter("sim.settles_incremental")
 	cSettleSkip  = obs.NewCounter("sim.settles_skipped")
 	cSettleGates = obs.NewCounter("sim.settle_gates_evaluated")
 )
@@ -37,12 +34,12 @@ type schedEntry struct {
 //
 // Between launches the scratch caches the settled pre-launch baseline
 // settle(v1, pis): an undo log restores the per-net state the event
-// phase disturbed, and the next launch re-settles only the fanout cone
-// of flops/PIs whose values differ from the cached (baseV1, basePIs).
-// Re-launching the identical pattern (Monte-Carlo trials, delayscale
-// re-simulation) skips settling entirely. The cached baseline is
-// delay- and clock-independent, so one scratch may be shared across
-// Timing instances that differ only in delays/tree — but never across
+// phase disturbed, so re-launching the identical pattern (the metered
+// launch after its V2 derivation, delayscale re-simulation) skips
+// settling entirely, and any other pattern re-settles with one full
+// topological sweep. The cached baseline is delay- and
+// clock-independent, so one scratch may be shared across Timing
+// instances that differ only in delays/tree — but never across
 // Simulators (the topology must not change) and never concurrently
 // (one scratch per worker).
 type LaunchScratch struct {
@@ -68,14 +65,8 @@ type LaunchScratch struct {
 	voidStamp []uint64 // by event seq: == gen means voided
 	schedGen  []uint64 // by net: == gen means already in the undo log
 	sched     []schedEntry
-	// dirty is the settle's set of gates to evaluate, one bit per gate
-	// position; lo and hi bound the marked positions. The settle sweeps
-	// it forward and clears each bit as it goes, so it is empty between
-	// settles.
-	dirty  []uint64
-	lo, hi int
 
-	// Cone cache identity: the (v1, pis) the baseline was settled at.
+	// Cache identity: the (v1, pis) the baseline was settled at.
 	baseV1    []logic.V
 	basePIs   []logic.V
 	baseValid bool
@@ -102,13 +93,17 @@ func NewLaunchScratch(s *Simulator) *LaunchScratch {
 		lastSeq:   make([]int, nn),
 		prevProj:  make([]logic.V, nn),
 		schedGen:  make([]uint64, nn),
-		dirty:     make([]uint64, (len(s.gates)+63)/64),
 		baseV1:    make([]logic.V, nf),
 		basePIs:   make([]logic.V, len(s.d.PIs)),
 		resNets:   make([]logic.V, nn),
 	}
 	for i := range ls.lastSeq {
 		ls.lastSeq[i] = -1
+	}
+	// A net no gate, flop or primary input drives stays X in every
+	// settle; no settle writes it.
+	for i := range ls.nets {
+		ls.nets[i] = logic.X
 	}
 	ls.res.EndpointArrival = make([]float64, nf)
 	ls.res.EndpointActive = make([]bool, nf)
@@ -144,86 +139,27 @@ func eqV(a, b []logic.V) bool {
 	return true
 }
 
-// settle establishes nets = settle(v1, pis) and projected = nets.
-// Cold start runs the full topological Propagate (the oracle path);
-// afterwards only the fanout cone of flops/PIs whose values differ
-// from the cached baseline is re-evaluated: one forward sweep over the
-// dirty gate positions, from the lowest marked one. A gate's fanout sits
-// at strictly higher positions, so every dirty gate is evaluated exactly
-// once, with final inputs. A matching baseline skips the settle.
+// settle establishes nets = settle(v1, pis) and projected = nets. A
+// pattern equal to the cached (baseV1, basePIs) skips; any other runs
+// the full topological Propagate. The sweep overwrites every gate
+// output and reads only primary inputs, flop outputs, undriven nets
+// (X since NewLaunchScratch) and outputs it has already written, so it
+// needs no clearing first.
 func (ls *LaunchScratch) settle(v1, pis []logic.V) {
-	s := ls.s
-	if !ls.baseValid {
-		for i := range ls.nets {
-			ls.nets[i] = logic.X
-		}
-		s.SetPIs(ls.nets, pis)
-		s.ApplyState(ls.nets, v1)
-		s.Propagate(ls.nets)
-		copy(ls.projected, ls.nets)
-		copy(ls.baseV1, v1)
-		copy(ls.basePIs, pis)
-		ls.baseValid = true
-		cSettleFull.Add(1)
-		return
-	}
-	if eqV(ls.baseV1, v1) && eqV(ls.basePIs, pis) {
+	if ls.baseValid && eqV(ls.baseV1, v1) && eqV(ls.basePIs, pis) {
 		cSettleSkip.Add(1)
 		return
 	}
-	ls.lo, ls.hi = len(s.gates), -1
-	for i, n := range s.d.PIs {
-		if ls.nets[n] != pis[i] {
-			ls.nets[n] = pis[i]
-			ls.projected[n] = pis[i]
-			ls.markLoads(n)
-		}
-	}
-	for i := range s.flops {
-		out := s.flops[i].out
-		if ls.nets[out] != v1[i] {
-			ls.nets[out] = v1[i]
-			ls.projected[out] = v1[i]
-			ls.markLoads(out)
-		}
-	}
-	evals := 0
-	for w := ls.lo >> 6; w <= ls.hi>>6; w++ {
-		// Marks made while this word drains land at higher positions,
-		// so the lowest set bit is always the next gate in order.
-		for ls.dirty[w] != 0 {
-			b := bits.TrailingZeros64(ls.dirty[w])
-			ls.dirty[w] &^= 1 << uint(b)
-			g := &s.gates[w<<6|b]
-			v := g.eval(ls.nets)
-			evals++
-			if v != ls.nets[g.out] {
-				ls.nets[g.out] = v
-				ls.projected[g.out] = v
-				ls.markLoads(g.out)
-			}
-		}
-	}
+	s := ls.s
+	s.SetPIs(ls.nets, pis)
+	s.ApplyState(ls.nets, v1)
+	s.Propagate(ls.nets)
+	copy(ls.projected, ls.nets)
 	copy(ls.baseV1, v1)
 	copy(ls.basePIs, pis)
-	cSettleInc.Add(1)
-	cSettleGates.Add(int64(evals))
-}
-
-// markLoads marks every gate load of net n dirty, from the ascending
-// gate-only fanout list. Flop D pins are not in it: flop inputs do not
-// feed back combinationally, and the launch state v1/v2 is supplied by
-// the caller, not captured here.
-func (ls *LaunchScratch) markLoads(n netlist.NetID) {
-	loads := ls.s.GateLoads(n)
-	if len(loads) == 0 {
-		return
-	}
-	for _, p := range loads {
-		ls.dirty[p>>6] |= 1 << uint(p&63)
-	}
-	ls.lo = min(ls.lo, int(loads[0]))
-	ls.hi = max(ls.hi, int(loads[len(loads)-1]))
+	ls.baseValid = true
+	cSettleFull.Add(1)
+	cSettleGates.Add(int64(len(s.gates)))
 }
 
 // pushEvent schedules net n to take value v at time t; width is the

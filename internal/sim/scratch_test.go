@@ -24,8 +24,8 @@ type launchCase struct {
 
 // randomCases builds n launches that mimic the profiling workload: a
 // random starting state, then each case flips only a few flops/PIs (the
-// low-activity structure selective trace exploits), with occasional X
-// launch values and occasional exact repeats (the cone-cache path).
+// low-activity structure of fill-0 patterns), with occasional X launch
+// values and occasional exact repeats (the skipped settle).
 func randomCases(d *netlist.Design, s *Simulator, n int, seed int64) []launchCase {
 	r := rand.New(rand.NewSource(seed))
 	v1 := make([]logic.V, len(d.Flops))
@@ -203,7 +203,7 @@ func TestLaunchIntoWorkerEquivalence(t *testing.T) {
 
 // TestLaunchIntoSharedAcrossTimings re-simulates the same pattern with
 // scaled delays on one shared scratch: the settled baseline is delay-
-// independent, so the cone cache may serve a different Timing — and the
+// independent, so the cached settle may serve a different Timing — and the
 // results must still match that Timing's fresh path exactly.
 func TestLaunchIntoSharedAcrossTimings(t *testing.T) {
 	d, s := socSim(t)
@@ -232,8 +232,9 @@ func TestLaunchIntoSharedAcrossTimings(t *testing.T) {
 	requireIdentical(t, "cross-timing", got, want)
 }
 
-// TestSettleBaselineMatchesPropagate checks the selective-trace settle
-// against the full zero-delay oracle across a mutation chain, and that
+// TestSettleBaselineMatchesPropagate checks the settle on one reused
+// scratch against a fresh zero-delay Propagate across a mutation chain,
+// and that
 // LaunchInto right after SettleBaseline (the LaunchStateInto pairing)
 // still agrees with the fresh path.
 func TestSettleBaselineMatchesPropagate(t *testing.T) {

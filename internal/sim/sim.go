@@ -35,9 +35,9 @@ import (
 //     during a launch and are dropped. The timing event loop and the
 //     fault cone read it: its order fixes event seq and observer order;
 //   - gateStart/gateFan is a second CSR list per net holding only its gate
-//     loads, each position once, in ascending order. Dirty sweeps (the
-//     launch settle and ATPG implication) mark from it and take the
-//     marked range from its first and last entry;
+//     loads, each position once, in ascending order. ATPG implication's
+//     dirty sweeps mark from it and take the marked range from its first
+//     and last entry;
 //   - driver[n] is net n's driving instance, NoInst for a primary input.
 type Simulator struct {
 	d         *netlist.Design

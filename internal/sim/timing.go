@@ -314,9 +314,9 @@ func (q *calQueue) clear() {
 //
 // A nil ls allocates a one-shot scratch; otherwise ls must have been
 // built for tm's simulator, and steady-state calls allocate nothing: the
-// pre-launch settle touches only the fanout cone of flops/PIs that
-// changed since the previous call (or nothing at all when the pattern
-// repeats), and an undo log restores the baseline afterwards.
+// pre-launch settle is skipped when (v1, pis) repeats the scratch's
+// cached baseline and is one topological sweep otherwise, and an undo
+// log restores the baseline afterwards.
 //
 // The returned Result and its slices (Nets, EndpointArrival,
 // EndpointActive) live inside ls and are only valid until the next
