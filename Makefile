@@ -47,12 +47,14 @@ bench-diff:
 	    -tol-ns 4 -tol-mem 2 -tol-extra 2.5 || exit 1; \
 	done
 
-# CI-style tier-1 verify in one command, plus the benchmark module's tests
-# (the scale-48 paper anchors and worker-count invariance, ~30 s). The
-# tree must be gofmt-clean.
+# CI-style tier-1 verify in one command, plus the benchmark module's vet
+# and tests (the scale-48 paper anchors and worker-count invariance,
+# ~30 s). The benchmark is a module of its own, so ./... stops short of
+# it. The tree must be gofmt-clean.
 check:
 	test -z "$$(gofmt -l .)"
 	go vet ./...
+	go -C bench vet .
 	go build ./...
 	go test ./...
 	go -C bench test .

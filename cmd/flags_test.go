@@ -1,7 +1,8 @@
 // Package cmd holds the tests every command shares: a bad flag value
-// exits with status 2 before anything is built, and irdrop prints the
-// same for any worker count while launching each pattern once. TestMain
-// builds the commands once for all of them.
+// exits with status 2 before anything is built, irdrop prints the same
+// for any worker count while launching each pattern once, and -trace
+// draws the spans of the run report. TestMain builds the commands once
+// for all of them.
 package cmd
 
 import (
@@ -55,7 +56,8 @@ func TestBadFlagValuesExit2BeforeBuild(t *testing.T) {
 		{"atpg", []string{"-flow", "single", "-max", "-3"}, `invalid value "-3" for flag -max`},
 		{"timing", []string{"-dom", "9"}, `invalid value "9" for flag -dom`},
 		{"timing", []string{"-k", "-2"}, `invalid value "-2" for flag -k`},
-		{"timing", []string{"-trace-sample", "0"}, `invalid value "0" for flag -trace-sample`},
+		{"timing", []string{"-trace-sample", "0"}, "flag provided but not defined: -trace-sample"},
+		{"scap", []string{"-trace-events", "65536"}, "flag provided but not defined: -trace-events"},
 		{"irdrop", []string{"-mc", "-4"}, `invalid value "-4" for flag -mc`},
 		{"irdrop", []string{"-pattern", "-9"}, `invalid value "-9" for flag -pattern`},
 		{"irdrop", []string{"-model", "bogus"}, `invalid value "bogus" for flag -model`},
@@ -158,5 +160,76 @@ func TestIRDropSameForAnyWorkersOneLaunchPerPattern(t *testing.T) {
 	}
 	if outs[0] != outs[1] {
 		t.Errorf("output differs between 1 and 3 workers:\n--- 1 worker\n%s\n--- 3 workers\n%s", outs[0], outs[1])
+	}
+}
+
+// TestTraceDrawsReportSpans: -trace writes one complete "stage" event
+// per span of the same run's -report, in the report's order, with dur
+// the span's wall_ms in µs, and no other complete event.
+func TestTraceDrawsReportSpans(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(filepath.Join(bin, "irdrop"), "-scale", "48", "-dynamic",
+		"-report", "r.json", "-trace", "t.json")
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	type span struct {
+		Name     string  `json:"name"`
+		WallMs   float64 `json:"wall_ms"`
+		Children []*span `json:"children"`
+	}
+	var rep struct {
+		Stages []*span `json:"stages"`
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
+			Ph   string  `json:"ph"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	for file, v := range map[string]any{"r.json": &rep, "t.json": &tr} {
+		raw, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+	}
+	var spans []*span
+	var walk func(s *span)
+	walk = func(s *span) {
+		spans = append(spans, s)
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	for _, s := range rep.Stages {
+		walk(s)
+	}
+	resim := false
+	i := 0
+	for _, ev := range tr.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		if i == len(spans) {
+			t.Fatalf("complete event %q past the report's %d spans", ev.Name, len(spans))
+		}
+		s := spans[i]
+		if ev.Cat != "stage" || ev.Name != s.Name || ev.Dur != s.WallMs*1000 {
+			t.Errorf("event %d: %s %q dur %g µs, want stage %q dur %g µs", i, ev.Cat, ev.Name, ev.Dur, s.Name, s.WallMs*1000)
+		}
+		resim = resim || ev.Name == "resimulation"
+		i++
+	}
+	if i != len(spans) {
+		t.Errorf("%d complete events, want the report's %d spans", i, len(spans))
+	}
+	if !resim {
+		t.Error("no resimulation stage event")
 	}
 }

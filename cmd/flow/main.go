@@ -8,7 +8,7 @@
 //
 //	flow [-scale N] [-out dir] [-workers W] [-screen F]
 //	     [-cpuprofile F] [-memprofile F] [-report F.json]
-//	     [-trace F.json] [-trace-sample N]
+//	     [-trace F.json]
 //
 // With -screen F (0 < F <= 1) the packed zero-delay pre-screen ranks each
 // pattern set by estimated B5 switching and the exact event-driven

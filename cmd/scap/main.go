@@ -6,7 +6,7 @@
 // Usage:
 //
 //	scap [-scale N] [-flow conventional|new] [-block B5] [-top K] [-plot] [-workers W]
-//	     [-screen F] [-report F.json] [-trace F.json] [-trace-sample N]
+//	     [-screen F] [-report F.json] [-trace F.json]
 //
 // With -screen F (0 < F <= 1) the packed zero-delay pre-screen ranks all
 // patterns by estimated switching in the profiled block first, and the

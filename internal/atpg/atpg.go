@@ -26,7 +26,7 @@ var (
 // search (generation + this lane's compaction attempts) burned the most
 // implication waves. Cost and fields are engine-work deltas, which are
 // deterministic per (fault, status snapshot) — so the table is
-// bit-identical for any GenWorkers value. Recorded in the serial merge.
+// bit-identical for any fs.Workers value. Recorded in the serial merge.
 var tkFaults = obs.NewTopK("atpg.fault_hotspots", 16, "waves",
 	"backtracks", "decisions", "secondaries", "pattern")
 
@@ -73,10 +73,6 @@ type Options struct {
 	// unbounded cube would cover a large fraction of a small block and
 	// defeat the fill-0 quieting that full-size designs get for free.
 	CareBudget int
-	// GenWorkers shards test generation itself across per-worker cloned
-	// engines (0 = all cores, 1 = serial). Epoch-based scheduling keeps
-	// the generated pattern set bit-identical for any worker count.
-	GenWorkers int
 }
 
 // Pattern is one fully specified launch-off-capture (or -shift) test:
@@ -122,7 +118,9 @@ type Result struct {
 // Run generates transition-fault patterns for the selected faults with
 // PODEM, fills don't-cares, and fault-simulates each 64-pattern batch to
 // drop collaterally detected faults. The fault list l is updated in place
-// (statuses, detecting pattern indexes).
+// (statuses, detecting pattern indexes). Generation and the fault-dropping
+// sweeps both fan out across fs.Workers (0 = all cores, 1 = serial); the
+// pattern set is bit-identical for any value.
 func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result, error) {
 	defer obs.StartSpan("atpg").End()
 	d := l.D
@@ -185,7 +183,7 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	// frozen during the parallel section and the merge order are all
 	// worker-independent — the pattern set is bit-identical for
 	// -workers 1, 2 or 64.
-	genW := parallel.Resolve(opts.GenWorkers)
+	genW := parallel.Resolve(fs.Workers)
 	engines := []*engine{eng}
 
 	var (

@@ -18,9 +18,8 @@ func TestRunShardedBitIdentical(t *testing.T) {
 	var refL *fault.List
 	for _, w := range []int{1, 2, 8} {
 		r := newRig(t, 96)
-		res, err := Run(r.fs, r.l, r.sc, Options{
-			Dom: 0, Fill: FillRandom, Seed: 5, GenWorkers: w,
-		})
+		r.fs.Workers = w
+		res, err := Run(r.fs, r.l, r.sc, Options{Dom: 0, Fill: FillRandom, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +80,7 @@ func comparePatternSets(t *testing.T, a, b *Result, la, lb *fault.List) {
 
 // TestFaultHotspotsWorkerIndependent: the per-fault attribution table is
 // recorded in the serial epoch merge on deterministic costs (implication
-// waves, backtracks), so it must be bit-identical for any GenWorkers
+// waves, backtracks), so it must be bit-identical for any fs.Workers
 // value — the hotspot list is part of the determinism contract.
 func TestFaultHotspotsWorkerIndependent(t *testing.T) {
 	run := func(w int) []obs.TopEntry {
@@ -92,9 +91,8 @@ func TestFaultHotspotsWorkerIndependent(t *testing.T) {
 			obs.Disable()
 		}()
 		r := newRig(t, 96)
-		if _, err := Run(r.fs, r.l, r.sc, Options{
-			Dom: 0, Fill: FillRandom, Seed: 5, GenWorkers: w,
-		}); err != nil {
+		r.fs.Workers = w
+		if _, err := Run(r.fs, r.l, r.sc, Options{Dom: 0, Fill: FillRandom, Seed: 5}); err != nil {
 			t.Fatal(err)
 		}
 		return tkFaults.Snapshot()

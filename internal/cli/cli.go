@@ -29,14 +29,12 @@ var stdout io.Writer = os.Stdout
 
 // Command is one command's shared flags and the system it built.
 type Command struct {
-	name        string
-	scale       *int
-	workers     *int
-	report      *string
-	trace       *string
-	traceEvents *int
-	traceSample *int
-	sys         *core.System
+	name    string
+	scale   *int
+	workers *int
+	report  *string
+	trace   *string
+	sys     *core.System
 }
 
 // Plain registers only -scale, for a command that builds no core.System:
@@ -49,16 +47,12 @@ func Plain(name string, defaultScale int) *Command {
 }
 
 // New registers -scale with the command's default, -workers with its
-// usage, and the observability flags -report, -trace, -trace-events and
-// -trace-sample.
+// usage, and the observability flags -report and -trace.
 func New(name string, defaultScale int, workersUsage string) *Command {
 	c := Plain(name, defaultScale)
 	c.workers = Int("workers", 0, 0, math.MaxInt, workersUsage)
 	c.report = flag.String("report", "", "write a versioned JSON run report to `file`")
-	c.trace = flag.String("trace", "", "write a Chrome trace-event JSON timeline to `file` (load in Perfetto)")
-	c.traceEvents = Int("trace-events", obs.DefaultTraceEvents, 1, math.MaxInt,
-		"trace ring-buffer capacity in `events` for bursts and tasks (oldest overwritten beyond it)")
-	c.traceSample = Int("trace-sample", 1, 1, math.MaxInt, "record every `N`th worker-pool task in the trace")
+	c.trace = flag.String("trace", "", "write the run's stage tree to `file` as Chrome trace-event JSON (load in Perfetto)")
 	return c
 }
 
@@ -68,10 +62,7 @@ func (c *Command) Scale() int { return *c.scale }
 // Build enables observability as the flags ask, then builds the system
 // at -scale with -workers.
 func (c *Command) Build() *core.System {
-	switch {
-	case *c.trace != "":
-		obs.EnableTrace(*c.traceEvents, *c.traceSample)
-	case *c.report != "":
+	if *c.report != "" || *c.trace != "" {
 		obs.Enable()
 	}
 	cfg := core.DefaultConfig(*c.scale)
@@ -95,7 +86,7 @@ func (c *Command) Finish() {
 		fmt.Fprintf(stdout, "  wrote %s\n", *c.report)
 	}
 	if *c.trace != "" {
-		c.Check(obs.WriteTrace(*c.trace))
+		c.Check(r.WriteTrace(*c.trace))
 		fmt.Fprintf(stdout, "  wrote %s\n", *c.trace)
 	}
 	fmt.Fprint(stdout, "\n", r.SummaryTable())

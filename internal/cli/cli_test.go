@@ -106,12 +106,19 @@ func TestNewRegistersSharedFlags(t *testing.T) {
 	if c.Scale() != 8 {
 		t.Fatalf("default scale = %d, want 8", c.Scale())
 	}
-	for _, args := range [][]string{
-		{"-scale", "0"}, {"-workers", "-1"}, {"-trace-events", "0"}, {"-trace-sample", "0"},
-		{"-metrics-addr", ":6060"}, {"-snapshot-interval", "1s"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "0"}, "must be >= 1"},
+		{[]string{"-workers", "-1"}, "must be >= 0"},
+		{[]string{"-trace-events", "65536"}, "flag provided but not defined: -trace-events"},
+		{[]string{"-trace-sample", "1"}, "flag provided but not defined: -trace-sample"},
+		{[]string{"-metrics-addr", ":6060"}, "flag provided but not defined: -metrics-addr"},
+		{[]string{"-snapshot-interval", "1s"}, "flag provided but not defined: -snapshot-interval"},
 	} {
-		if err := fs.Parse(args); err == nil {
-			t.Errorf("%v accepted, want an error", args)
+		if err := fs.Parse(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
 		}
 	}
 	if err := fs.Parse([]string{"-scale", "48", "-workers", "0", "-report", "r.json", "-trace", "t.json"}); err != nil {

@@ -56,11 +56,13 @@ type Config struct {
 	// Seed drives placement, clock jitter and ATPG tie-breaking.
 	Seed int64
 
-	// Workers sizes the worker pool of the per-pattern analysis layers
-	// (ProfilePatterns, DynamicIRDropAll, MonteCarloIRDrop): 0 means all
-	// cores, 1 forces the exact serial path. Results are deterministic
-	// for any value — workers only own scratch state and write
-	// index-addressed outputs.
+	// Workers sizes every worker pool of a run: ATPG generation and its
+	// fault-dropping sweeps, detection grading, the packed pre-screen,
+	// the per-pattern analysis layers (ProfilePatterns,
+	// DynamicIRDropAll, MonteCarloIRDrop), the two statistical rail
+	// solves and the grid factorization. 0 means all cores, 1 forces the
+	// exact serial path. Results are deterministic for any value —
+	// workers only own scratch state and write index-addressed outputs.
 	Workers int
 }
 
@@ -259,15 +261,12 @@ func (sys *System) LaunchPattern(p *atpg.Pattern, dom int, onToggle sim.ToggleFn
 func (sys *System) NewFaultList() *fault.List { return fault.Universe(sys.D) }
 
 // ATPG runs one ATPG invocation against the given fault list. The fault
-// simulator and the epoch-sharded generator both inherit sys.Workers, so
-// fault-dropping sweeps and test generation fan out across the worker
-// pool (results are identical for any worker count).
+// simulator inherits sys.Workers, and atpg.Run shards both test
+// generation and the fault-dropping sweeps over it (results are
+// identical for any worker count).
 func (sys *System) ATPG(l *fault.List, opts atpg.Options) (*atpg.Result, error) {
 	if opts.BacktrackLimit == 0 {
 		opts.BacktrackLimit = sys.Cfg.BacktrackLimit
-	}
-	if opts.GenWorkers == 0 {
-		opts.GenWorkers = sys.Workers
 	}
 	sys.FSim.Workers = sys.Workers
 	return atpg.Run(sys.FSim, l, sys.SC, opts)

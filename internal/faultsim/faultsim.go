@@ -159,7 +159,6 @@ func (fs *Sim) GoodSim(v1, pis []logic.Word, dom int, valid uint64) *Batch {
 // touches no Sim scratch and is safe to call concurrently on distinct
 // batches.
 func (fs *Sim) GoodSimInto(b *Batch, v1, pis []logic.Word, dom int, valid uint64) *Batch {
-	defer obs.TraceStart().End("faultsim", "good-sim")
 	fs.frame1(b, v1, pis, dom, valid)
 	v2 := fs.s.CaptureStateWInto(b.v2, b.N1)
 	for i := range v2 {

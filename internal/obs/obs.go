@@ -10,8 +10,8 @@
 //
 //   - a versioned JSON run report (report.go) written by the CLIs'
 //     -report flag: stage tree, counters, hotspots, provenance;
-//   - a Chrome trace-event timeline (trace.go) behind the CLIs' -trace
-//     flag;
+//   - the report's stage tree as Chrome trace-event JSON (trace.go),
+//     written by the CLIs' -trace flag;
 //   - a human-readable stage summary table rendered through
 //     internal/textplot at CLI exit.
 //
@@ -57,12 +57,11 @@ var reg = struct {
 }
 
 // Reset zeroes every registered metric in place — counters and hotspot
-// tables — and clears the run
-// info, span tree, snapshot series and trace buffer, while keeping all
-// registrations (the instrumented packages' package-level vars stay
-// valid). It exists for multi-run processes (property tests comparing
-// worker counts, the future scapd serving loop) that need a fresh
-// attribution slate per run.
+// tables — and clears the run info, span tree and snapshot series,
+// while keeping all registrations (the instrumented packages'
+// package-level vars stay valid). It exists for multi-run processes
+// (property tests comparing worker counts, the benchmark harness's
+// traced passes) that need a fresh attribution slate per run.
 func Reset() {
 	reg.mu.Lock()
 	for _, c := range reg.counters {
@@ -91,13 +90,6 @@ func Reset() {
 	series.epoch = time.Time{}
 	series.entries = nil
 	series.mu.Unlock()
-
-	for i := range tracer.shards {
-		s := &tracer.shards[i]
-		s.mu.Lock()
-		s.next = 0
-		s.mu.Unlock()
-	}
 }
 
 // Counter is a monotonically increasing atomic count.
@@ -130,9 +122,9 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // RegisterDerived registers a metric computed from the counter snapshot
-// at report time (e.g. pool utilization = busy/capacity, factor cache
-// hits = calls - builds). fn returns ok=false to omit the metric (for
-// instance when its inputs are still zero).
+// at report time (e.g. pool utilization = busy/capacity). fn returns
+// ok=false to omit the metric (for instance when its inputs are still
+// zero).
 func RegisterDerived(name string, fn func(counters map[string]int64) (float64, bool)) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()

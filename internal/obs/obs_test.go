@@ -28,17 +28,8 @@ func resetForTest(t *testing.T) {
 	series.epoch = time.Time{}
 	series.entries = nil
 	series.mu.Unlock()
-	for i := range tracer.shards {
-		s := &tracer.shards[i]
-		s.mu.Lock()
-		s.buf = nil
-		s.next = 0
-		s.mu.Unlock()
-	}
-	DisableTrace()
 	Disable()
 	t.Cleanup(func() {
-		DisableTrace()
 		Disable()
 		timeNow = time.Now
 	})

@@ -204,12 +204,19 @@ func BuildReport(tool string, config any) *Report {
 	}
 	reg.mu.Unlock()
 
-	trace.mu.Lock()
-	for _, s := range trace.roots {
-		r.Stages = append(r.Stages, spanReport(s, trace.epoch))
-	}
-	trace.mu.Unlock()
+	r.Stages = spanReports()
 	return r
+}
+
+// spanReports snapshots the span tree as the report serializes it.
+func spanReports() []*SpanReport {
+	trace.mu.Lock()
+	defer trace.mu.Unlock()
+	var out []*SpanReport
+	for _, s := range trace.roots {
+		out = append(out, spanReport(s, trace.epoch))
+	}
+	return out
 }
 
 func spanReport(s *Span, epoch time.Time) *SpanReport {

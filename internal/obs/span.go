@@ -17,8 +17,7 @@ var timeNow = time.Now
 //
 // The intended discipline is well-nested start/end from one goroutine
 // at a time (the CLI main goroutine driving the pipeline); worker time
-// goes to the pool's busy counters and the -trace task lanes instead of
-// spans. All methods are
+// goes to the pool's busy counters instead of spans. All methods are
 // nil-safe so call sites stay one line even while instrumentation is
 // off: defer obs.StartSpan("stage").End().
 type Span struct {
@@ -82,21 +81,6 @@ func (s *Span) End() {
 		}
 	}
 	trace.mu.Unlock()
-}
-
-// CurrentStage returns the name of the innermost open span, or "" when
-// no stage is open (or instrumentation is off). The worker pool labels
-// its per-task trace events with it, once per For call.
-func CurrentStage() string {
-	if !enabled.Load() {
-		return ""
-	}
-	trace.mu.Lock()
-	defer trace.mu.Unlock()
-	if trace.cur == nil {
-		return ""
-	}
-	return trace.cur.name
 }
 
 // WallMs returns the span's wall time in milliseconds (0 while open).

@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sync"
+	"reflect"
 	"testing"
-	"time"
 )
 
 func countPhase(doc *chromeTrace, ph string) int {
@@ -21,32 +20,29 @@ func countPhase(doc *chromeTrace, ph string) int {
 
 func TestTraceDisabledIsNoop(t *testing.T) {
 	resetForTest(t)
-	Enable() // metrics on, tracing off
-	TraceStart().End("cat", "never")
-	TraceTask(0, "never", time.Now(), time.Millisecond)
-	if evs, dropped := traceSnapshot(); len(evs) != 0 || dropped != 0 {
-		t.Fatalf("disabled tracing recorded %d events (%d dropped)", len(evs), dropped)
-	}
-	if TraceOn() {
-		t.Fatal("TraceOn while disabled")
+	StartSpan("never").End()
+	if got := countPhase(BuildChromeTrace(), "X"); got != 0 {
+		t.Fatalf("disabled layer traced %d complete events", got)
 	}
 }
 
+// TestTraceRecordsSpansAndTasks: every span lands on the pipeline-stages
+// lane (pid 1) in the "stage" category, with µs timestamps, and an inner
+// span nests inside its parent. Worker tasks and launch bursts are not
+// traced, so the spans are the only complete events.
 func TestTraceRecordsSpansAndTasks(t *testing.T) {
 	resetForTest(t)
 	timeNow = fakeClock()
-	EnableTrace(1024, 1)
+	Enable()
 
-	s := StartSpan("flow")
-	inner := StartSpan("profile")
-	TraceStart().End("sim", "launch")
-	TraceTask(3, "profile", timeNow(), 7*time.Millisecond)
-	inner.End()
-	s.End()
+	s := StartSpan("flow")        // t=0
+	inner := StartSpan("profile") // t=10
+	inner.End()                   // t=20
+	s.End()                       // t=30
 
 	doc := BuildChromeTrace()
-	if got := countPhase(doc, "X"); got != 4 { // 2 spans + 1 burst + 1 task
-		t.Errorf("complete events = %d, want 4", got)
+	if got := countPhase(doc, "X"); got != 2 {
+		t.Errorf("complete events = %d, want the 2 spans", got)
 	}
 	byName := map[string]chromeEvent{}
 	for _, ev := range doc.TraceEvents {
@@ -54,101 +50,84 @@ func TestTraceRecordsSpansAndTasks(t *testing.T) {
 			byName[ev.Name] = ev
 		}
 	}
-	if ev := byName["flow"]; ev.Pid != LaneStages || ev.Cat != "stage" {
-		t.Errorf("stage span on wrong lane: %+v", ev)
-	}
-	if ev := byName["profile"]; ev.Pid != LaneWorkers || ev.Tid != 3 || ev.Dur != 7000 {
-		t.Errorf("worker task wrong: %+v", ev)
-	}
-	// Nesting: the launch burst must fall inside the outer span.
-	outer, burst := byName["flow"], byName["launch"]
-	if burst.Ts < outer.Ts || burst.Ts+burst.Dur > outer.Ts+outer.Dur {
-		t.Errorf("burst [%g,%g] not nested in outer span [%g,%g]",
-			burst.Ts, burst.Ts+burst.Dur, outer.Ts, outer.Ts+outer.Dur)
-	}
-}
-
-// TestTraceConcurrent hammers every trace entry point from many
-// goroutines; under -race this is the data-race proof, and the event
-// count proves nothing is lost below capacity.
-func TestTraceConcurrent(t *testing.T) {
-	resetForTest(t)
-	EnableTrace(1<<16, 1)
-	const goroutines, perG = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				TraceTask(w, "task", timeNow(), time.Microsecond)
-				TraceStart().End("cat", "burst")
-			}
-		}(w)
-	}
-	wg.Wait()
-	evs, dropped := traceSnapshot()
-	if dropped != 0 {
-		t.Fatalf("dropped %d events below capacity", dropped)
-	}
-	if len(evs) != goroutines*perG*2 {
-		t.Fatalf("recorded %d events, want %d", len(evs), goroutines*perG*2)
-	}
-}
-
-// TestTraceRingWraps: a tiny buffer keeps only the newest events per
-// shard and counts the overwritten ones as dropped.
-func TestTraceRingWraps(t *testing.T) {
-	resetForTest(t)
-	EnableTrace(1, 1) // clamps to 64 slots per shard
-	const total = 1000
-	for i := 0; i < total; i++ {
-		TraceTask(0, "task", timeNow(), 0) // tid 0: single shard
-	}
-	evs, dropped := traceSnapshot()
-	if len(evs) != 64 {
-		t.Fatalf("kept %d events, want the 64-slot shard", len(evs))
-	}
-	if dropped != total-64 {
-		t.Fatalf("dropped = %d, want %d", dropped, total-64)
-	}
-	doc := BuildChromeTrace()
-	if got := doc.OtherData["dropped"].(int64); got != total-64 {
-		t.Fatalf("otherData dropped = %v, want %d", got, total-64)
-	}
-}
-
-// TestTraceKeepsStageSpans: a finished stage span survives a ring that
-// wraps many times over on the same goroutine, because stage events
-// come from the span tree, not the ring.
-func TestTraceKeepsStageSpans(t *testing.T) {
-	resetForTest(t)
-	EnableTrace(1, 1) // clamps to 64 slots per shard
-	StartSpan("build").End()
-	for i := 0; i < 2*64*traceShards; i++ {
-		TraceStart().End("sim", "launch")
-	}
-	stages := 0
-	for _, ev := range BuildChromeTrace().TraceEvents {
-		if ev.Cat == "stage" && ev.Name == "build" {
-			stages++
+	for _, name := range []string{"flow", "profile"} {
+		if ev := byName[name]; ev.Pid != 1 || ev.Cat != "stage" {
+			t.Errorf("stage span %q on wrong lane: %+v", name, ev)
 		}
 	}
-	if stages != 1 {
-		t.Fatalf("export holds %d \"build\" stage events after the ring wrapped, want 1", stages)
+	outer, in := byName["flow"], byName["profile"]
+	if outer.Ts != 0 || outer.Dur != 30e3 || in.Ts != 10e3 || in.Dur != 10e3 {
+		t.Errorf("flow at %g µs for %g µs, profile at %g µs for %g µs; want 0/30000 and 10000/10000",
+			outer.Ts, outer.Dur, in.Ts, in.Dur)
+	}
+	if in.Ts < outer.Ts || in.Ts+in.Dur > outer.Ts+outer.Dur {
+		t.Errorf("inner span [%g,%g] not nested in outer span [%g,%g]",
+			in.Ts, in.Ts+in.Dur, outer.Ts, outer.Ts+outer.Dur)
+	}
+}
+
+// TestTraceKeepsStageSpans: the trace holds one "stage" complete event
+// per span of the report, in the report's order, with the report's
+// start and wall time in µs, and nothing else. EnableTrace switches the
+// span tree on whatever its arguments.
+func TestTraceKeepsStageSpans(t *testing.T) {
+	resetForTest(t)
+	timeNow = fakeClock()
+	EnableTrace(1, 1)
+
+	flow := StartSpan("flow")  // t=0
+	atpg := StartSpan("atpg")  // t=10
+	atpg.End()                 // t=20
+	prof := StartSpan("prof")  // t=30
+	inner := StartSpan("fill") // t=40
+	inner.End()                // t=50
+	prof.End()                 // t=60
+	flow.End()                 // t=70
+	StartSpan("write").End()   // t=80..90, a second root
+
+	var want []chromeEvent
+	var walk func(s *SpanReport)
+	walk = func(s *SpanReport) {
+		want = append(want, chromeEvent{Name: s.Name, Cat: "stage", Ph: "X",
+			Ts: s.StartMs * 1e3, Dur: s.WallMs * 1e3, Pid: 1, Tid: s.Goroutine})
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	for _, s := range BuildReport("test", nil).Stages {
+		walk(s)
+	}
+	var got []chromeEvent
+	for _, ev := range BuildChromeTrace().TraceEvents {
+		if ev.Ph != "M" {
+			got = append(got, ev)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace events\n%+v\nwant the report's spans\n%+v", got, want)
+	}
+	names := make([]string, len(got))
+	for i, ev := range got {
+		names[i] = ev.Name
+	}
+	if want := []string{"flow", "atpg", "prof", "fill", "write"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("stage events %v, want %v", names, want)
+	}
+	if fill := got[3]; fill.Ts != 40e3 || fill.Dur != 10e3 {
+		t.Errorf("fill at ts %g µs for %g µs, want 40000 for 10000", fill.Ts, fill.Dur)
 	}
 }
 
 func TestWriteTraceValidChromeJSON(t *testing.T) {
 	resetForTest(t)
 	timeNow = fakeClock()
-	EnableTrace(1024, 1)
+	Enable()
 	s := StartSpan("flow")
-	TraceTask(1, "profile", timeNow(), time.Millisecond)
+	StartSpan("profile").End()
 	s.End()
 
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := WriteTrace(path); err != nil {
+	if err := BuildReport("test", nil).WriteTrace(path); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -165,32 +144,25 @@ func TestWriteTraceValidChromeJSON(t *testing.T) {
 	if doc.DisplayUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q, want ms", doc.DisplayUnit)
 	}
-	names := map[string]bool{}
+	var stages []any
+	lane := false
 	for _, ev := range doc.TraceEvents {
-		for _, k := range []string{"name", "ph", "pid", "tid"} {
+		for _, k := range []string{"name", "ph", "pid", "tid", "ts", "dur"} {
 			if _, ok := ev[k]; !ok {
 				t.Fatalf("event missing %q: %v", k, ev)
 			}
 		}
-		if ev["ph"] == "M" {
-			names[ev["args"].(map[string]any)["name"].(string)] = true
+		switch ev["ph"] {
+		case "M":
+			lane = lane || ev["args"].(map[string]any)["name"] == "pipeline stages"
+		case "X":
+			stages = append(stages, ev["name"])
 		}
 	}
-	for _, want := range []string{"pipeline stages", "worker pool", "worker 1"} {
-		if !names[want] {
-			t.Errorf("metadata name %q missing (have %v)", want, names)
-		}
+	if !lane {
+		t.Error("no \"pipeline stages\" process name")
 	}
-}
-
-func TestTraceTaskSample(t *testing.T) {
-	resetForTest(t)
-	EnableTrace(1024, 7)
-	if got := TraceTaskSample(); got != 7 {
-		t.Errorf("sample = %d, want 7", got)
-	}
-	EnableTrace(1024, 0)
-	if got := TraceTaskSample(); got != 1 {
-		t.Errorf("sample floor = %d, want 1", got)
+	if want := []any{"flow", "profile"}; !reflect.DeepEqual(stages, want) {
+		t.Errorf("complete events %v, want %v", stages, want)
 	}
 }

@@ -73,50 +73,22 @@ func For(workers, n int, body func(worker, i int) error) error {
 		workers = n
 	}
 	measure := obs.On()
-	// Tracing rides on top of measurement (EnableTrace implies Enable):
-	// the stage label and sampling stride are resolved once per For, and
-	// each worker applies the stride to its own task count so the event
-	// set stays deterministic per worker.
-	traceOn := obs.TraceOn()
-	var stage string
-	var sample int64 = 1
-	if traceOn {
-		if stage = obs.CurrentStage(); stage == "" {
-			stage = "task"
-		}
-		sample = int64(obs.TraceTaskSample())
-	}
 	var t0 time.Time
 	if measure {
 		t0 = time.Now()
 	}
 	if workers == 1 {
 		// Serial path: the one worker is busy for the whole wall time.
-		flush := func() {
-			if !measure {
-				return
-			}
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			err = body(0, i)
+		}
+		if measure {
 			busy := time.Since(t0).Nanoseconds()
 			cBusyNs.Add(busy)
 			cCapNs.Add(busy)
 		}
-		for i := 0; i < n; i++ {
-			sampled := traceOn && int64(i)%sample == 0
-			var ts time.Time
-			if sampled {
-				ts = time.Now()
-			}
-			err := body(0, i)
-			if sampled {
-				obs.TraceTask(0, stage, ts, time.Since(ts))
-			}
-			if err != nil {
-				flush()
-				return err
-			}
-		}
-		flush()
-		return nil
+		return err
 	}
 
 	var (
@@ -135,7 +107,6 @@ func For(workers, n int, body func(worker, i int) error) error {
 		go func(w int) {
 			defer wg.Done()
 			var busy int64
-			var tasks int64
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -147,12 +118,7 @@ func For(workers, n int, body func(worker, i int) error) error {
 				}
 				err := body(w, i)
 				if measure {
-					d := time.Since(ts)
-					busy += d.Nanoseconds()
-					if traceOn && tasks%sample == 0 {
-						obs.TraceTask(w, stage, ts, d)
-					}
-					tasks++
+					busy += time.Since(ts).Nanoseconds()
 				}
 				if err != nil {
 					mu.Lock()

@@ -44,27 +44,6 @@ type Summary struct {
 	MeanHPWL     float64 // die units
 }
 
-// PadXY returns the die-boundary location of primary-input pad i of n,
-// distributed uniformly around the periphery starting at the lower-left
-// corner and walking counter-clockwise.
-func PadXY(i, n int, fp *place.Floorplan) (float64, float64) {
-	if n <= 0 {
-		return 0, 0
-	}
-	per := 2 * (fp.W + fp.H)
-	pos := per * float64(i) / float64(n)
-	switch {
-	case pos < fp.W:
-		return pos, 0
-	case pos < fp.W+fp.H:
-		return fp.W, pos - fp.W
-	case pos < 2*fp.W+fp.H:
-		return 2*fp.W + fp.H - pos, fp.H
-	default:
-		return 0, per - pos
-	}
-}
-
 // Extract computes the HPWL of every net from the placed design and fills
 // in Net.WireCap and Net.WireDelay. Primary-input nets use their pad
 // location as the driver point.
@@ -82,7 +61,7 @@ func Extract(d *netlist.Design, fp *place.Floorplan, p Params) (Summary, error) 
 			drv := d.Inst(n.Driver)
 			x0, y0, x1, y1 = drv.X, drv.Y, drv.X, drv.Y
 		case n.PI >= 0:
-			px, py := PadXY(n.PI, len(d.PIs), fp)
+			px, py := fp.PadXY(float64(n.PI), len(d.PIs))
 			x0, y0, x1, y1 = px, py, px, py
 		default:
 			continue

@@ -77,7 +77,7 @@ func TestPadXYOnPeriphery(t *testing.T) {
 	fp := place.NewFloorplan()
 	n := 40
 	for i := 0; i < n; i++ {
-		x, y := PadXY(i, n, fp)
+		x, y := fp.PadXY(float64(i), n)
 		onEdge := x == 0 || y == 0 || x == fp.W || y == fp.H
 		if !onEdge {
 			t.Fatalf("pad %d at (%v,%v) not on periphery", i, x, y)
@@ -86,7 +86,7 @@ func TestPadXYOnPeriphery(t *testing.T) {
 	// Pads must be spread over all four edges.
 	edges := map[string]bool{}
 	for i := 0; i < n; i++ {
-		x, y := PadXY(i, n, fp)
+		x, y := fp.PadXY(float64(i), n)
 		switch {
 		case y == 0:
 			edges["bottom"] = true
@@ -101,7 +101,7 @@ func TestPadXYOnPeriphery(t *testing.T) {
 	if len(edges) != 4 {
 		t.Fatalf("pads only on edges %v", edges)
 	}
-	if x, y := PadXY(0, 0, fp); x != 0 || y != 0 {
+	if x, y := fp.PadXY(0, 0); x != 0 || y != 0 {
 		t.Fatal("PadXY with n=0 should return origin")
 	}
 }

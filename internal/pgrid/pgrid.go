@@ -21,7 +21,6 @@ package pgrid
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"scap/internal/netlist"
@@ -91,30 +90,13 @@ func New(fp *place.Floorplan, p Params) (*Grid, error) {
 	nn := p.N * p.N
 	g := &Grid{P: p, fp: fp, padG: make([]float64, nn), block: make([]int32, nn)}
 	for i := 0; i < p.NumPads; i++ {
-		x, y := padXY(float64(i)+p.PadOffset, p.NumPads, fp)
+		x, y := fp.PadXY(float64(i)+p.PadOffset, p.NumPads)
 		g.padG[g.NodeOf(x, y)] += 1 / p.PadRes
 	}
 	for node := range g.block {
 		g.block[node] = int32(fp.BlockAt(g.NodeXY(node)))
 	}
 	return g, nil
-}
-
-// padXY mirrors parasitic.PadXY (duplicated to keep the package free of a
-// dependency cycle): pads uniformly spaced around the periphery.
-func padXY(i float64, n int, fp *place.Floorplan) (float64, float64) {
-	per := 2 * (fp.W + fp.H)
-	pos := math.Mod(per*i/float64(n), per)
-	switch {
-	case pos < fp.W:
-		return pos, 0
-	case pos < fp.W+fp.H:
-		return fp.W, pos - fp.W
-	case pos < 2*fp.W+fp.H:
-		return 2*fp.W + fp.H - pos, fp.H
-	default:
-		return 0, per - pos
-	}
 }
 
 // NodeOf returns the mesh node index closest to die location (x, y).

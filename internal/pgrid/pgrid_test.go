@@ -265,8 +265,8 @@ func TestBatchInjectMatchesInjectInstCurrents(t *testing.T) {
 // large for the dense oracle: at every node the current leaving through
 // the mesh segments and the pad equals the injected current, to 1e-9 of
 // the largest injection. G is stamped here from the mesh model (SegRes
-// between neighbours, PadRes from each padXY pad to its nearest node),
-// not read from the factorization.
+// between neighbours, PadRes from each Floorplan.PadXY pad to its
+// nearest node), not read from the factorization.
 func TestSolveSatisfiesKCL(t *testing.T) {
 	for _, n := range []int{40, 128} {
 		fp := place.NewFloorplan()
@@ -290,7 +290,7 @@ func TestSolveSatisfiesKCL(t *testing.T) {
 		}
 		padG := make([]float64, n*n)
 		for i := 0; i < p.NumPads; i++ {
-			x, y := padXY(float64(i)+p.PadOffset, p.NumPads, fp)
+			x, y := fp.PadXY(float64(i)+p.PadOffset, p.NumPads)
 			padG[g.NodeOf(x, y)] += 1 / p.PadRes
 		}
 		gs := 1 / p.SegRes

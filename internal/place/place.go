@@ -86,6 +86,29 @@ func (fp *Floorplan) Rect(b int) Rect {
 	return fp.Blocks[b]
 }
 
+// PadXY returns the die-boundary location of pad i of n, spaced evenly
+// around the periphery from the lower-left corner, counter-clockwise.
+// i may be fractional (the power grid's VSS pads sit half a pitch off
+// its VDD pads); a position past the last pad wraps around. n <= 0
+// returns the origin.
+func (fp *Floorplan) PadXY(i float64, n int) (float64, float64) {
+	if n <= 0 {
+		return 0, 0
+	}
+	per := 2 * (fp.W + fp.H)
+	pos := math.Mod(per*i/float64(n), per)
+	switch {
+	case pos < fp.W:
+		return pos, 0
+	case pos < fp.W+fp.H:
+		return fp.W, pos - fp.W
+	case pos < 2*fp.W+fp.H:
+		return 2*fp.W + fp.H - pos, fp.H
+	default:
+		return 0, per - pos
+	}
+}
+
 // Place assigns a location to every instance of d inside its block's
 // rectangle using a jittered grid in shuffled order, and returns the
 // floorplan. Determinism: same design and seed give identical placement.

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"scap/internal/logic"
-	"scap/internal/obs"
 )
 
 // PackedEstimate is the zero-delay switching estimate of up to 64 packed
@@ -57,7 +56,6 @@ func (e *PackedEstimate) CAPVdd(s int, periodNs float64) float64 {
 // immutable capacitance table, so concurrent calls on one meter are
 // safe as long as each fills its own est.
 func (m *Meter) PackedEstimate(est *PackedEstimate, n1, n2 []logic.Word, valid uint64) {
-	defer obs.TraceStart().End("power", "packed-estimate")
 	d := m.d
 	est.reset(valid, d.NumBlocks)
 	for i := range d.Insts {

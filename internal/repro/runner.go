@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"scap/internal/core"
-	"scap/internal/soc"
 )
 
 // Runner owns the built system and experiment caches.
@@ -148,9 +147,4 @@ func (r *Runner) All() (string, error) {
 func header(title string) string {
 	line := strings.Repeat("=", len(title))
 	return fmt.Sprintf("%s\n%s\n", title, line)
-}
-
-// hotBlockName names the statistically hottest block (B5 by construction).
-func (r *Runner) hotBlockName() string {
-	return soc.BlockName(r.Stat.HotBlock)
 }

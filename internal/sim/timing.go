@@ -322,7 +322,6 @@ func (q *calQueue) clear() {
 // EndpointActive) live inside ls and are only valid until the next
 // LaunchInto on the same scratch — copy what must survive.
 func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V, period float64, onToggle ToggleFn) (*Result, error) {
-	defer obs.TraceStart().End("sim", "launch")
 	s := tm.sim
 	d := s.d
 	if period <= 0 {
