@@ -58,8 +58,8 @@ func main() {
 		cn := res.Counts
 		fmt.Printf("single run (%v, %v): %d patterns\n", *mode, *fill, len(res.Patterns))
 		if g := res.Gen; g.Waves > 0 && len(res.Patterns) > 0 {
-			fmt.Printf("  implication: %d waves, %d decisions, %d backtracks\n",
-				g.Waves, g.Decisions, g.Backtracks)
+			fmt.Printf("  implication: %d waves, %d gate evaluations, %d decisions, %d backtracks\n",
+				g.Waves, g.GateEvals, g.Decisions, g.Backtracks)
 		}
 		fmt.Printf("  faults: %d targeted, %d detected, %d aborted, %d untestable\n",
 			cn.Total, cn.Detected, cn.Aborted, cn.Untestable)

@@ -137,6 +137,6 @@ func main() {
 		c.Check(f.Close())
 		fmt.Printf("  wrote %s\n", *memprofile)
 	}
-	c.Finish()
+	c.Finish("atpg.gate_evals", "atpg.aborted_waves")
 	fmt.Printf("flow complete in %v\n", time.Since(t0).Round(time.Millisecond))
 }

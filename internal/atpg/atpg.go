@@ -16,10 +16,12 @@ import (
 // from the per-engine genStats sums, so they are identical for any worker
 // count.
 var (
-	cATPGRuns      = obs.NewCounter("atpg.runs")
-	cATPGPatterns  = obs.NewCounter("atpg.patterns")
-	cGenWaves      = obs.NewCounter("atpg.implication_waves")
-	cGenBacktracks = obs.NewCounter("atpg.backtracks")
+	cATPGRuns        = obs.NewCounter("atpg.runs")
+	cATPGPatterns    = obs.NewCounter("atpg.patterns")
+	cGenWaves        = obs.NewCounter("atpg.implication_waves")
+	cGenBacktracks   = obs.NewCounter("atpg.backtracks")
+	cGenGateEvals    = obs.NewCounter("atpg.gate_evals")
+	cGenAbortedWaves = obs.NewCounter("atpg.aborted_waves")
 )
 
 // tkFaults is the per-fault attribution table: the faults whose PODEM
@@ -99,6 +101,12 @@ type GenStats struct {
 	// Decisions and Backtracks mirror the classical PODEM effort metrics.
 	Decisions  int64
 	Backtracks int64
+	// GateEvals counts the gates the search's waves evaluate, the
+	// fault-injection waves included.
+	GateEvals int64
+	// AbortedWaves counts the waves of the searches, primary or
+	// secondary, that hit the backtrack limit.
+	AbortedWaves int64
 }
 
 // Result is the outcome of one ATPG run.
@@ -303,12 +311,16 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 		res.Gen.Waves += en.stats.waves
 		res.Gen.Decisions += en.stats.decisions
 		res.Gen.Backtracks += en.stats.backtracks
+		res.Gen.GateEvals += en.stats.gateEvals
+		res.Gen.AbortedWaves += en.stats.abortedWaves
 	}
 
 	cATPGRuns.Add(1)
 	cATPGPatterns.Add(int64(len(res.Patterns)))
 	cGenWaves.Add(res.Gen.Waves)
 	cGenBacktracks.Add(res.Gen.Backtracks)
+	cGenGateEvals.Add(res.Gen.GateEvals)
+	cGenAbortedWaves.Add(res.Gen.AbortedWaves)
 	res.Counts = l.CountOf(subset)
 	return res, nil
 }
@@ -404,9 +416,11 @@ func genOne(eng *engine, l *fault.List, subset []int, pos, lane, nLanes, scanBas
 // statsDelta subtracts two engine-stat snapshots field-wise.
 func statsDelta(after, before genStats) genStats {
 	return genStats{
-		waves:      after.waves - before.waves,
-		decisions:  after.decisions - before.decisions,
-		backtracks: after.backtracks - before.backtracks,
+		waves:        after.waves - before.waves,
+		decisions:    after.decisions - before.decisions,
+		backtracks:   after.backtracks - before.backtracks,
+		gateEvals:    after.gateEvals - before.gateEvals,
+		abortedWaves: after.abortedWaves - before.abortedWaves,
 	}
 }
 

@@ -1,7 +1,7 @@
 package atpg
 
 import (
-	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -91,13 +91,10 @@ func TestFanoutCone(t *testing.T) {
 }
 
 // TestEngineConeMatchesReference checks collectCone against the reference
-// for every net of a scale-96 design, twice: once from fresh stamps, and
-// once with the generation set to math.MaxUint32 before every net, so each
-// cone wraps the stamps back to generation 1. The stamps of the previous
-// cone then carry that same generation, so the wrap must clear them. The
-// cone holds gate positions: mapped to instances it must equal the
-// reference element for element, exactly the gates stamped with the
-// current generation, and leave the frame-2 dirty set it sweeps empty.
+// for every net of a scale-96 design. The cone holds gate positions:
+// mapped to instances it must equal the reference element for element,
+// the cone bitset must hold exactly those positions, and the teardown
+// must leave the bitset empty for the next net.
 func TestEngineConeMatchesReference(t *testing.T) {
 	r := newRig(t, 96)
 	e, err := newEngine(r.s, runConfig(r.d, r.sc, Options{Dom: 0, BacktrackLimit: 64}, nil))
@@ -105,37 +102,29 @@ func TestEngineConeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []netlist.InstID
-	for _, wrap := range []bool{false, true} {
-		for n := range r.d.Nets {
-			want, err := fanoutConeRef(r.d, netlist.NetID(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wrap {
-				e.gen = math.MaxUint32
-			}
-			e.collectCone(netlist.NetID(n))
-			got = got[:0]
-			for _, p := range e.cone {
-				got = append(got, e.gates[p].ID())
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("wrap %v: net %s (gen %d): cone %v, want %v",
-					wrap, r.d.Nets[n].Name, e.gen, got, want)
-			}
-			stamped := 0
-			for _, m := range e.coneMark {
-				if m == e.gen {
-					stamped++
-				}
-			}
-			if stamped != len(e.cone) {
-				t.Fatalf("wrap %v: net %s: %d gates stamped, cone has %d",
-					wrap, r.d.Nets[n].Name, stamped, len(e.cone))
-			}
-			if err := e.checkDirtyEmpty(); err != nil {
-				t.Fatalf("wrap %v: net %s: %v", wrap, r.d.Nets[n].Name, err)
-			}
+	for n := range r.d.Nets {
+		want, err := fanoutConeRef(r.d, netlist.NetID(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.collectCone(netlist.NetID(n))
+		got = got[:0]
+		for _, p := range e.cone {
+			got = append(got, e.gates[p].ID())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("net %s: cone %v, want %v", r.d.Nets[n].Name, got, want)
+		}
+		members := 0
+		for _, w := range e.inCone.bits {
+			members += bits.OnesCount64(w)
+		}
+		if members != len(e.cone) || slices.ContainsFunc(e.cone, func(p int32) bool { return !e.inCone.has(p) }) {
+			t.Fatalf("net %s: the bitset holds %d positions, the cone %d", r.d.Nets[n].Name, members, len(e.cone))
+		}
+		e.teardown(0)
+		if err := e.checkCleared(); err != nil {
+			t.Fatalf("net %s: %v", r.d.Nets[n].Name, err)
 		}
 	}
 }

@@ -16,6 +16,7 @@
 package atpg
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -118,9 +119,11 @@ type objective struct {
 // totals summed over all worker engines at the end of a Run are
 // independent of the worker count and of which worker ran which fault.
 type genStats struct {
-	waves      int64 // implication waves
-	decisions  int64 // decisions committed to the stack
-	backtracks int64 // decision flips
+	waves        int64 // implication waves
+	decisions    int64 // decisions committed to the stack
+	backtracks   int64 // decision flips
+	gateEvals    int64 // gates the search's waves evaluate
+	abortedWaves int64 // waves of searches that end aborted
 }
 
 // tables is an engine's construction state: read only after newEngine and
@@ -150,7 +153,19 @@ type tables struct {
 	xferStart []int32
 	xferQ     []netlist.NetID
 
-	flopIdx []int32 // by instance: index into d.Flops, -1 for gates
+	// instPos maps an instance to its gate position, or a flop to ^its
+	// index into d.Flops.
+	instPos []int32
+
+	// finStart/fin is the gate-only fan-in list the read-region sweep
+	// follows, a CSR row per gate position: fin[finStart[p]:finStart[p+1]]
+	// holds the position q of every gate that drives an input of p, then
+	// ^q where an input of p is the Q of a flop whose transfer source gate
+	// q drives. A frame-2 read of that Q is a frame-1 read of q's output,
+	// so ^q seeds the frame-1 region; position 0 encodes as ^0 = -1, apart
+	// from every same-frame entry.
+	finStart []int32
+	fin      []int32
 
 	decidablePI []bool // per PI index: usable as a decision variable
 	piConst     map[int]logic.V
@@ -183,41 +198,50 @@ type engine struct {
 	cone  []int32         // frame-2 fanout cone, gate positions ascending
 	obs   []netlist.NetID // observable D nets (dom flops) in the cone
 
-	// coneMark stamps, by position, the gates of the installed fault's
-	// cone: a gate is in the cone when its stamp equals gen, so starting a
-	// new cone is a single counter bump. The stamps of the last fault stay
-	// after teardown; with no fault installed the faulty rail equals the
-	// good one on every net, so evaluating it on a stale cone is redundant
-	// but exact.
-	coneMark []uint32
-	gen      uint32
+	// inCone holds the installed fault's cone as positions, and reg1 and
+	// reg2 its read region per frame: the gates whose outputs the search
+	// can read, closed under fan-in (setupFault). While a fault is
+	// installed, waves evaluate only region gates. All three are empty
+	// while no fault is installed.
+	inCone, reg1, reg2 posSet
 
 	// d1 and d2 hold the gates each frame's sweep has still to evaluate;
 	// both are empty between waves.
-	d1, d2 dirtySet
+	d1, d2 posSet
 
 	backtracks int
 
 	stats genStats
 }
 
-// dirtySet is a set of gate positions, one bit each; lo and hi bound the
-// marked positions. A sweep drains it forward from the lowest mark,
-// clearing bits as it goes, then resets the bounds.
-type dirtySet struct {
+// posSet is a set of gate positions, one bit each; lo and hi bound the
+// members. A dirty set is drained by a sweep forward from its lowest
+// mark, which clears bits as it goes and then resets the bounds; a cone
+// or region set keeps its bits until clear.
+type posSet struct {
 	bits   []uint64
 	lo, hi int
 }
 
-func newDirtySet(n int) dirtySet {
-	s := dirtySet{bits: make([]uint64, (n+63)/64)}
+func newPosSet(n int) posSet {
+	s := posSet{bits: make([]uint64, (n+63)/64)}
 	s.reset()
 	return s
 }
 
+// add inserts position p.
+func (s *posSet) add(p int32) {
+	s.bits[p>>6] |= 1 << uint(p&63)
+	s.lo = min(s.lo, int(p))
+	s.hi = max(s.hi, int(p))
+}
+
+// has reports whether position p is a member.
+func (s *posSet) has(p int32) bool { return s.bits[p>>6]>>uint(p&63)&1 != 0 }
+
 // mark adds the ascending positions loads, taking the bounds from the
 // first and last.
-func (s *dirtySet) mark(loads []int32) {
+func (s *posSet) mark(loads []int32) {
 	if len(loads) == 0 {
 		return
 	}
@@ -228,8 +252,35 @@ func (s *dirtySet) mark(loads []int32) {
 	s.hi = max(s.hi, int(loads[len(loads)-1]))
 }
 
+// markIn adds the ascending positions loads that region r holds, taking
+// the bounds from the first and last of them.
+func (s *posSet) markIn(loads []int32, r *posSet) {
+	lo, hi := int32(-1), int32(-1)
+	for _, p := range loads {
+		if r.has(p) {
+			s.bits[p>>6] |= 1 << uint(p&63)
+			if lo < 0 {
+				lo = p
+			}
+			hi = p
+		}
+	}
+	if hi >= 0 {
+		s.lo = min(s.lo, int(lo))
+		s.hi = max(s.hi, int(hi))
+	}
+}
+
 // reset empties the bounds once a sweep has cleared every bit.
-func (s *dirtySet) reset() { s.lo, s.hi = len(s.bits)<<6, -1 }
+func (s *posSet) reset() { s.lo, s.hi = len(s.bits)<<6, -1 }
+
+// clear removes every member: it zeroes the words inside the bounds.
+func (s *posSet) clear() {
+	if s.lo <= s.hi {
+		clear(s.bits[s.lo>>6 : s.hi>>6+1])
+	}
+	s.reset()
+}
 
 // blockSet marks floorplan blocks by index; nil is the empty set.
 type blockSet []bool
@@ -271,7 +322,8 @@ func newEngine(s *sim.Simulator, cfg engineConfig) (*engine, error) {
 		obsD:      make([]bool, d.NumNets()),
 		xferSrc:   make([]netlist.NetID, d.NumInsts()),
 		xferStart: make([]int32, d.NumNets()+1),
-		flopIdx:   make([]int32, d.NumInsts()),
+		instPos:   make([]int32, d.NumInsts()),
+		finStart:  make([]int32, len(s.Gates())+1),
 		piConst:   cfg.constPI,
 	}
 	for _, l := range lv {
@@ -279,10 +331,12 @@ func newEngine(s *sim.Simulator, cfg engineConfig) (*engine, error) {
 	}
 	for i := range t.xferSrc {
 		t.xferSrc[i] = netlist.NoNet
-		t.flopIdx[i] = -1
+	}
+	for p := range t.gates {
+		t.instPos[t.gates[p].ID()] = int32(p)
 	}
 	for i, f := range d.Flops {
-		t.flopIdx[f] = int32(i)
+		t.instPos[f] = ^int32(i)
 		inst := d.Inst(f)
 		if inst.Domain != cfg.dom {
 			continue // holds
@@ -313,6 +367,24 @@ func newEngine(s *sim.Simulator, cfg engineConfig) (*engine, error) {
 			next[src]++
 		}
 	}
+	arity := 0
+	for p := range t.gates {
+		arity += len(t.gates[p].Inputs())
+	}
+	t.fin = make([]int32, 0, arity)
+	for p := range t.gates {
+		in := t.gates[p].Inputs()
+		row := len(t.fin)
+		for k, n := range in {
+			if q, ok := t.readSeed(n); ok && !slices.Contains(in[:k], n) {
+				t.fin = append(t.fin, q)
+			}
+		}
+		// Same-frame entries first: the frame-1 sweep stops at the first
+		// transfer seed.
+		slices.SortFunc(t.fin[row:], func(a, b int32) int { return cmp.Compare(b, a) })
+		t.finStart[p+1] = int32(len(t.fin))
+	}
 	t.decidablePI = make([]bool, len(d.PIs))
 	for i := range t.decidablePI {
 		t.decidablePI[i] = !cfg.excludePI[i]
@@ -331,6 +403,29 @@ func newEngine(s *sim.Simulator, cfg engineConfig) (*engine, error) {
 	return e, nil
 }
 
+// readSeed returns the fan-in entry (see fin) for a read of net n: the
+// position of the gate driving n, or ^q when n is the Q of a flop whose
+// transfer source gate q drives. It returns false when n's value is only
+// ever placed, never implied: a primary input, a flop that holds, or a
+// flop whose transfer source is itself placed.
+func (t *tables) readSeed(n netlist.NetID) (int32, bool) {
+	drv := t.d.Nets[n].Driver
+	if drv == netlist.NoInst {
+		return 0, false
+	}
+	if p := t.instPos[drv]; p >= 0 {
+		return p, true
+	}
+	src := t.xferSrc[drv]
+	if src == netlist.NoNet {
+		return 0, false
+	}
+	if sd := t.d.Nets[src].Driver; sd != netlist.NoInst && t.instPos[sd] >= 0 {
+		return ^t.instPos[sd], true
+	}
+	return 0, false
+}
+
 // allocState allocates the mutable search state of a new engine and brings
 // it to rest: every net X except what the pinned primary-input constants
 // imply. The trail is then cleared, so undoing to mark 0 returns to rest.
@@ -340,14 +435,16 @@ func (e *engine) allocState() {
 	for i := range e.vals {
 		e.vals[i] = allX
 	}
-	e.coneMark = make([]uint32, len(e.gates))
-	e.d1, e.d2 = newDirtySet(len(e.gates)), newDirtySet(len(e.gates))
+	n := len(e.gates)
+	e.inCone, e.reg1, e.reg2 = newPosSet(n), newPosSet(n), newPosSet(n)
+	e.d1, e.d2 = newPosSet(n), newPosSet(n)
 	e.site = netlist.NoNet
 	for pi, v := range e.piConst {
 		e.place(inputRef{isPI: true, idx: pi}, v)
 	}
 	e.wave()
 	e.trail = e.trail[:0]
+	e.stats = genStats{}
 }
 
 // --- value setting with trail -------------------------------------------
@@ -375,10 +472,15 @@ func (e *engine) undoTo(mark int) {
 
 // --- event-driven two-frame propagation ----------------------------------
 
-// schedule1 marks net n's frame-1 gate loads and launches its frame-1
-// value into frame 2 through the flops it feeds.
+// schedule1 marks net n's frame-1 gate loads (only those in the
+// frame-1 read region while a fault is installed) and launches its
+// frame-1 value into frame 2 through the flops it feeds.
 func (e *engine) schedule1(n netlist.NetID) {
-	e.d1.mark(e.s.GateLoads(n))
+	if e.site == netlist.NoNet {
+		e.d1.mark(e.s.GateLoads(n))
+	} else {
+		e.d1.markIn(e.s.GateLoads(n), &e.reg1)
+	}
 	for _, q := range e.xferQ[e.xferStart[n]:e.xferStart[n+1]] {
 		e.set2both(q, rail(e.vals[n], sh1))
 	}
@@ -386,7 +488,8 @@ func (e *engine) schedule1(n netlist.NetID) {
 
 // set2both updates the frame-2 good value (and the faulty value except at
 // the fault site, which stays stuck) as one trail entry, and marks the
-// net's gate loads.
+// net's gate loads (only those in the frame-2 read region while a fault
+// is installed).
 func (e *engine) set2both(n netlist.NetID, v logic.V) {
 	old := e.vals[n]
 	if rail(old, sh2) == v {
@@ -397,21 +500,29 @@ func (e *engine) set2both(n netlist.NetID, v logic.V) {
 		b = b&^(3<<shF) | uint8(v)<<shF
 	}
 	e.write(n, b)
-	e.d2.mark(e.s.GateLoads(n))
+	if e.site == netlist.NoNet {
+		e.d2.mark(e.s.GateLoads(n))
+	} else {
+		e.d2.markIn(e.s.GateLoads(n), &e.reg2)
+	}
 }
 
 // wave drains frame 1, then frame 2. Each sweep evaluates the marked gate
 // positions in ascending order: a gate's loads sit at higher positions,
 // so every marked gate runs once, with final inputs; frame 1 feeds frame
-// 2 (through the transfer) but never the reverse.
+// 2 (through the transfer) but never the reverse. While a fault is
+// installed, marks land only inside its read region (schedule1,
+// set2both), so the wave implies exactly the values the search can read.
 //
 // Implication only refines X to 0 or 1, and Kleene logic is monotone, so
 // a gate whose output on the swept rail is already 0 or 1 cannot change
 // and is skipped. Cone gates are the exception: installing a fault flips
 // the faulty rail at the site, the one write that is not a refinement, so
-// a cone gate always evaluates both frame-2 rails.
+// a cone gate always evaluates both frame-2 rails. The gates evaluated
+// are added to stats.gateEvals once per wave.
 func (e *engine) wave() {
-	gates, vals, cone, gen := e.gates, e.vals, e.coneMark, e.gen
+	gates, vals, cone := e.gates, e.vals, e.inCone.bits
+	evals := 0
 	d := &e.d1
 	for w := d.lo >> 6; w <= d.hi>>6; w++ {
 		// Marks made while this word drains land at higher positions,
@@ -424,6 +535,7 @@ func (e *engine) wave() {
 			if rail(vals[out], sh1) != logic.X {
 				continue
 			}
+			evals++
 			if v := g.EvalAt(vals, sh1); v != logic.X {
 				e.set(sh1, out, v)
 				e.schedule1(out)
@@ -436,13 +548,13 @@ func (e *engine) wave() {
 		for d.bits[w] != 0 {
 			b := bits.TrailingZeros64(d.bits[w])
 			d.bits[w] &^= 1 << uint(b)
-			p := w<<6 | b
-			g := &gates[p]
+			g := &gates[w<<6|b]
 			out := g.Out()
-			if cone[p] != gen {
+			if cone[w]>>uint(b)&1 == 0 {
 				// Outside the fault's cone no input carries the fault
 				// effect, so the faulty machine equals the good one.
 				if rail(vals[out], sh2) == logic.X {
+					evals++
 					if v := g.EvalAt(vals, sh2); v != logic.X {
 						e.set2both(out, v)
 					}
@@ -450,6 +562,8 @@ func (e *engine) wave() {
 				continue
 			}
 			// A cone gate never drives the site: the logic is acyclic.
+			// Its loads are cone gates, all inside the region.
+			evals++
 			old := vals[out]
 			nb := old&^(3<<sh2|3<<shF) | uint8(g.EvalAt(vals, sh2))<<sh2 | uint8(g.EvalAt(vals, shF))<<shF
 			if nb != old {
@@ -459,6 +573,7 @@ func (e *engine) wave() {
 		}
 	}
 	d.reset()
+	e.stats.gateEvals += int64(evals)
 }
 
 // place writes one input-variable value into both frames and schedules
@@ -490,13 +605,13 @@ func (e *engine) assignInput(in inputRef, v logic.V) {
 }
 
 // clone returns an engine for another generation worker: the construction
-// tables (gate rows, levels, transfer maps, PI policies, block
-// preferences) are shared, while every mutable search structure (rails,
-// trail, decision stack, cone stamps, dirty sets) is private. Every engine
-// rests in the same state between faults (generate undoes to the mark it
-// started from, genOne unpins its base), so a clone produces bit-identical
-// cubes to its original for any (fault, base) pair — the property the
-// epoch scheduler rests on.
+// tables (gate rows, levels, transfer maps, fan-in list, PI policies,
+// block preferences) are shared, while every mutable search structure
+// (rails, trail, decision stack, cone and region sets, dirty sets) is
+// private. Every engine rests in the same state between faults (generate
+// undoes to the mark it started from, genOne unpins its base), so a clone
+// produces bit-identical cubes to its original for any (fault, base) pair
+// — the property the epoch scheduler rests on.
 func (e *engine) clone() *engine {
 	c := &engine{tables: e.tables}
 	c.allocState()

@@ -90,7 +90,8 @@ func TestEngineJustifiesAndTree(t *testing.T) {
 // TestGenOneReturnsToRest runs genOne, with dynamic compaction, over a
 // sample of scale-96 faults and checks after every call that the engine is
 // back in its resting state: no trail, no decisions, no installed fault,
-// the packed rails of a freshly built engine and empty dirty sets.
+// the packed rails of a freshly built engine, and empty dirty, cone and
+// region sets.
 // Pinning the base and undoing to a trail mark is only sound if every call
 // leaves the engine exactly where it found it.
 func TestGenOneReturnsToRest(t *testing.T) {
@@ -124,7 +125,7 @@ func TestGenOneReturnsToRest(t *testing.T) {
 			t.Fatalf("fault %s: net %s rests at %s, fresh engine %s",
 				r.l.String(subset[pos]), r.d.Nets[n].Name, rails(eng.vals[n]), rails(fresh.vals[n]))
 		}
-		if err := eng.checkDirtyEmpty(); err != nil {
+		if err := eng.checkCleared(); err != nil {
 			t.Fatalf("fault %s: %v", r.l.String(subset[pos]), err)
 		}
 	}

@@ -276,27 +276,76 @@ func firstDiff(a, b []uint8) (netlist.NetID, bool) {
 	return netlist.NoNet, false
 }
 
+// checkEmpty reports a member left in set s, or bounds not reset.
+func checkEmpty(name string, s *posSet) error {
+	for w, x := range s.bits {
+		if x != 0 {
+			return fmt.Errorf("%s word %d = %#x", name, w, x)
+		}
+	}
+	if s.lo != len(s.bits)<<6 || s.hi != -1 {
+		return fmt.Errorf("%s bounds [%d, %d]", name, s.lo, s.hi)
+	}
+	return nil
+}
+
 // checkDirtyEmpty reports a mark left in either frame's dirty set, or
 // bounds not reset, between waves.
 func (e *engine) checkDirtyEmpty() error {
-	for fr, d := range []*dirtySet{&e.d1, &e.d2} {
-		for w, x := range d.bits {
-			if x != 0 {
-				return fmt.Errorf("frame %d dirty word %d = %#x after the sweep", fr+1, w, x)
-			}
-		}
-		if d.lo != len(d.bits)<<6 || d.hi != -1 {
-			return fmt.Errorf("frame %d dirty bounds [%d, %d] after the sweep", fr+1, d.lo, d.hi)
+	for _, err := range []error{checkEmpty("frame-1 dirty set", &e.d1), checkEmpty("frame-2 dirty set", &e.d2)} {
+		if err != nil {
+			return fmt.Errorf("after the sweep: %w", err)
 		}
 	}
 	return nil
 }
 
-// compare checks the engine's rails against the reference bit for bit
-// and that the engine's dirty sets are empty.
-func compare(e *engine, r *refEngine) error {
+// checkCleared is checkDirtyEmpty with no fault installed: the cone and
+// both region sets must be empty too.
+func (e *engine) checkCleared() error {
+	for _, err := range []error{e.checkDirtyEmpty(), checkEmpty("cone", &e.inCone),
+		checkEmpty("frame-1 region", &e.reg1), checkEmpty("frame-2 region", &e.reg2)} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// regionMask returns, per net, the rail bits the installed fault's read
+// region covers: the frame-1 rail of the nets reg1's gates read or
+// drive, the two frame-2 rails of those of reg2, and all three at the
+// site. Nil means every rail of every net.
+func (e *engine) regionMask() []uint8 {
+	if e.site == netlist.NoNet {
+		return nil
+	}
+	m := make([]uint8, len(e.vals))
+	cover := func(s *posSet, rails uint8) {
+		for p := range e.gates {
+			if g := &e.gates[p]; s.has(int32(p)) {
+				m[g.Out()] |= rails
+				for _, n := range g.Inputs() {
+					m[n] |= rails
+				}
+			}
+		}
+	}
+	cover(&e.reg1, 3<<sh1)
+	cover(&e.reg2, 3<<sh2|3<<shF)
+	m[e.site] = 3<<sh1 | 3<<sh2 | 3<<shF
+	return m
+}
+
+// compare checks the engine's rails under mask (see regionMask) against
+// the reference bit for bit, and that the engine's dirty sets are empty.
+func compare(e *engine, r *refEngine, mask []uint8) error {
 	for n := range e.vals {
-		if want := r.packed(n); e.vals[n] != want {
+		m := uint8(0xff)
+		if mask != nil {
+			m = mask[n]
+		}
+		if want := r.packed(n); (e.vals[n]^want)&m != 0 {
 			return fmt.Errorf("net %s: engine %s, reference %s",
 				e.d.Nets[n].Name, rails(e.vals[n]), rails(want))
 		}
@@ -318,11 +367,12 @@ type waveDriver struct {
 	r     *refEngine
 	stack []checkpoint
 	step  string
+	mask  []uint8 // the installed fault's regionMask, nil with none
 }
 
 func (w *waveDriver) check(what string) {
 	w.t.Helper()
-	if err := compare(w.e, w.r); err != nil {
+	if err := compare(w.e, w.r, w.mask); err != nil {
 		w.t.Fatalf("%s, after %s: %v", w.step, what, err)
 	}
 }
@@ -402,8 +452,8 @@ func (w *waveDriver) pin(k int) {
 }
 
 // install sets up a random fault with an observable endpoint on both
-// machines; drawn faults without one leave only stale stamps behind. With
-// excited set, the fault is drawn among those whose site the base already
+// machines; a drawn fault without one is torn down again. With excited
+// set, the fault is drawn among those whose site the base already
 // holds at the post-transition value in frame 2 (while any is found in a
 // few thousand draws): injecting it flips a defined faulty value, the one
 // write a wave sees that is not a refinement.
@@ -422,29 +472,39 @@ func (w *waveDriver) install(excited bool) {
 		}
 		if w.e.setupFault(f) {
 			w.r.install(f.Net, w.e.stuck)
+			w.mask = w.e.regionMask()
 			w.check("installing " + w.l.String(fi))
 			return
 		}
-		w.e.site = netlist.NoNet
+		w.e.teardown(len(w.e.trail))
 	}
 }
 
-// teardown undoes the installed fault back to the checkpoint install
-// took; the cone stamps stay, stale.
+// teardown uninstalls the fault through the engine's teardown, back to
+// checkpoint k that install took, and checks that every rail of every
+// net matches again and that the cone and region sets are empty.
 func (w *waveDriver) teardown(k int) {
 	w.t.Helper()
-	w.undo(k)
-	w.e.site, w.r.site = netlist.NoNet, netlist.NoNet
+	c := w.stack[k]
+	w.stack = w.stack[:k]
+	w.e.teardown(c.e)
+	w.r.undoTo(c.r)
+	w.r.site, w.mask = netlist.NoNet, nil
+	w.check("teardown")
+	if err := w.e.checkCleared(); err != nil {
+		w.t.Fatalf("%s, after teardown: %v", w.step, err)
+	}
 }
 
 // TestWaveMatchesReference drives the engine and the reference through
 // random sequences of placements, pinned bases, fault installs and undos
-// on the scale-96 design, under LOC and LOS. Each round covers the four
-// states a wave runs in: no fault (before any install, the stamps fresh),
-// a fault installed, stale cone stamps after a teardown, and a pinned
-// compaction base under the fault. After every wave and undo the three
-// rails of every net must match the reference bit for bit and both dirty
-// sets must be empty; undoing everything must return to rest.
+// on the scale-96 design, under LOC and LOS. Each round covers the three
+// states a wave runs in: no fault, a fault installed, and a pinned
+// compaction base under the fault. After every wave and undo the rails
+// must match the reference bit for bit, those of every net in the
+// installed fault's read region while one is installed and those of
+// every net otherwise, and both dirty sets must be empty; undoing
+// everything must return to rest.
 func TestWaveMatchesReference(t *testing.T) {
 	rounds := 1000
 	if testing.Short() {
@@ -464,7 +524,7 @@ func TestWaveMatchesReference(t *testing.T) {
 			w.check("construction")
 			for round := 0; round < rounds; round++ {
 				w.step = fmt.Sprintf("round %d", round)
-				// No fault installed: fresh stamps in round 0, stale after.
+				// No fault installed.
 				w.assign(1 + w.rng.Intn(4))
 				w.undo(w.rng.Intn(len(w.stack) + 1))
 				// A pinned base, most rounds, then a fault on top of it.
@@ -479,8 +539,6 @@ func TestWaveMatchesReference(t *testing.T) {
 				}
 				w.assign(2)
 				w.teardown(base)
-				// Stale stamps over the base, then back to rest.
-				w.assign(1 + w.rng.Intn(3))
 				w.undo(0)
 				if n, ok := firstDiff(e.vals, rest); ok {
 					t.Fatalf("%s: net %s rests at %s, want %s",

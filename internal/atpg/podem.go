@@ -10,10 +10,21 @@ import (
 )
 
 // setupFault installs fault f into the engine: collects the frame-2
-// fanout cone and observable endpoints, and injects the stuck value into
-// the faulty machine. It returns false when the fault has no observable
-// endpoint in this domain.
+// fanout cone, the observable endpoints and the read region, and injects
+// the stuck value into the faulty machine. It returns false when the
+// fault has no observable endpoint in this domain.
 func (e *engine) setupFault(f *fault.Fault) bool {
+	if !e.install(f) {
+		return false
+	}
+	e.buildRegion()
+	e.inject()
+	return true
+}
+
+// install sets the site, the stuck value, the cone and the observable
+// endpoints of fault f, and reports whether it has an endpoint.
+func (e *engine) install(f *fault.Fault) bool {
 	e.site = f.Net
 	if f.Type == fault.STR {
 		e.stuck = logic.Zero
@@ -34,56 +45,121 @@ func (e *engine) setupFault(f *fault.Fault) bool {
 			e.obs = append(e.obs, out)
 		}
 	}
-	if len(e.obs) == 0 {
-		return false
-	}
+	return len(e.obs) > 0
+}
 
-	// Fault injection. The stuck value is propagated eagerly so the
-	// faulty rail is always the exact function closure of the current
-	// assignment set.
+// inject writes the stuck value into the site's faulty rail and settles
+// it. The stuck value is propagated eagerly so the faulty rail is always
+// the exact function closure of the current assignment set.
+func (e *engine) inject() {
 	e.set(shF, e.site, e.stuck)
 	e.d2.mark(e.s.GateLoads(e.site))
 	e.wave()
-	return true
 }
 
-// collectCone sets e.cone to the gates reachable from net site and stamps
-// them. It is the wave's forward sweep over the frame-2 dirty set, empty
-// between waves: mark the site's loads, then each reached gate's loads.
+// collectCone sets e.cone and e.inCone to the gates reachable from net
+// site. It sweeps inCone forward as it fills it: mark the site's loads,
+// then each reached gate's loads, which sit at higher positions, so the
+// members above the last one visited are the ones still to visit.
 // Positions come out ascending, which is TopoOrder with no sort. The
 // order matters beyond tidiness: the D-frontier scans the cone
 // deepest-first, so it decides which objective PODEM pursues.
 func (e *engine) collectCone(site netlist.NetID) {
-	e.gen++
-	if e.gen == 0 { // stamps wrapped: clear them once
-		clear(e.coneMark)
-		e.gen = 1
-	}
 	cone := e.cone[:0]
-	d := &e.d2
-	d.mark(e.s.GateLoads(site))
-	for w := d.lo >> 6; w <= d.hi>>6; w++ {
-		for d.bits[w] != 0 {
-			b := bits.TrailingZeros64(d.bits[w])
-			d.bits[w] &^= 1 << uint(b)
+	c := &e.inCone
+	c.mark(e.s.GateLoads(site))
+	for w := c.lo >> 6; w <= c.hi>>6; w++ {
+		for x := c.bits[w]; x != 0; {
+			b := bits.TrailingZeros64(x)
 			p := w<<6 | b
-			e.coneMark[p] = e.gen
 			cone = append(cone, int32(p))
-			d.mark(e.s.GateLoads(e.gates[p].Out()))
+			c.mark(e.s.GateLoads(e.gates[p].Out()))
+			x = c.bits[w] &^ (2<<uint(b) - 1) // members above b
 		}
 	}
-	d.reset()
 	e.cone = cone
+}
+
+// buildRegion fills the installed fault's read region: reg2 with the
+// cone plus the combinational fan-in of the site and of every cone gate,
+// reg1 with the fan-in of the site plus the fan-in of the transfer source
+// of each flop whose frame-2 Q a reg2 gate reads or that drives the site.
+// That is every value the search reads: excited and conflicted read the
+// site in both frames, observed and the D-frontier read cone gates and
+// their inputs in frame 2, and the backtrace descends from those through
+// fan-in, crossing to frame 1 only at a flop's transfer source. Both sets
+// are closed under fan-in, so waves limited to them imply there exactly
+// what full waves would.
+//
+// A descending sweep fills each set: fan-ins sit at lower positions, so
+// every member is reached before the sweep passes its position. Frame 2
+// goes first, since its members seed frame 1 and never the reverse.
+func (e *engine) buildRegion() {
+	r1, r2 := &e.reg1, &e.reg2
+	if q, ok := e.readSeed(e.site); ok {
+		if q >= 0 {
+			r2.add(q)
+			r1.add(q)
+		} else {
+			r1.add(^q)
+		}
+	}
+	if c := &e.inCone; c.lo <= c.hi {
+		for w := c.lo >> 6; w <= c.hi>>6; w++ {
+			r2.bits[w] |= c.bits[w]
+		}
+		r2.lo, r2.hi = min(r2.lo, c.lo), max(r2.hi, c.hi)
+	}
+	// The sweeps keep the bounds in locals: only lo2 moves in frame 2,
+	// only lo1 in frame 1.
+	fin, start, b1, b2 := e.fin, e.finStart, r1.bits, r2.bits
+	lo1, hi1, lo2 := r1.lo, r1.hi, r2.lo
+	for w := r2.hi >> 6; w >= lo2>>6; w-- {
+		for x := b2[w]; x != 0; {
+			b := 63 - bits.LeadingZeros64(x)
+			p := w<<6 | b
+			for _, q := range fin[start[p]:start[p+1]] {
+				if q >= 0 {
+					b2[q>>6] |= 1 << uint(q&63)
+					lo2 = min(lo2, int(q))
+				} else {
+					q = ^q
+					b1[q>>6] |= 1 << uint(q&63)
+					lo1, hi1 = min(lo1, int(q)), max(hi1, int(q))
+				}
+			}
+			x = b2[w] & (1<<uint(b) - 1) // members below b
+		}
+	}
+	for w := hi1 >> 6; w >= lo1>>6; w-- {
+		for x := b1[w]; x != 0; {
+			b := 63 - bits.LeadingZeros64(x)
+			p := w<<6 | b
+			for _, q := range fin[start[p]:start[p+1]] {
+				if q < 0 {
+					break // the row's transfer seeds
+				}
+				b1[q>>6] |= 1 << uint(q&63)
+				lo1 = min(lo1, int(q))
+			}
+			x = b1[w] & (1<<uint(b) - 1)
+		}
+	}
+	r1.lo, r1.hi, r2.lo = lo1, hi1, lo2
 }
 
 // teardown uninstalls the fault: it undoes every assignment made since
 // mark, the trail length when generate started, so whatever was pinned
-// before (the resting state, a compaction base) stays.
+// before (the resting state, a compaction base) stays, and empties the
+// cone and region sets.
 func (e *engine) teardown(mark int) {
 	e.undoTo(mark)
 	e.decs = e.decs[:0]
 	e.backtracks = 0
 	e.site = netlist.NoNet
+	e.inCone.clear()
+	e.reg1.clear()
+	e.reg2.clear()
 }
 
 // excited reports whether the launch transition is fully justified: the
@@ -315,13 +391,13 @@ func (e *engine) backtrace(obj objective) (inputRef, logic.V, bool) {
 			return inputRef{isPI: true, idx: net.PI}, v, true
 		}
 		drv := net.Driver
-		if fi := e.flopIdx[drv]; fi >= 0 {
+		if p := e.instPos[drv]; p < 0 {
 			src := e.xferSrc[drv]
 			if fr == frame1 || src == netlist.NoNet {
 				if rail(e.vals[n], sh1) != logic.X {
 					return inputRef{}, 0, false
 				}
-				return inputRef{isPI: false, idx: int(fi)}, v, true
+				return inputRef{isPI: false, idx: int(^p)}, v, true
 			}
 			// Frame-2 flop output: cross the frame boundary to its source.
 			fr, n = frame1, src
@@ -406,10 +482,13 @@ func (e *engine) generate(f *fault.Fault) (Cube, engineResult) {
 	return e.search()
 }
 
-// search is the classical one-implication-at-a-time PODEM loop.
+// search is the classical one-implication-at-a-time PODEM loop. The
+// waves of a search that aborts are added to stats.abortedWaves.
 func (e *engine) search() (Cube, engineResult) {
+	start := e.stats.waves
 	for {
 		if e.backtracks > e.limit {
+			e.stats.abortedWaves += e.stats.waves - start
 			return Cube{}, genAborted
 		}
 		if e.excited() && e.observed() {

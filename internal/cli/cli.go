@@ -74,9 +74,9 @@ func (c *Command) Build() *core.System {
 }
 
 // Finish writes the run report and the trace the flags ask for and
-// prints the stage summary. It prints nothing while observability is
-// off.
-func (c *Command) Finish() {
+// prints the stage summary, with the named counters. It prints nothing
+// while observability is off.
+func (c *Command) Finish(counters ...string) {
 	if !obs.On() {
 		return
 	}
@@ -89,7 +89,7 @@ func (c *Command) Finish() {
 		c.Check(r.WriteTrace(*c.trace))
 		fmt.Fprintf(stdout, "  wrote %s\n", *c.trace)
 	}
-	fmt.Fprint(stdout, "\n", r.SummaryTable())
+	fmt.Fprint(stdout, "\n", r.SummaryTable(counters...))
 }
 
 // Check prints "name: err" and exits 1 when err is non-nil.

@@ -256,8 +256,9 @@ func (r *Report) WriteFile(path string) error {
 }
 
 // SummaryTable renders the report's stage tree as the human-readable
-// table the CLIs print at exit, with key counters appended.
-func (r *Report) SummaryTable() string {
+// table the CLIs print at exit, followed by the run info, the named
+// counters (a name the report lacks prints 0) and the derived metrics.
+func (r *Report) SummaryTable(counters ...string) string {
 	var rows []textplot.StageRow
 	var walk func(s *SpanReport, depth int)
 	walk = func(s *SpanReport, depth int) {
@@ -283,6 +284,9 @@ func (r *Report) SummaryTable() string {
 		for _, k := range keys {
 			fmt.Fprintf(&b, "  %s = %v\n", k, r.Info[k])
 		}
+	}
+	for _, k := range counters {
+		fmt.Fprintf(&b, "  %s = %d\n", k, r.Counters[k])
 	}
 	if len(r.Derived) > 0 {
 		keys := make([]string, 0, len(r.Derived))

@@ -121,9 +121,10 @@ func TestReportWriteFile(t *testing.T) {
 
 func TestSummaryTable(t *testing.T) {
 	r := buildGoldenReport(t)
-	s := r.SummaryTable()
+	s := r.SummaryTable("pgrid.sparse.factor.calls", "absent.counter")
 	for _, want := range []string{
 		"stage summary", "flow", "  atpg",
+		"pgrid.sparse.factor.calls = 7", "absent.counter = 0",
 		"pgrid.sparse.factor.cache_hits = 6", "grid_mesh_n = 40",
 		"sparse_fill_ratio = 2.5",
 		"hotspots: atpg.fault_hotspots (top 3 by waves)", "aborted",

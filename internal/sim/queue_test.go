@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"scap/internal/logic"
@@ -32,6 +33,14 @@ func diffLaunchAt(t *testing.T, tag string, tm *Timing, ls *LaunchScratch, c lau
 		t.Fatalf("%s: toggle streams of %d and %d toggles differ", tag, len(got), len(want))
 	}
 	requireIdentical(t, tag, res, ref)
+	requireRestored(t, tag, tm, ls, c)
+	return res, got
+}
+
+// requireRestored checks that scratch ls holds the settled baseline of
+// case c and an empty queue, as every launch on it must leave it.
+func requireRestored(t *testing.T, tag string, tm *Timing, ls *LaunchScratch, c launchCase) {
+	t.Helper()
 	settled := refSettle(tm.sim.d, c.v1, c.pis)
 	if !slices.Equal(ls.nets, settled) || !slices.Equal(ls.projected, settled) {
 		t.Fatalf("%s: the scratch does not hold the settled baseline after the launch", tag)
@@ -39,7 +48,6 @@ func diffLaunchAt(t *testing.T, tag string, tm *Timing, ls *LaunchScratch, c lau
 	if ls.q.n != 0 || slices.ContainsFunc(ls.q.head, func(s int32) bool { return s >= 0 }) {
 		t.Fatalf("%s: events left in the queue after the launch", tag)
 	}
-	return res, got
 }
 
 // TestQueueEdgeCasesMatchReference runs the calendar queue's edge cases
@@ -53,8 +61,10 @@ func diffLaunchAt(t *testing.T, tag string, tm *Timing, ls *LaunchScratch, c lau
 //     be gone before the next one;
 //   - a 1e6 ns period, whose horizon would need far more buckets than
 //     the cap;
-//   - clock arrivals below zero, which the lastSched clamp (zero at rest)
-//     moves to time zero, so every launching flop ties there.
+//   - every clock arrival zero, so all launching flops tie at time zero;
+//   - one launching flop's clock arriving below zero, which LaunchInto
+//     rejects after pushing the other flops' launch events: the next
+//     launch on the scratch must still match the reference.
 func TestQueueEdgeCasesMatchReference(t *testing.T) {
 	d, s := socSim(t)
 	dl := delaysFor(t, d)
@@ -106,16 +116,11 @@ func TestQueueEdgeCasesMatchReference(t *testing.T) {
 		}
 	})
 
-	t.Run("negative arrivals", func(t *testing.T) {
-		r := rand.New(rand.NewSource(29))
-		clk := make(arrivals, d.NumInsts())
-		for _, f := range d.Flops {
-			clk[f] = -3 + 2*r.Float64()
-		}
-		tm := NewTiming(s, dl, clk)
+	t.Run("zero arrivals", func(t *testing.T) {
+		tm := NewTiming(s, dl, make(arrivals, d.NumInsts()))
 		atZero := 0
 		for _, c := range cases {
-			_, toggles := diffLaunchAt(t, "negative arrivals", tm, ls, c, 20)
+			_, toggles := diffLaunchAt(t, "zero arrivals", tm, ls, c, 20)
 			for _, tg := range toggles {
 				if tg.t == 0 {
 					atZero++
@@ -124,6 +129,37 @@ func TestQueueEdgeCasesMatchReference(t *testing.T) {
 		}
 		if atZero < 2 {
 			t.Fatal("degenerate test: no launch-edge toggles tie at time zero")
+		}
+	})
+
+	t.Run("negative arrivals", func(t *testing.T) {
+		r := rand.New(rand.NewSource(29))
+		clk := make(arrivals, d.NumInsts())
+		for _, f := range d.Flops {
+			clk[f] = 2 * r.Float64()
+		}
+		for k, c := range cases {
+			// The last launching flop arrives early, so the others have
+			// pushed their events when the launch is rejected.
+			last := -1
+			for i := range d.Flops {
+				if c.v1[i] != c.v2[i] && c.v2[i] != logic.X {
+					last = i
+				}
+			}
+			if last < 0 {
+				continue
+			}
+			f := d.Flops[last]
+			clk[f] = -0.5
+			tm := NewTiming(s, dl, clk)
+			_, err := tm.LaunchInto(ls, c.v1, c.v2, c.pis, 20, nil)
+			if err == nil || !strings.Contains(err.Error(), d.Inst(f).Name) {
+				t.Fatalf("case %d: negative arrival of flop %s: error %v", k, d.Inst(f).Name, err)
+			}
+			requireRestored(t, "a rejected launch", tm, ls, c)
+			clk[f] = 2 * r.Float64()
+			diffLaunchAt(t, "after a rejected launch", NewTiming(s, dl, clk), ls, c, 20)
 		}
 	})
 }

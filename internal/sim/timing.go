@@ -20,8 +20,9 @@ var (
 )
 
 // Clock supplies per-flop clock arrival times (ns after the clock-source
-// edge). *clocktree.Tree implements it; internal/delayscale substitutes an
-// IR-drop-derated version.
+// edge, never negative: LaunchInto rejects a launching flop whose clock
+// arrives before the edge). *clocktree.Tree implements it;
+// internal/delayscale substitutes an IR-drop-derated version.
 type Clock interface {
 	Arrival(f netlist.InstID) float64
 }
@@ -311,6 +312,8 @@ func (q *calQueue) clear() {
 //
 // onToggle (optional) observes every output transition. The returned
 // Result carries switching statistics, the STW and per-endpoint arrivals.
+// A launching flop whose clock arrival is negative is an error: events
+// start at time zero, the rest value of each net's last scheduled time.
 //
 // A nil ls allocates a one-shot scratch; otherwise ls must have been
 // built for tm's simulator, and steady-state calls allocate nothing: the
@@ -370,6 +373,10 @@ func (tm *Timing) LaunchInto(ls *LaunchScratch, v1, v2 []logic.V, pis []logic.V,
 		t := 0.0
 		if tm.tree != nil {
 			t = tm.tree.Arrival(f)
+		}
+		if t < 0 {
+			ls.restore()
+			return nil, fmt.Errorf("sim: flop %s: clock arrival %g ns is before the launch edge", d.Inst(f).Name, t)
 		}
 		ls.pushEvent(tm, t, s.flops[i].out, v2[i], 0)
 	}
