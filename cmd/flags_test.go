@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -165,7 +166,9 @@ func TestIRDropSameForAnyWorkersOneLaunchPerPattern(t *testing.T) {
 
 // TestTraceDrawsReportSpans: -trace writes one complete "stage" event
 // per span of the same run's -report, in the report's order, with dur
-// the span's wall_ms in µs, and no other complete event.
+// the span's wall_ms in µs, on tid 1, and no other complete event. The
+// report holds exactly the v7 top-level blocks, and no span carries a
+// goroutine id.
 func TestTraceDrawsReportSpans(t *testing.T) {
 	dir := t.TempDir()
 	cmd := exec.Command(filepath.Join(bin, "irdrop"), "-scale", "48", "-dynamic",
@@ -175,33 +178,51 @@ func TestTraceDrawsReportSpans(t *testing.T) {
 		t.Fatalf("%v\n%s", err, out)
 	}
 	type span struct {
-		Name     string  `json:"name"`
-		WallMs   float64 `json:"wall_ms"`
-		Children []*span `json:"children"`
+		Name      string  `json:"name"`
+		WallMs    float64 `json:"wall_ms"`
+		Goroutine *int64  `json:"goroutine"`
+		Children  []*span `json:"children"`
 	}
 	var rep struct {
 		Stages []*span `json:"stages"`
 	}
+	var blocks map[string]json.RawMessage
 	var tr struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
 			Cat  string  `json:"cat"`
 			Ph   string  `json:"ph"`
 			Dur  float64 `json:"dur"`
+			Tid  int64   `json:"tid"`
 		} `json:"traceEvents"`
 	}
-	for file, v := range map[string]any{"r.json": &rep, "t.json": &tr} {
-		raw, err := os.ReadFile(filepath.Join(dir, file))
+	for _, f := range []struct {
+		file string
+		v    any
+	}{{"r.json", &rep}, {"r.json", &blocks}, {"t.json", &tr}} {
+		raw, err := os.ReadFile(filepath.Join(dir, f.file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, v); err != nil {
-			t.Fatalf("%s: %v", file, err)
+		if err := json.Unmarshal(raw, f.v); err != nil {
+			t.Fatalf("%s: %v", f.file, err)
 		}
+	}
+	var keys []string
+	for k := range blocks {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"config", "counters", "derived", "info", "provenance", "schema", "stages", "tool"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("report blocks %v, want %v", keys, want)
 	}
 	var spans []*span
 	var walk func(s *span)
 	walk = func(s *span) {
+		if s.Goroutine != nil {
+			t.Errorf("span %q carries goroutine %d", s.Name, *s.Goroutine)
+		}
 		spans = append(spans, s)
 		for _, c := range s.Children {
 			walk(c)
@@ -220,8 +241,9 @@ func TestTraceDrawsReportSpans(t *testing.T) {
 			t.Fatalf("complete event %q past the report's %d spans", ev.Name, len(spans))
 		}
 		s := spans[i]
-		if ev.Cat != "stage" || ev.Name != s.Name || ev.Dur != s.WallMs*1000 {
-			t.Errorf("event %d: %s %q dur %g µs, want stage %q dur %g µs", i, ev.Cat, ev.Name, ev.Dur, s.Name, s.WallMs*1000)
+		if ev.Cat != "stage" || ev.Name != s.Name || ev.Dur != s.WallMs*1000 || ev.Tid != 1 {
+			t.Errorf("event %d: %s %q dur %g µs on tid %d, want stage %q dur %g µs on tid 1",
+				i, ev.Cat, ev.Name, ev.Dur, ev.Tid, s.Name, s.WallMs*1000)
 		}
 		resim = resim || ev.Name == "resimulation"
 		i++

@@ -24,14 +24,6 @@ var (
 	cGenAbortedWaves = obs.NewCounter("atpg.aborted_waves")
 )
 
-// tkFaults is the per-fault attribution table: the faults whose PODEM
-// search (generation + this lane's compaction attempts) burned the most
-// implication waves. Cost and fields are engine-work deltas, which are
-// deterministic per (fault, status snapshot) — so the table is
-// bit-identical for any fs.Workers value. Recorded in the serial merge.
-var tkFaults = obs.NewTopK("atpg.fault_hotspots", 16, "waves",
-	"backtracks", "decisions", "secondaries", "pattern")
-
 func init() {
 	obs.RegisterDerived("atpg.waves_per_pattern", func(c map[string]int64) (float64, bool) {
 		if c["atpg.patterns"] <= 0 {
@@ -246,26 +238,17 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 		for i := range outs {
 			po := &outs[i]
 			fi := subset[prim[i]]
-			recordFault := func(outcome string, patIdx int) {
-				tkFaults.Record(int64(fi), po.stats.waves, outcome,
-					float64(po.stats.backtracks), float64(po.stats.decisions),
-					float64(len(po.secondaries)), float64(patIdx))
-			}
 			if l.Status[fi] != fault.Undetected {
 				// Generated, then detected as an earlier primary's
-				// secondary within this same merge — the work is recorded
-				// as collateral.
-				recordFault("collateral", -1)
+				// secondary within this same merge.
 				continue
 			}
 			switch po.disp {
 			case genAborted:
 				l.Status[fi] = fault.Aborted
-				recordFault("aborted", -1)
 				continue
 			case genUntestable:
 				l.Status[fi] = fault.Untestable
-				recordFault("untestable", -1)
 				continue
 			}
 			// Lanes are disjoint, so secondaries are distinct across the
@@ -278,7 +261,6 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 			}
 			v1, pis := fil.Expand(po.cube)
 			patIdx := opts.PatternBase + len(res.Patterns)
-			recordFault("detected", patIdx)
 			res.Patterns = append(res.Patterns, Pattern{
 				V1: v1, PIs: pis, Target: fi, Secondaries: kept,
 			})
@@ -356,10 +338,6 @@ type genOut struct {
 	cube        Cube
 	disp        engineResult
 	secondaries []int
-	// stats is the engine-work delta this primary cost (generation plus
-	// its lane's compaction attempts) — per-fault attribution for the
-	// hotspot table.
-	stats genStats
 }
 
 // genOne generates the pattern cube for one epoch primary and dynamically
@@ -370,11 +348,9 @@ type genOut struct {
 // worker running it.
 func genOne(eng *engine, l *fault.List, subset []int, pos, lane, nLanes, scanBase, maxSec, careBudget int) genOut {
 	fi := subset[pos]
-	before := eng.stats
 	cube, disp := eng.generate(&l.Faults[fi])
 	out := genOut{cube: cube, disp: disp}
 	if disp != genSuccess || maxSec <= 0 {
-		out.stats = statsDelta(eng.stats, before)
 		return out
 	}
 	// Dynamic compaction over this lane's stride of the undetected tail,
@@ -409,19 +385,7 @@ func genOne(eng *engine, l *fault.List, subset []int, pos, lane, nLanes, scanBas
 		out.secondaries = append(out.secondaries, fj)
 	}
 	eng.undoTo(rest)
-	out.stats = statsDelta(eng.stats, before)
 	return out
-}
-
-// statsDelta subtracts two engine-stat snapshots field-wise.
-func statsDelta(after, before genStats) genStats {
-	return genStats{
-		waves:        after.waves - before.waves,
-		decisions:    after.decisions - before.decisions,
-		backtracks:   after.backtracks - before.backtracks,
-		gateEvals:    after.gateEvals - before.gateEvals,
-		abortedWaves: after.abortedWaves - before.abortedWaves,
-	}
 }
 
 // shiftSources maps each flop to the frame-1 net that reaches it after one

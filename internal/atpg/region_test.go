@@ -11,6 +11,17 @@ import (
 	"scap/internal/netlist"
 )
 
+// statsDelta subtracts two engine-stat snapshots field-wise.
+func statsDelta(after, before genStats) genStats {
+	return genStats{
+		waves:        after.waves - before.waves,
+		decisions:    after.decisions - before.decisions,
+		backtracks:   after.backtracks - before.backtracks,
+		gateEvals:    after.gateEvals - before.gateEvals,
+		abortedWaves: after.abortedWaves - before.abortedWaves,
+	}
+}
+
 // searchFull is generate with both region sets filled with every gate,
 // so every wave of the search implies the whole design, as the engine did
 // before it limited waves to the read region.

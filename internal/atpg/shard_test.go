@@ -2,11 +2,9 @@ package atpg
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"scap/internal/fault"
-	"scap/internal/obs"
 )
 
 // TestRunShardedBitIdentical checks the epoch-sharded generator yields the
@@ -74,37 +72,6 @@ func comparePatternSets(t *testing.T, a, b *Result, la, lb *fault.List) {
 		}
 		if la.DetectedBy[i] != lb.DetectedBy[i] {
 			t.Fatalf("fault %d DetectedBy differs: %d vs %d", i, la.DetectedBy[i], lb.DetectedBy[i])
-		}
-	}
-}
-
-// TestFaultHotspotsWorkerIndependent: the per-fault attribution table is
-// recorded in the serial epoch merge on deterministic costs (implication
-// waves, backtracks), so it must be bit-identical for any fs.Workers
-// value — the hotspot list is part of the determinism contract.
-func TestFaultHotspotsWorkerIndependent(t *testing.T) {
-	run := func(w int) []obs.TopEntry {
-		obs.Reset()
-		obs.Enable()
-		defer func() {
-			obs.Reset()
-			obs.Disable()
-		}()
-		r := newRig(t, 96)
-		r.fs.Workers = w
-		if _, err := Run(r.fs, r.l, r.sc, Options{Dom: 0, Fill: FillRandom, Seed: 5}); err != nil {
-			t.Fatal(err)
-		}
-		return tkFaults.Snapshot()
-	}
-	want := run(1)
-	if len(want) == 0 {
-		t.Fatal("serial run recorded no fault hotspots")
-	}
-	for _, w := range []int{2, 8} {
-		if got := run(w); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: fault hotspot table differs from serial\nserial: %+v\npar:    %+v",
-				w, want, got)
 		}
 	}
 }

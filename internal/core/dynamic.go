@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"scap/internal/atpg"
 	"scap/internal/delayscale"
@@ -33,14 +32,6 @@ func (m PowerModel) String() string {
 	}
 	return "SCAP"
 }
-
-// tkIRDrop is the per-pattern IR-drop attribution table: the patterns
-// whose batched dynamic analysis produced the deepest combined chip
-// supply collapse (worst VDD sag + worst VSS bounce, in integer
-// nanovolts). Solved drops are exact deterministic products of the
-// pattern, so the table is bit-identical for any worker count.
-var tkIRDrop = obs.NewTopK("core.irdrop_hotspots", 16, "drop_nv",
-	"vdd_mv", "vss_mv", "stw_ns")
 
 // DynamicIR is one pattern's dynamic IR-drop analysis.
 type DynamicIR struct {
@@ -195,9 +186,6 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 			sum := &out[i]
 			sum.WorstVDD = sc.vdd.WorstPerBlock(i-lo, nb)
 			sum.WorstVSS = sc.vss.WorstPerBlock(i-lo, nb)
-			vdd, vss := sum.WorstVDD[nb], sum.WorstVSS[nb]
-			tkIRDrop.Record(int64(i), int64(math.Round((vdd+vss)*1e9)), model.String(),
-				vdd*1e3, vss*1e3, sum.STW)
 		}
 		return nil
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"scap/internal/atpg"
 	"scap/internal/fault"
@@ -13,14 +12,6 @@ import (
 	"scap/internal/sim"
 	"scap/internal/soc"
 )
-
-// tkPatterns is the per-pattern attribution table: the patterns whose
-// exact SCAP profiling found the highest chip-level switching power —
-// the candidates the ROADMAP's repair loop would re-fill. Cost is the
-// chip SCAP in integer nanowatts (a deterministic simulation product,
-// never wall time), so the table is bit-identical for any worker count.
-var tkPatterns = obs.NewTopK("core.pattern_hotspots", 16, "scap_nw",
-	"scap_mw", "cap_mw", "stw_ns", "toggles", "step", "target")
 
 // FlowResult is one complete pattern-generation flow for a clock domain.
 type FlowResult struct {
@@ -214,9 +205,8 @@ func (ps *profScratch) launch(sys *System, v1, pis []logic.V, dom int, onToggle 
 
 // profile is the per-pattern step of the profiling loops: it resets the
 // worker's meter, runs one metered launch of fr.Patterns[pi], fills pp
-// from the meter's block report and records the pattern in the hotspot
-// table. The meter keeps the pattern's per-instance energies until its
-// next reset.
+// from the meter's block report. The meter keeps the pattern's
+// per-instance energies until its next reset.
 func (ps *profScratch) profile(sys *System, fr *FlowResult, pi int, pp *PatternProfile) (*sim.Result, error) {
 	p := &fr.Patterns[pi]
 	ps.meter.Reset()
@@ -236,9 +226,6 @@ func (ps *profScratch) profile(sys *System, fr *FlowResult, pi int, pp *PatternP
 	for b := 0; b < sys.D.NumBlocks; b++ {
 		pp.BlockSCAPVdd[b] = blocks[b].SCAPVdd
 	}
-	tkPatterns.Record(int64(pi), int64(math.Round(pp.ChipSCAPVdd*1e6)), fr.Name,
-		pp.ChipSCAPVdd, pp.ChipCAPVdd, pp.STW, float64(pp.Toggles),
-		float64(pp.Step), float64(pp.Target))
 	return res, nil
 }
 

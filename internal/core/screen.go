@@ -10,15 +10,6 @@ import (
 	"scap/internal/power"
 )
 
-// tkScreen is the screening attribution table: the patterns the packed
-// zero-delay pre-screen ranked most active, labeled with the
-// ScreenTop verdict ("kept" went on to exact profiling, "cut" was
-// screened out). Cost is the estimated chip CAP in integer nanowatts —
-// a popcount product, deterministic for any worker count. Recorded in
-// the serial ScreenTop selection.
-var tkScreen = obs.NewTopK("core.screen_hotspots", 16, "est_cap_nw",
-	"est_cap_mw", "toggles", "step")
-
 // PatternScreen is the packed zero-delay triage estimate of one pattern:
 // toggle count and CAP-style average powers derived from popcounts over
 // the settled launch frames, with no event-driven timing simulation. It
@@ -138,16 +129,7 @@ func ScreenTop(screens []PatternScreen, block int, frac float64) []int {
 	if keep > len(screens) {
 		keep = len(screens)
 	}
-	for rank, i := range idx {
-		verdict := "kept"
-		if rank >= keep {
-			verdict = "cut"
-		}
-		s := &screens[i]
-		tkScreen.Record(int64(i), int64(math.Round(s.EstChipCAPVdd*1e6)), verdict,
-			s.EstChipCAPVdd, float64(s.Toggles), float64(s.Step))
-	}
-	top := append([]int(nil), idx[:keep]...)
+	top := idx[:keep]
 	sort.Ints(top)
 	return top
 }

@@ -119,7 +119,7 @@ func TestInBlocksAndDomains(t *testing.T) {
 	}
 	for b, n := range perBlock {
 		if n == 0 {
-			t.Fatalf("no faults in block %s", d.BlockName(b))
+			t.Fatalf("no faults in block %s", soc.BlockName(b))
 		}
 	}
 	// clka (domain 0) must be the dominant domain by fault count.

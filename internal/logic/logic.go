@@ -35,9 +35,6 @@ func (v V) String() string {
 	}
 }
 
-// Valid reports whether v is one of the three defined logic values.
-func (v V) Valid() bool { return v <= X }
-
 // Not returns the three-valued complement of v.
 func (v V) Not() V {
 	switch v {

@@ -89,9 +89,8 @@ type Design struct {
 
 	Flops []InstID // all sequential instances
 
-	NumBlocks  int
-	BlockNames []string
-	Domains    []DomainInfo
+	NumBlocks int
+	Domains   []DomainInfo
 
 	topo   []InstID // cached combinational topological order
 	levels []int32  // cached per-instance level (flop/PI sources at 0)
@@ -200,17 +199,6 @@ func (d *Design) LoadCap(id InstID) float64 {
 		c += d.Lib.Cell(d.Insts[p.Inst].Kind).InputCap
 	}
 	return c
-}
-
-// BlockName returns the display name of block b ("B1".. by default).
-func (d *Design) BlockName(b int) string {
-	if b == NoBlock {
-		return "TOP"
-	}
-	if b < len(d.BlockNames) {
-		return d.BlockNames[b]
-	}
-	return fmt.Sprintf("B%d", b+1)
 }
 
 func (d *Design) invalidate() {

@@ -17,7 +17,6 @@ func buildToy(t *testing.T) *Design {
 	t.Helper()
 	d := New("toy", cell.New180nm())
 	d.NumBlocks = 1
-	d.BlockNames = []string{"B1"}
 	d.Domains = []DomainInfo{{Name: "clka", FreqMHz: 100, PeriodNs: 10}}
 
 	a := d.AddPI("a")
@@ -200,18 +199,6 @@ func TestComputeStats(t *testing.T) {
 	}
 	if s.NegEdgeFlops != 0 {
 		t.Fatalf("NegEdgeFlops = %d", s.NegEdgeFlops)
-	}
-}
-
-func TestBlockName(t *testing.T) {
-	d := buildToy(t)
-	if d.BlockName(0) != "B1" || d.BlockName(NoBlock) != "TOP" {
-		t.Fatal("BlockName wrong")
-	}
-	d2 := New("x", cell.New180nm())
-	d2.NumBlocks = 3
-	if d2.BlockName(2) != "B3" {
-		t.Fatal("fallback BlockName wrong")
 	}
 }
 

@@ -1,15 +1,15 @@
-// Package obs is the repo-wide observability layer: atomic counters,
-// hotspot tables and hierarchical wall-time spans that are compiled
-// into every hot subsystem (pgrid solves, the timing simulator, the
-// worker pool, the SCAP meter, ATPG) but cost almost nothing while
-// disabled — every instrumentation entry point is gated on one atomic
-// load, and hot loops accumulate locally and flush once per unit of
-// work (per solve, per launch, per pool run), never per iteration.
+// Package obs is the repo-wide observability layer: atomic counters
+// and hierarchical wall-time spans that are compiled into every hot
+// subsystem (pgrid solves, the timing simulator, the worker pool, the
+// SCAP meter, ATPG) but cost almost nothing while disabled — every
+// instrumentation entry point is gated on one atomic load, and hot
+// loops accumulate locally and flush once per unit of work (per solve,
+// per launch, per pool run), never per iteration.
 //
 // The layer is stdlib-only and surfaces three ways:
 //
 //   - a versioned JSON run report (report.go) written by the CLIs'
-//     -report flag: stage tree, counters, hotspots, provenance;
+//     -report flag: stage tree, counters, derived metrics, provenance;
 //   - the report's stage tree as Chrome trace-event JSON (trace.go),
 //     written by the CLIs' -trace flag;
 //   - a human-readable stage summary table rendered through
@@ -31,9 +31,9 @@ import (
 // enable it when -report or -trace is given.
 var enabled atomic.Bool
 
-// Enable turns instrumentation on. Counters, hotspot tables and spans
-// created before Enable work normally afterwards — creation is always
-// allowed, only recording is gated.
+// Enable turns instrumentation on. Counters and spans created before
+// Enable work normally afterwards — creation is always allowed, only
+// recording is gated.
 func Enable() { enabled.Store(true) }
 
 // Disable turns instrumentation back off (tests).
@@ -48,33 +48,24 @@ func On() bool { return enabled.Load() }
 var reg = struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	topks    map[string]*TopK
 	derived  map[string]func(counters map[string]int64) (float64, bool)
 }{
 	counters: map[string]*Counter{},
-	topks:    map[string]*TopK{},
 	derived:  map[string]func(map[string]int64) (float64, bool){},
 }
 
-// Reset zeroes every registered metric in place — counters and hotspot
-// tables — and clears the run info, span tree and snapshot series,
-// while keeping all registrations (the instrumented packages'
-// package-level vars stay valid). It exists for multi-run processes
-// (property tests comparing worker counts, the benchmark harness's
-// traced passes) that need a fresh attribution slate per run.
+// Reset zeroes every registered counter in place and clears the run
+// info, span tree and snapshot series, while keeping all registrations
+// (the instrumented packages' package-level vars stay valid). It
+// exists for multi-run processes (property tests comparing worker
+// counts, the benchmark harness's traced passes) that need a fresh
+// slate per run.
 func Reset() {
 	reg.mu.Lock()
 	for _, c := range reg.counters {
 		c.v.Store(0)
 	}
-	topks := make([]*TopK, 0, len(reg.topks))
-	for _, t := range reg.topks {
-		topks = append(topks, t)
-	}
 	reg.mu.Unlock()
-	for _, t := range topks {
-		t.reset()
-	}
 
 	runInfo.mu.Lock()
 	runInfo.kv = map[string]any{}

@@ -13,7 +13,6 @@ func resetForTest(t *testing.T) {
 	t.Helper()
 	reg.mu.Lock()
 	reg.counters = map[string]*Counter{}
-	reg.topks = map[string]*TopK{}
 	reg.derived = map[string]func(map[string]int64) (float64, bool){}
 	reg.mu.Unlock()
 	runInfo.mu.Lock()
@@ -47,8 +46,8 @@ func TestDisabledRecordingIsNoop(t *testing.T) {
 	}
 	var s *Span
 	s.End() // nil-safe
-	if s.WallMs() != 0 {
-		t.Fatalf("nil span WallMs = %v, want 0", s.WallMs())
+	if r := BuildReport("test", nil); len(r.Stages) != 0 {
+		t.Fatalf("disabled instrumentation recorded spans: %+v", r.Stages)
 	}
 }
 
@@ -83,9 +82,6 @@ func TestRegistryDedup(t *testing.T) {
 	if NewCounter("t.dup") != NewCounter("t.dup") {
 		t.Error("NewCounter returned distinct counters for one name")
 	}
-	if NewTopK("t.dup", 2, "cost") != NewTopK("t.dup", 2, "cost") {
-		t.Error("NewTopK returned distinct tables for one name")
-	}
 }
 
 // fakeClock returns a timeNow replacement that advances 10 ms per call,
@@ -117,30 +113,34 @@ func TestSpanNesting(t *testing.T) {
 	prof.End()                 // t=60
 	flow.End()                 // t=70
 
-	trace.mu.Lock()
-	defer trace.mu.Unlock()
-	if len(trace.roots) != 1 || trace.roots[0] != flow {
-		t.Fatalf("roots = %v, want [flow]", trace.roots)
-	}
-	if trace.cur != nil {
-		t.Fatalf("open-span stack not empty after all Ends")
-	}
-	if len(flow.children) != 2 || flow.children[0] != atpg || flow.children[1] != prof {
-		t.Fatalf("flow children out of order: %v", flow.children)
-	}
-	if len(prof.children) != 1 || prof.children[0] != inner {
-		t.Fatalf("prof children = %v, want [fill]", prof.children)
-	}
-	if atpg.parent != flow || prof.parent != flow || inner.parent != prof {
-		t.Fatal("parent links wrong")
-	}
-	if got := flow.WallMs(); got != 70 {
+	func() {
+		trace.mu.Lock()
+		defer trace.mu.Unlock()
+		if len(trace.roots) != 1 || trace.roots[0] != flow {
+			t.Fatalf("roots = %v, want [flow]", trace.roots)
+		}
+		if trace.cur != nil {
+			t.Fatalf("open-span stack not empty after all Ends")
+		}
+		if len(flow.children) != 2 || flow.children[0] != atpg || flow.children[1] != prof {
+			t.Fatalf("flow children out of order: %v", flow.children)
+		}
+		if len(prof.children) != 1 || prof.children[0] != inner {
+			t.Fatalf("prof children = %v, want [fill]", prof.children)
+		}
+		if atpg.parent != flow || prof.parent != flow || inner.parent != prof {
+			t.Fatal("parent links wrong")
+		}
+	}()
+
+	sr := BuildReport("test", nil).Stages[0]
+	if got := sr.WallMs; got != 70 {
 		t.Errorf("flow wall = %v ms, want 70", got)
 	}
-	if got := atpg.WallMs(); got != 10 {
+	if got := sr.Children[0].WallMs; got != 10 {
 		t.Errorf("atpg wall = %v ms, want 10", got)
 	}
-	if got := inner.WallMs(); got != 10 {
+	if got := sr.Children[1].Children[0].WallMs; got != 10 {
 		t.Errorf("fill wall = %v ms, want 10", got)
 	}
 }
@@ -158,10 +158,10 @@ func TestSpanEndWithOpenChildren(t *testing.T) {
 	if trace.cur != nil {
 		t.Fatalf("ending outer did not pop past its open child")
 	}
-	wall := outer.WallMs()
+	wall := BuildReport("test", nil).Stages[0].WallMs
 	outer.End() // double End must not move the recorded end time
-	if outer.WallMs() != wall {
-		t.Errorf("double End changed wall time: %v -> %v", wall, outer.WallMs())
+	if again := BuildReport("test", nil).Stages[0].WallMs; again != wall {
+		t.Errorf("double End changed wall time: %v -> %v", wall, again)
 	}
 	next := StartSpan("next")
 	trace.mu.Lock()

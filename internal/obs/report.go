@@ -24,8 +24,10 @@ import (
 // `snapshots` together with the sampler that filled it. v5 dropped the
 // per-worker vectors (`per_worker`) and the histogram quantiles. v6
 // dropped the `gauges` and `histograms` blocks: no question the run
-// report answers read them.
-const SchemaVersion = "scap/run-report/v6"
+// report answers read them. v7 dropped the `hotspots` tables, which
+// nothing read, and each span's `goroutine`: every span opens on the
+// goroutine that drives the pipeline.
+const SchemaVersion = "scap/run-report/v7"
 
 // runInfo is the process-wide run-information block: small key/value
 // facts about how the run was configured or what the build produced
@@ -123,35 +125,24 @@ func resolveHead(gitDir, head string) string {
 // SpanReport is one serialized stage span. Times are milliseconds
 // relative to the first span of the run.
 type SpanReport struct {
-	Name      string        `json:"name"`
-	StartMs   float64       `json:"start_ms"`
-	WallMs    float64       `json:"wall_ms"`
-	Goroutine int64         `json:"goroutine"`
-	Children  []*SpanReport `json:"children,omitempty"`
-}
-
-// TopKReport serializes one hotspot table: the ranking cost's name, the
-// per-entry field names (aligning with each entry's Fields slice) and
-// the entries best-first.
-type TopKReport struct {
-	CostKey string     `json:"cost_key"`
-	Fields  []string   `json:"fields,omitempty"`
-	Entries []TopEntry `json:"entries"`
+	Name     string        `json:"name"`
+	StartMs  float64       `json:"start_ms"`
+	WallMs   float64       `json:"wall_ms"`
+	Children []*SpanReport `json:"children,omitempty"`
 }
 
 // Report is the versioned machine-readable run report the -report flag
 // emits. Map keys marshal sorted, so the JSON is stable for a given
 // run.
 type Report struct {
-	Schema     string                `json:"schema"`
-	Tool       string                `json:"tool"`
-	Provenance Provenance            `json:"provenance"`
-	Config     any                   `json:"config,omitempty"`
-	Info       map[string]any        `json:"info,omitempty"`
-	Stages     []*SpanReport         `json:"stages,omitempty"`
-	Counters   map[string]int64      `json:"counters,omitempty"`
-	Hotspots   map[string]TopKReport `json:"hotspots,omitempty"`
-	Derived    map[string]float64    `json:"derived,omitempty"`
+	Schema     string             `json:"schema"`
+	Tool       string             `json:"tool"`
+	Provenance Provenance         `json:"provenance"`
+	Config     any                `json:"config,omitempty"`
+	Info       map[string]any     `json:"info,omitempty"`
+	Stages     []*SpanReport      `json:"stages,omitempty"`
+	Counters   map[string]int64   `json:"counters,omitempty"`
+	Derived    map[string]float64 `json:"derived,omitempty"`
 }
 
 // BuildReport snapshots the registry and span tree into a Report.
@@ -181,18 +172,6 @@ func BuildReport(tool string, config any) *Report {
 	}
 	if len(counters) > 0 {
 		r.Counters = counters
-	}
-	for name, t := range reg.topks {
-		if entries := t.Snapshot(); len(entries) > 0 {
-			if r.Hotspots == nil {
-				r.Hotspots = map[string]TopKReport{}
-			}
-			r.Hotspots[name] = TopKReport{
-				CostKey: t.CostKey(),
-				Fields:  t.FieldNames(),
-				Entries: entries,
-			}
-		}
 	}
 	for name, fn := range reg.derived {
 		if v, ok := fn(counters); ok {
@@ -225,10 +204,9 @@ func spanReport(s *Span, epoch time.Time) *SpanReport {
 		end = timeNow() // still-open span: report progress so far
 	}
 	sr := &SpanReport{
-		Name:      s.name,
-		StartMs:   float64(s.start.Sub(epoch)) / float64(time.Millisecond),
-		WallMs:    float64(end.Sub(s.start)) / float64(time.Millisecond),
-		Goroutine: s.goroutine,
+		Name:    s.name,
+		StartMs: float64(s.start.Sub(epoch)) / float64(time.Millisecond),
+		WallMs:  float64(end.Sub(s.start)) / float64(time.Millisecond),
 	}
 	for _, c := range s.children {
 		sr.Children = append(sr.Children, spanReport(c, epoch))
@@ -296,48 +274,6 @@ func (r *Report) SummaryTable(counters ...string) string {
 		sort.Strings(keys)
 		for _, k := range keys {
 			fmt.Fprintf(&b, "  %s = %.4g\n", k, r.Derived[k])
-		}
-	}
-	if s := r.hotspotSummary(); s != "" {
-		b.WriteString("\n")
-		b.WriteString(s)
-	}
-	return b.String()
-}
-
-// summaryHotspotRows caps how many hotspot rows the exit summary prints
-// per table; the JSON report keeps the full top-K.
-const summaryHotspotRows = 8
-
-// hotspotSummary renders the top rows of each hotspot table.
-func (r *Report) hotspotSummary() string {
-	keys := make([]string, 0, len(r.Hotspots))
-	for k := range r.Hotspots {
-		keys = append(keys, k)
-	}
-	if len(keys) == 0 {
-		return ""
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		t := r.Hotspots[k]
-		fmt.Fprintf(&b, "hotspots: %s (top %d by %s)\n", k, len(t.Entries), t.CostKey)
-		fmt.Fprintf(&b, "  %10s %12s %-14s", "id", t.CostKey, "label")
-		for _, f := range t.Fields {
-			fmt.Fprintf(&b, " %12s", f)
-		}
-		b.WriteString("\n")
-		for i, e := range t.Entries {
-			if i >= summaryHotspotRows {
-				fmt.Fprintf(&b, "  … %d more in the JSON report\n", len(t.Entries)-i)
-				break
-			}
-			fmt.Fprintf(&b, "  %10d %12d %-14s", e.ID, e.Cost, e.Label)
-			for _, v := range e.Fields {
-				fmt.Fprintf(&b, " %12.4g", v)
-			}
-			b.WriteString("\n")
 		}
 	}
 	return b.String()

@@ -13,7 +13,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // buildGoldenReport assembles a fully deterministic report: fake clock
-// for the spans, fixed provenance, normalized goroutine ids.
+// for the spans and fixed provenance.
 func buildGoldenReport(t *testing.T) *Report {
 	t.Helper()
 	resetForTest(t)
@@ -28,11 +28,6 @@ func buildGoldenReport(t *testing.T) *Report {
 	})
 	SetRunInfo("grid_mesh_n", 40)
 	SetRunInfo("sparse_fill_ratio", 2.5)
-	tk := NewTopK("atpg.fault_hotspots", 3, "waves", "backtracks", "pattern")
-	tk.Record(11, 400, "detected", 2, 5)
-	tk.Record(3, 1500, "aborted", 40, -1)
-	tk.Record(7, 900, "detected", 12, 0)
-	tk.Record(20, 100, "detected", 0, 1) // below the floor once full: rejected
 
 	flow := StartSpan("flow") // t=0
 	atpg := StartSpan("atpg") // t=10
@@ -49,16 +44,6 @@ func buildGoldenReport(t *testing.T) *Report {
 		NumCPU:     8,
 		Hostname:   "golden-host",
 	}
-	var norm func(s *SpanReport)
-	norm = func(s *SpanReport) {
-		s.Goroutine = 1
-		for _, c := range s.Children {
-			norm(c)
-		}
-	}
-	for _, s := range r.Stages {
-		norm(s)
-	}
 	return r
 }
 
@@ -67,7 +52,7 @@ func buildGoldenReport(t *testing.T) *Report {
 // with `go test ./internal/obs -run Golden -update`.
 func TestReportGolden(t *testing.T) {
 	r := buildGoldenReport(t)
-	if r.Schema != "scap/run-report/v6" {
+	if r.Schema != "scap/run-report/v7" {
 		t.Fatalf("schema = %q; bump the golden and this pin together", r.Schema)
 	}
 	got, err := json.MarshalIndent(r, "", "  ")
@@ -127,14 +112,15 @@ func TestSummaryTable(t *testing.T) {
 		"pgrid.sparse.factor.calls = 7", "absent.counter = 0",
 		"pgrid.sparse.factor.cache_hits = 6", "grid_mesh_n = 40",
 		"sparse_fill_ratio = 2.5",
-		"hotspots: atpg.fault_hotspots (top 3 by waves)", "aborted",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary table missing %q:\n%s", want, s)
 		}
 	}
-	if strings.Contains(s, "quantile") {
-		t.Errorf("summary table still prints histogram quantiles:\n%s", s)
+	for _, gone := range []string{"quantile", "hotspots:"} {
+		if strings.Contains(s, gone) {
+			t.Errorf("summary table still prints %q:\n%s", gone, s)
+		}
 	}
 }
 

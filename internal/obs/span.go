@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -15,18 +12,18 @@ var timeNow = time.Now
 // the new span under the currently open one, so sequential pipeline
 // stages produce the stage hierarchy the run report serializes.
 //
-// The intended discipline is well-nested start/end from one goroutine
-// at a time (the CLI main goroutine driving the pipeline); worker time
-// goes to the pool's busy counters instead of spans. All methods are
-// nil-safe so call sites stay one line even while instrumentation is
-// off: defer obs.StartSpan("stage").End().
+// The tree is one process-wide stack of open spans, so only one
+// goroutine can keep it well-nested: every span opens and ends on the
+// goroutine that drives the pipeline (a CLI's main goroutine), and
+// worker time goes to the pool's busy counters instead of spans. All
+// methods are nil-safe so call sites stay one line even while
+// instrumentation is off: defer obs.StartSpan("stage").End().
 type Span struct {
-	name      string
-	goroutine int64
-	start     time.Time
-	end       time.Time
-	parent    *Span
-	children  []*Span
+	name     string
+	start    time.Time
+	end      time.Time
+	parent   *Span
+	children []*Span
 }
 
 // trace is the process-wide span tree.
@@ -45,7 +42,7 @@ func StartSpan(name string) *Span {
 		return nil
 	}
 	now := timeNow()
-	s := &Span{name: name, start: now, goroutine: goid()}
+	s := &Span{name: name, start: now}
 	trace.mu.Lock()
 	if trace.epoch.IsZero() {
 		trace.epoch = now
@@ -81,27 +78,4 @@ func (s *Span) End() {
 		}
 	}
 	trace.mu.Unlock()
-}
-
-// WallMs returns the span's wall time in milliseconds (0 while open).
-func (s *Span) WallMs() float64 {
-	if s == nil || s.end.IsZero() {
-		return 0
-	}
-	return float64(s.end.Sub(s.start)) / float64(time.Millisecond)
-}
-
-// goid returns the current goroutine's id by parsing the first line of
-// its stack header ("goroutine N [running]:"). Only called on span
-// start, never on a hot path.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := strings.TrimPrefix(string(buf[:n]), "goroutine ")
-	if i := strings.IndexByte(s, ' '); i > 0 {
-		if id, err := strconv.ParseInt(s[:i], 10, 64); err == nil {
-			return id
-		}
-	}
-	return 0
 }

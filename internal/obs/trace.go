@@ -31,8 +31,9 @@ type chromeTrace struct {
 }
 
 // chromeTraceOf renders a stage tree as a Chrome trace-event document:
-// one "stage" complete event per span, on the lane of the goroutine
-// that opened it, with ts and dur the span's start_ms and wall_ms in µs.
+// one "stage" complete event per span, all on tid 1 (every span opens
+// on the goroutine that drives the pipeline), with ts and dur the
+// span's start_ms and wall_ms in µs.
 func chromeTraceOf(stages []*SpanReport) *chromeTrace {
 	doc := &chromeTrace{
 		TraceEvents: []chromeEvent{{
@@ -50,7 +51,7 @@ func chromeTraceOf(stages []*SpanReport) *chromeTrace {
 			Ts:   s.StartMs * 1e3,
 			Dur:  s.WallMs * 1e3,
 			Pid:  1,
-			Tid:  s.Goroutine,
+			Tid:  1,
 		})
 		for _, c := range s.Children {
 			walk(c)

@@ -68,8 +68,8 @@ func TestTraceRecordsSpansAndTasks(t *testing.T) {
 
 // TestTraceKeepsStageSpans: the trace holds one "stage" complete event
 // per span of the report, in the report's order, with the report's
-// start and wall time in µs, and nothing else. EnableTrace switches the
-// span tree on whatever its arguments.
+// start and wall time in µs, all on tid 1, and nothing else.
+// EnableTrace switches the span tree on whatever its arguments.
 func TestTraceKeepsStageSpans(t *testing.T) {
 	resetForTest(t)
 	timeNow = fakeClock()
@@ -89,7 +89,7 @@ func TestTraceKeepsStageSpans(t *testing.T) {
 	var walk func(s *SpanReport)
 	walk = func(s *SpanReport) {
 		want = append(want, chromeEvent{Name: s.Name, Cat: "stage", Ph: "X",
-			Ts: s.StartMs * 1e3, Dur: s.WallMs * 1e3, Pid: 1, Tid: s.Goroutine})
+			Ts: s.StartMs * 1e3, Dur: s.WallMs * 1e3, Pid: 1, Tid: 1})
 		for _, c := range s.Children {
 			walk(c)
 		}

@@ -8,7 +8,6 @@ import (
 	"scap/internal/atpg"
 	"scap/internal/fault"
 	"scap/internal/faultsim"
-	"scap/internal/logic"
 	"scap/internal/netlist"
 	"scap/internal/scan"
 	"scap/internal/sim"
@@ -121,33 +120,5 @@ func TestReadErrors(t *testing.T) {
 	}
 	if back[0].PIs[0].String() != "X" {
 		t.Fatal("X bit lost")
-	}
-}
-
-func TestStats(t *testing.T) {
-	d, pats := patternSet(t)
-	st, err := Stats(d, pats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Patterns != len(pats) {
-		t.Fatal("pattern count")
-	}
-	chip := st.OnesFrac[len(st.OnesFrac)-1]
-	if chip <= 0.2 || chip >= 0.8 {
-		t.Fatalf("random-fill chip ones fraction %.2f implausible", chip)
-	}
-	if st.XFrac != 0 {
-		t.Fatal("expanded patterns should have no X bits")
-	}
-	if got := st.String(); len(got) < 20 {
-		t.Fatalf("String too short: %q", got)
-	}
-	if _, err := Stats(d, nil); err == nil {
-		t.Fatal("empty set accepted")
-	}
-	bad := []atpg.Pattern{{V1: make([]logic.V, 3)}}
-	if _, err := Stats(d, bad); err == nil {
-		t.Fatal("bad length accepted")
 	}
 }

@@ -22,7 +22,6 @@ func chainDesign(t *testing.T) (*netlist.Design, *sim.Simulator, *sim.Timing) {
 	t.Helper()
 	d := netlist.New("c", cell.New180nm())
 	d.NumBlocks = 2
-	d.BlockNames = []string{"B1", "B2"}
 	d.Domains = []netlist.DomainInfo{{Name: "clk", FreqMHz: 50, PeriodNs: 20}}
 	q1 := d.AddNet("q1")
 	q2 := d.AddNet("q2")

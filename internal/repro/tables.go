@@ -71,15 +71,6 @@ func (r *Runner) Table3() (string, error) {
 	}
 	row("Chip", sys.D.NumBlocks)
 
-	// Functional baseline: the paper justifies its pessimistic 30% toggle
-	// assumption by test activity far exceeding mission-mode activity.
-	fn, err := sys.FunctionalPowerSim(0, 30, sys.Cfg.Seed+99)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "\nfunctional-mode baseline (30 simulated mission cycles): chip %.2f mW, B5 %.2f mW\n",
-		fn.MeanPowerMW[sys.D.NumBlocks], fn.MeanPowerMW[soc.B5])
-
 	hb := stat.HotBlock
 	fmt.Fprintf(&b, "\nshape checks (paper: power doubles when window halves; B5 hottest):\n")
 	fmt.Fprintf(&b, "  Case2/Case1 chip power ratio: %.2f (paper: 2.0)\n",

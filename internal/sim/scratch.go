@@ -110,9 +110,6 @@ func NewLaunchScratch(s *Simulator) *LaunchScratch {
 	return ls
 }
 
-// Simulator returns the simulator this scratch is bound to.
-func (ls *LaunchScratch) Simulator() *Simulator { return ls.s }
-
 // SettleBaseline settles the network at pre-launch state v1 (per-flop,
 // d.Flops order) with constant primary inputs pis and returns the net
 // values. The returned slice is the scratch's internal baseline — read

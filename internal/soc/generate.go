@@ -85,10 +85,6 @@ func Generate(cfg Config) (*netlist.Design, *Plan, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	d := netlist.New("turbo-eagle-repro", cell.New180nm())
 	d.NumBlocks = NumBlocks
-	d.BlockNames = make([]string, NumBlocks)
-	for b := range d.BlockNames {
-		d.BlockNames[b] = BlockName(b)
-	}
 	for _, ds := range cfg.Domains {
 		d.Domains = append(d.Domains, netlist.DomainInfo{
 			Name: ds.Name, FreqMHz: ds.FreqMHz, PeriodNs: 1000 / ds.FreqMHz,
