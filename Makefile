@@ -38,14 +38,17 @@ bench-json:
 # directory and diff every file against the committed baseline with
 # cmd/benchdiff. Tolerances are deliberately generous (CI runners and
 # single-CPU baselines are noisy); the gate exists to catch order-of-2x
-# regressions, not percent-level drift. Fails the build on regression.
+# regressions, not percent-level drift. Every file is compared even after
+# one fails; the target then names each failing file and fails the build.
 bench-diff:
 	mkdir -p .benchfresh
 	$(MAKE) bench-json BENCH_DIR=.benchfresh
+	failed=; \
 	for f in BENCH_pgrid BENCH_sim BENCH_faultsim BENCH_atpg; do \
 	  go run ./cmd/benchdiff -base $$f.json -fresh .benchfresh/$$f.json \
-	    -tol-ns 4 -tol-mem 2 -tol-extra 2.5 || exit 1; \
-	done
+	    -tol-ns 4 -tol-mem 2 -tol-extra 2.5 || failed="$$failed $$f.json"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "bench-diff: regression in$$failed" >&2; exit 1; fi
 
 # CI-style tier-1 verify in one command, plus the benchmark module's vet
 # and tests (the scale-48 paper anchors and worker-count invariance,

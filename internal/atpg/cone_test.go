@@ -91,10 +91,10 @@ func TestFanoutCone(t *testing.T) {
 }
 
 // TestEngineConeMatchesReference checks collectCone against the reference
-// for every net of a scale-96 design. The cone holds gate positions:
-// mapped to instances it must equal the reference element for element,
-// the cone bitset must hold exactly those positions, and the teardown
-// must leave the bitset empty for the next net.
+// for every net of a scale-96 design. The cone bitset holds gate
+// positions: read in ascending order and mapped to instances, its members
+// must equal the reference element for element, its bounds must cover
+// them, and the teardown must leave the bitset empty for the next net.
 func TestEngineConeMatchesReference(t *testing.T) {
 	r := newRig(t, 96)
 	e, err := newEngine(r.s, runConfig(r.d, r.sc, Options{Dom: 0, BacktrackLimit: 64}, nil))
@@ -109,18 +109,18 @@ func TestEngineConeMatchesReference(t *testing.T) {
 		}
 		e.collectCone(netlist.NetID(n))
 		got = got[:0]
-		for _, p := range e.cone {
-			got = append(got, e.gates[p].ID())
+		c := &e.inCone
+		for w, x := range c.bits {
+			for ; x != 0; x &= x - 1 {
+				p := w<<6 | bits.TrailingZeros64(x)
+				if p < c.lo || p > c.hi {
+					t.Fatalf("net %s: member %d outside the bounds [%d, %d]", r.d.Nets[n].Name, p, c.lo, c.hi)
+				}
+				got = append(got, e.gates[p].ID())
+			}
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("net %s: cone %v, want %v", r.d.Nets[n].Name, got, want)
-		}
-		members := 0
-		for _, w := range e.inCone.bits {
-			members += bits.OnesCount64(w)
-		}
-		if members != len(e.cone) || slices.ContainsFunc(e.cone, func(p int32) bool { return !e.inCone.has(p) }) {
-			t.Fatalf("net %s: the bitset holds %d positions, the cone %d", r.d.Nets[n].Name, members, len(e.cone))
 		}
 		e.teardown(0)
 		if err := e.checkCleared(); err != nil {

@@ -195,15 +195,22 @@ type engine struct {
 	// per-fault state
 	site  netlist.NetID // NoNet while no fault is installed
 	stuck logic.V
-	cone  []int32         // frame-2 fanout cone, gate positions ascending
 	obs   []netlist.NetID // observable D nets (dom flops) in the cone
 
-	// inCone holds the installed fault's cone as positions, and reg1 and
-	// reg2 its read region per frame: the gates whose outputs the search
-	// can read, closed under fan-in (setupFault). While a fault is
-	// installed, waves evaluate only region gates. All three are empty
+	// inCone holds the installed fault's frame-2 fanout cone as positions,
+	// and reg1 and reg2 its read region per frame: the gates whose outputs
+	// the search can read, closed under fan-in. buildRegion fills the
+	// region at the search's first decision (assignInput) and sets
+	// regionBuilt; from then on, waves evaluate only region gates.
+	//
+	// front holds every cone gate that has had a diverged input since the
+	// fault was installed: a net's gate loads join it where the net
+	// becomes diverged (the wave's cone branch, set2both at the site,
+	// inject), and undo never removes them. It is a superset of the
+	// D-frontier that frontierObjective filters. All four sets are empty
 	// while no fault is installed.
-	inCone, reg1, reg2 posSet
+	inCone, reg1, reg2, front posSet
+	regionBuilt               bool
 
 	// d1 and d2 hold the gates each frame's sweep has still to evaluate;
 	// both are empty between waves.
@@ -216,8 +223,8 @@ type engine struct {
 
 // posSet is a set of gate positions, one bit each; lo and hi bound the
 // members. A dirty set is drained by a sweep forward from its lowest
-// mark, which clears bits as it goes and then resets the bounds; a cone
-// or region set keeps its bits until clear.
+// mark, which clears bits as it goes and then resets the bounds; a cone,
+// region or frontier set keeps its bits until clear.
 type posSet struct {
 	bits   []uint64
 	lo, hi int
@@ -436,7 +443,7 @@ func (e *engine) allocState() {
 		e.vals[i] = allX
 	}
 	n := len(e.gates)
-	e.inCone, e.reg1, e.reg2 = newPosSet(n), newPosSet(n), newPosSet(n)
+	e.inCone, e.reg1, e.reg2, e.front = newPosSet(n), newPosSet(n), newPosSet(n), newPosSet(n)
 	e.d1, e.d2 = newPosSet(n), newPosSet(n)
 	e.site = netlist.NoNet
 	for pi, v := range e.piConst {
@@ -489,21 +496,25 @@ func (e *engine) schedule1(n netlist.NetID) {
 // set2both updates the frame-2 good value (and the faulty value except at
 // the fault site, which stays stuck) as one trail entry, and marks the
 // net's gate loads (only those in the frame-2 read region while a fault
-// is installed).
+// is installed). At the site, where the two values can differ, a
+// diverged result also adds the loads to the frontier set.
 func (e *engine) set2both(n netlist.NetID, v logic.V) {
 	old := e.vals[n]
 	if rail(old, sh2) == v {
 		return
 	}
 	b := old&^(3<<sh2) | uint8(v)<<sh2
+	loads := e.s.GateLoads(n)
 	if n != e.site {
 		b = b&^(3<<shF) | uint8(v)<<shF
+	} else if divergedTab[b] {
+		e.front.mark(loads)
 	}
 	e.write(n, b)
 	if e.site == netlist.NoNet {
-		e.d2.mark(e.s.GateLoads(n))
+		e.d2.mark(loads)
 	} else {
-		e.d2.markIn(e.s.GateLoads(n), &e.reg2)
+		e.d2.markIn(loads, &e.reg2)
 	}
 }
 
@@ -512,14 +523,17 @@ func (e *engine) set2both(n netlist.NetID, v logic.V) {
 // so every marked gate runs once, with final inputs; frame 1 feeds frame
 // 2 (through the transfer) but never the reverse. While a fault is
 // installed, marks land only inside its read region (schedule1,
-// set2both), so the wave implies exactly the values the search can read.
+// set2both), so the wave implies exactly the values the search can read;
+// the inject wave, which runs before the region is built, marks only
+// cone gates.
 //
 // Implication only refines X to 0 or 1, and Kleene logic is monotone, so
 // a gate whose output on the swept rail is already 0 or 1 cannot change
 // and is skipped. Cone gates are the exception: installing a fault flips
 // the faulty rail at the site, the one write that is not a refinement, so
-// a cone gate always evaluates both frame-2 rails. The gates evaluated
-// are added to stats.gateEvals once per wave.
+// a cone gate always evaluates both frame-2 rails, and a diverged result
+// adds its loads to the frontier set. The gates evaluated are added to
+// stats.gateEvals once per wave.
 func (e *engine) wave() {
 	gates, vals, cone := e.gates, e.vals, e.inCone.bits
 	evals := 0
@@ -568,7 +582,11 @@ func (e *engine) wave() {
 			nb := old&^(3<<sh2|3<<shF) | uint8(g.EvalAt(vals, sh2))<<sh2 | uint8(g.EvalAt(vals, shF))<<shF
 			if nb != old {
 				e.write(out, nb)
-				d.mark(e.s.GateLoads(out))
+				loads := e.s.GateLoads(out)
+				d.mark(loads)
+				if divergedTab[nb] {
+					e.front.mark(loads)
+				}
 			}
 		}
 	}
@@ -597,8 +615,12 @@ func (e *engine) place(in inputRef, v logic.V) {
 }
 
 // assignInput applies one decision value to an input variable and
-// propagates both frames.
+// propagates both frames. The first one made while a fault is installed
+// builds the fault's read region, which the waves of a decision read.
 func (e *engine) assignInput(in inputRef, v logic.V) {
+	if e.site != netlist.NoNet && !e.regionBuilt {
+		e.buildRegion()
+	}
 	e.place(in, v)
 	e.stats.waves++
 	e.wave()
@@ -607,11 +629,11 @@ func (e *engine) assignInput(in inputRef, v logic.V) {
 // clone returns an engine for another generation worker: the construction
 // tables (gate rows, levels, transfer maps, fan-in list, PI policies,
 // block preferences) are shared, while every mutable search structure
-// (rails, trail, decision stack, cone and region sets, dirty sets) is
-// private. Every engine rests in the same state between faults (generate
-// undoes to the mark it started from, genOne unpins its base), so a clone
-// produces bit-identical cubes to its original for any (fault, base) pair
-// — the property the epoch scheduler rests on.
+// (rails, trail, decision stack, cone, region and frontier sets, dirty
+// sets) is private. Every engine rests in the same state between faults
+// (generate undoes to the mark it started from, genOne unpins its base),
+// so a clone produces bit-identical cubes to its original for any
+// (fault, base) pair — the property the epoch scheduler rests on.
 func (e *engine) clone() *engine {
 	c := &engine{tables: e.tables}
 	c.allocState()

@@ -10,14 +10,16 @@ import (
 )
 
 // setupFault installs fault f into the engine: collects the frame-2
-// fanout cone, the observable endpoints and the read region, and injects
-// the stuck value into the faulty machine. It returns false when the
-// fault has no observable endpoint in this domain.
+// fanout cone and the observable endpoints, and injects the stuck value
+// into the faulty machine. It returns false when the fault has no
+// observable endpoint in this domain. The read region waits for the
+// search's first decision (assignInput): the inject wave evaluates only
+// cone gates, and a search that ends before it decides reads no other
+// wave.
 func (e *engine) setupFault(f *fault.Fault) bool {
 	if !e.install(f) {
 		return false
 	}
-	e.buildRegion()
 	e.inject()
 	return true
 }
@@ -40,9 +42,12 @@ func (e *engine) install(f *fault.Fault) bool {
 	if e.obsD[f.Net] {
 		e.obs = append(e.obs, f.Net)
 	}
-	for _, p := range e.cone {
-		if out := e.gates[p].Out(); e.obsD[out] {
-			e.obs = append(e.obs, out)
+	c := &e.inCone
+	for w := c.lo >> 6; w <= c.hi>>6; w++ {
+		for x := c.bits[w]; x != 0; x &= x - 1 {
+			if out := e.gates[w<<6|bits.TrailingZeros64(x)].Out(); e.obsD[out] {
+				e.obs = append(e.obs, out)
+			}
 		}
 	}
 	return len(e.obs) > 0
@@ -50,34 +55,35 @@ func (e *engine) install(f *fault.Fault) bool {
 
 // inject writes the stuck value into the site's faulty rail and settles
 // it. The stuck value is propagated eagerly so the faulty rail is always
-// the exact function closure of the current assignment set.
+// the exact function closure of the current assignment set. A site the
+// write leaves diverged puts its loads in the frontier set.
 func (e *engine) inject() {
 	e.set(shF, e.site, e.stuck)
-	e.d2.mark(e.s.GateLoads(e.site))
+	loads := e.s.GateLoads(e.site)
+	e.d2.mark(loads)
+	if e.diverged(e.site) {
+		e.front.mark(loads)
+	}
 	e.wave()
 }
 
-// collectCone sets e.cone and e.inCone to the gates reachable from net
-// site. It sweeps inCone forward as it fills it: mark the site's loads,
-// then each reached gate's loads, which sit at higher positions, so the
-// members above the last one visited are the ones still to visit.
-// Positions come out ascending, which is TopoOrder with no sort. The
-// order matters beyond tidiness: the D-frontier scans the cone
-// deepest-first, so it decides which objective PODEM pursues.
+// collectCone fills e.inCone with the gates reachable from net site. It
+// sweeps the set forward as it fills it: mark the site's loads, then each
+// reached gate's loads, which sit at higher positions, so the members
+// above the last one visited are the ones still to visit. Gate positions
+// are topological, so walking the set by position visits the cone in
+// TopoOrder, and from its highest position down deepest-first, the order
+// the D-frontier is searched in (frontierObjective).
 func (e *engine) collectCone(site netlist.NetID) {
-	cone := e.cone[:0]
 	c := &e.inCone
 	c.mark(e.s.GateLoads(site))
 	for w := c.lo >> 6; w <= c.hi>>6; w++ {
 		for x := c.bits[w]; x != 0; {
 			b := bits.TrailingZeros64(x)
-			p := w<<6 | b
-			cone = append(cone, int32(p))
-			c.mark(e.s.GateLoads(e.gates[p].Out()))
+			c.mark(e.s.GateLoads(e.gates[w<<6|b].Out()))
 			x = c.bits[w] &^ (2<<uint(b) - 1) // members above b
 		}
 	}
-	e.cone = cone
 }
 
 // buildRegion fills the installed fault's read region: reg2 with the
@@ -146,12 +152,13 @@ func (e *engine) buildRegion() {
 		}
 	}
 	r1.lo, r1.hi, r2.lo = lo1, hi1, lo2
+	e.regionBuilt = true
 }
 
 // teardown uninstalls the fault: it undoes every assignment made since
 // mark, the trail length when generate started, so whatever was pinned
 // before (the resting state, a compaction base) stays, and empties the
-// cone and region sets.
+// cone, region and frontier sets.
 func (e *engine) teardown(mark int) {
 	e.undoTo(mark)
 	e.decs = e.decs[:0]
@@ -160,6 +167,8 @@ func (e *engine) teardown(mark int) {
 	e.inCone.clear()
 	e.reg1.clear()
 	e.reg2.clear()
+	e.front.clear()
+	e.regionBuilt = false
 }
 
 // excited reports whether the launch transition is fully justified: the
@@ -221,37 +230,45 @@ func (e *engine) getObjective() (objective, bool) {
 	return e.frontierObjective(false)
 }
 
-// frontierObjective scans the D-frontier; when preferredOnly is set, gates
-// outside the preferred block set are skipped.
+// frontierObjective searches the D-frontier deepest gate first; when
+// preferredOnly is set, gates outside the preferred block set are
+// skipped. It walks the frontier set from its highest position down and
+// checks each member as a scan of the whole cone would: the set holds
+// every cone gate with a diverged input, so the first gate that passes
+// is the one that scan would find.
 func (e *engine) frontierObjective(preferredOnly bool) (objective, bool) {
 	if preferredOnly && e.preferred == nil {
 		return objective{}, false
 	}
-	for i := len(e.cone) - 1; i >= 0; i-- {
-		p := e.cone[i]
-		if preferredOnly && !e.preferred[p] {
-			continue
-		}
-		g := &e.gates[p]
-		if e.diverged(g.Out()) {
-			continue
-		}
-		in := g.Inputs()
-		dPin := -1
-		for k, n := range in {
-			if e.diverged(n) {
-				dPin = k
-				break
+	f := &e.front
+	for w := f.hi >> 6; w >= f.lo>>6; w-- {
+		for x := f.bits[w]; x != 0; {
+			b := 63 - bits.LeadingZeros64(x)
+			x &^= 1 << uint(b)
+			p := w<<6 | b
+			if preferredOnly && !e.preferred[p] {
+				continue
 			}
-		}
-		if dPin < 0 {
-			continue
-		}
-		needs := propagationNeeds(g.Kind(), dPin)
-		for _, nd := range needs {
-			n := in[nd.pin]
-			if rail(e.vals[n], sh2) == logic.X {
-				return objective{frame: frame2, net: n, val: nd.val}, true
+			g := &e.gates[p]
+			if e.diverged(g.Out()) {
+				continue
+			}
+			in := g.Inputs()
+			dPin := -1
+			for k, n := range in {
+				if e.diverged(n) {
+					dPin = k
+					break
+				}
+			}
+			if dPin < 0 {
+				continue
+			}
+			for _, nd := range propagationNeeds(g.Kind(), dPin) {
+				n := in[nd.pin]
+				if rail(e.vals[n], sh2) == logic.X {
+					return objective{frame: frame2, net: n, val: nd.val}, true
+				}
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"scap/internal/fault"
 	"scap/internal/logic"
 	"scap/internal/netlist"
+	"scap/internal/soc"
 )
 
 // statsDelta subtracts two engine-stat snapshots field-wise.
@@ -24,7 +25,8 @@ func statsDelta(after, before genStats) genStats {
 
 // searchFull is generate with both region sets filled with every gate,
 // so every wave of the search implies the whole design, as the engine did
-// before it limited waves to the read region.
+// before it limited waves to the read region. The full sets are marked
+// built, so the first decision does not sweep them again.
 func searchFull(e *engine, f *fault.Fault) (Cube, engineResult) {
 	defer e.teardown(len(e.trail))
 	if !e.install(f) {
@@ -34,6 +36,7 @@ func searchFull(e *engine, f *fault.Fault) (Cube, engineResult) {
 		e.reg1.add(int32(p))
 		e.reg2.add(int32(p))
 	}
+	e.regionBuilt = true
 	e.inject()
 	return e.search()
 }
@@ -58,18 +61,29 @@ func randomBase(rng *rand.Rand, e *engine) Cube {
 // TestRegionSearchMatchesFullWaves searches every domain-0 fault of the
 // scale-96 design and every third one of scale 32, under LOC and LOS,
 // every fourth on a random pinned base, twice: with the read region, and
-// with both region sets filled with every gate. The two searches must
-// give the same cube, disposition, decisions, backtracks, waves and
+// with both region sets filled with every gate. The scale-32 engines
+// prefer blocks B1 and B2, as a block-aware run does. The two searches
+// must give the same cube, disposition, decisions, backtracks, waves and
 // aborted waves. Summed over all searches, the region's waves must
-// evaluate at most half the gates the full waves do.
+// evaluate at most half the gates the full waves do. The region search
+// runs through generateChecked: after its inject wave and every later
+// wave and undo, the frontier set must agree with the cone rescan
+// (checkFrontier).
 func TestRegionSearchMatchesFullWaves(t *testing.T) {
 	var region, full int64
-	searches, differ := 0, 0
-	for _, sc := range []struct{ scale, stride int }{{96, 1}, {32, 3}} {
+	searches, differ, checks := 0, 0, 0
+	for _, sc := range []struct {
+		scale, stride int
+		prefer        []int
+	}{{96, 1, nil}, {32, 3, []int{soc.B1, soc.B2}}} {
 		r := newRig(t, sc.scale)
 		faults := r.l.InDomain(0)
+		var prefer blockSet
+		if sc.prefer != nil {
+			prefer = newBlockSet(r.d.NumBlocks, sc.prefer)
+		}
 		for _, mode := range []LaunchMode{LOC, LOS} {
-			e, err := newEngine(r.s, runConfig(r.d, r.sc, Options{Dom: 0, Mode: mode, BacktrackLimit: 64}, nil))
+			e, err := newEngine(r.s, runConfig(r.d, r.sc, Options{Dom: 0, Mode: mode, BacktrackLimit: 64}, prefer))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +95,12 @@ func TestRegionSearchMatchesFullWaves(t *testing.T) {
 					e.pin(randomBase(rng, e))
 				}
 				s0 := e.stats
-				c1, d1 := e.generate(&r.l.Faults[fi])
+				c1, d1 := generateChecked(e, &r.l.Faults[fi], func(after string) {
+					checks++
+					if err := e.checkFrontier(); err != nil {
+						t.Fatalf("scale %d %v fault %s, after %s: %v", sc.scale, mode, r.l.String(fi), after, err)
+					}
+				})
 				s1 := e.stats
 				c2, d2 := searchFull(e, &r.l.Faults[fi])
 				s2 := e.stats
@@ -102,13 +121,88 @@ func TestRegionSearchMatchesFullWaves(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d searches, %d differ; the region's waves evaluate %d gates, full waves %d (%.1f %%)",
-		searches, differ, region, full, 100*float64(region)/float64(full))
+	t.Logf("%d searches, %d differ, %d frontier checks; the region's waves evaluate %d gates, full waves %d (%.1f %%)",
+		searches, differ, checks, region, full, 100*float64(region)/float64(full))
 	if differ > 0 {
 		t.Fatalf("%d of %d searches differ", differ, searches)
 	}
 	if 2*region > full {
 		t.Fatalf("the region's waves evaluate %d gates, more than half of the full waves' %d", region, full)
+	}
+}
+
+// TestNoDecisionBuildsNoRegion pins random compaction bases on the
+// scale-96 design, under LOC and LOS, and searches over each base the
+// faults whose site value it conflicts with, as a secondary is searched
+// in genOne. Such a search ends untestable before its first decision, so
+// it must leave both region sets empty and the region unbuilt. As a
+// control, the next faults without a conflict are searched too: each of
+// their searches that decides must have built a non-empty frame-2
+// region.
+func TestNoDecisionBuildsNoRegion(t *testing.T) {
+	r := newRig(t, 96)
+	faults := r.l.InDomain(0)
+	for _, mode := range []LaunchMode{LOC, LOS} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e, err := newEngine(r.s, runConfig(r.d, r.sc, Options{Dom: 0, Mode: mode, BacktrackLimit: 64}, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(13 + mode)))
+			undecided, decided := 0, 0
+			for b := 0; b < 20; b++ {
+				rest := len(e.trail)
+				e.pin(randomBase(rng, e))
+				conflicts, controls := 0, 0
+				for _, fi := range faults {
+					f := &r.l.Faults[fi]
+					pre, post := logic.Zero, logic.One // slow-to-rise: 0 -> 1
+					if f.Type == fault.STF {
+						pre, post = post, pre
+					}
+					v1, v2 := rail(e.vals[f.Net], sh1), rail(e.vals[f.Net], sh2)
+					conflict := v1 != logic.X && v1 != pre || v2 != logic.X && v2 != post
+					if conflict && conflicts == 8 || !conflict && controls == 8 {
+						continue
+					}
+					mark, dec := len(e.trail), e.stats.decisions
+					if !e.setupFault(f) {
+						e.teardown(mark)
+						continue
+					}
+					_, res := e.search()
+					switch {
+					case conflict:
+						conflicts++
+						undecided++
+						if res != genUntestable || e.stats.decisions != dec {
+							t.Fatalf("base %d fault %s: a conflicted search gives %v after %d decisions",
+								b, r.l.String(fi), res, e.stats.decisions-dec)
+						}
+						for _, err := range []error{checkEmpty("frame-1 region", &e.reg1), checkEmpty("frame-2 region", &e.reg2)} {
+							if err != nil {
+								t.Fatalf("base %d fault %s: %v", b, r.l.String(fi), err)
+							}
+						}
+						if e.regionBuilt {
+							t.Fatalf("base %d fault %s: the region is marked built", b, r.l.String(fi))
+						}
+					case e.stats.decisions > dec:
+						controls++
+						decided++
+						if !e.regionBuilt || e.reg2.lo > e.reg2.hi {
+							t.Fatalf("base %d fault %s: a search that decided left the region unbuilt", b, r.l.String(fi))
+						}
+					}
+					e.teardown(mark)
+				}
+				e.undoTo(rest)
+			}
+			t.Logf("%d conflicted searches built no region; %d searches that decided built one", undecided, decided)
+			if undecided == 0 || decided == 0 {
+				t.Fatal("degenerate test: no conflicted search, or none that decided")
+			}
+		})
 	}
 }
 
