@@ -16,6 +16,9 @@
 //     these are deterministic work measures, compared symmetrically —
 //     the larger of fresh/base and base/fresh must stay within
 //     -tol-extra.
+//   - extra metrics whose unit starts with "ns/" (ns/fault, ns/pattern)
+//     are times: fresh must stay within -tol-extra × base, one-sided
+//     like ns/op, so a speed-up never fails.
 //
 // Benchmark names are normalized by stripping the trailing
 // "-GOMAXPROCS" suffix, so a file recorded on a single-CPU host (no
@@ -38,6 +41,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strings"
 )
 
 // benchSchemaVersion must match cmd/benchjson's output.
@@ -139,20 +143,25 @@ func compare(base, fresh *benchReport, tol tolerances) ([]row, bool) {
 // check applies the unit's rule to one (base, fresh) metric pair.
 func check(metric string, base, fresh float64, tol tolerances) row {
 	r := row{metric: metric, base: base, fresh: fresh}
-	switch metric {
-	case "ns/op":
-		limit := base * tol.ns
-		r.ok = base <= 0 || fresh <= limit
-		if !r.ok {
-			r.note = fmt.Sprintf("%.2fx > %.2fx budget", fresh/base, tol.ns)
+	switch {
+	case strings.HasPrefix(metric, "ns/"):
+		// Times (ns/op, and extras such as ns/fault): only a slowdown is
+		// a regression.
+		budget := tol.extra
+		if metric == "ns/op" {
+			budget = tol.ns
 		}
-	case "B/op":
+		r.ok = base <= 0 || fresh <= base*budget
+		if !r.ok {
+			r.note = fmt.Sprintf("%.2fx > %.2fx budget", fresh/base, budget)
+		}
+	case metric == "B/op":
 		limit := base*tol.mem + tol.byteSlack
 		r.ok = fresh <= limit
 		if !r.ok {
 			r.note = fmt.Sprintf("above %.0f limit", limit)
 		}
-	case "allocs/op":
+	case metric == "allocs/op":
 		limit := base*tol.mem + tol.allocSlack
 		r.ok = fresh <= limit
 		if !r.ok {
@@ -200,7 +209,7 @@ func main() {
 	freshPath := flag.String("fresh", "", "freshly produced bench report (required)")
 	tolNs := flag.Float64("tol-ns", 1.75, "ns/op regression budget as a ratio over baseline")
 	tolMem := flag.Float64("tol-mem", 2, "B/op and allocs/op budget as a ratio over baseline (plus small absolute slack)")
-	tolExtra := flag.Float64("tol-extra", 2.5, "symmetric drift budget for extra (ReportMetric) metrics")
+	tolExtra := flag.Float64("tol-extra", 2.5, "budget for extra (ReportMetric) metrics: symmetric drift for work measures, one-sided for ns/ times")
 	flag.Parse()
 	if *basePath == "" || *freshPath == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: both -base and -fresh are required")

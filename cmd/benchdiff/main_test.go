@@ -51,6 +51,21 @@ func TestInjectedSlowdownFails(t *testing.T) {
 	if len(fs) != 1 || fs[0].metric != "ns/op" {
 		t.Fatalf("want exactly one ns/op failure, got %+v", fs)
 	}
+
+	// A time extra is checked one-sided against the 2.5x extra budget.
+	mk := func(v float64) *benchReport {
+		return report(result{Name: "ProfilePatternsSerial", Metrics: map[string]float64{"ns/pattern": v}})
+	}
+	rows, pass = compare(mk(1e5), mk(3e5), defaultTol())
+	if pass {
+		t.Fatal("a 3x slower ns/pattern passed the 2.5x extra budget")
+	}
+	if fs := failures(rows); len(fs) != 1 || fs[0].metric != "ns/pattern" {
+		t.Fatalf("want exactly one ns/pattern failure, got %+v", fs)
+	}
+	if rows, pass := compare(mk(1e5), mk(2e5), defaultTol()); !pass {
+		t.Fatalf("2x is within the 2.5x extra budget: %+v", failures(rows))
+	}
 }
 
 func TestSpeedupAlwaysPasses(t *testing.T) {
@@ -58,6 +73,12 @@ func TestSpeedupAlwaysPasses(t *testing.T) {
 	fresh := report(res("Solve", 1e5, 0, 0)) // 20x faster, fewer allocs
 	if _, pass := compare(base, fresh, defaultTol()); !pass {
 		t.Fatal("an improvement must never fail the gate")
+	}
+	// A time extra is a time too: 3x faster, past the 2.5x extra band.
+	base = report(result{Name: "ATPGGenerate", Metrics: map[string]float64{"ns/fault": 3e4}})
+	fresh = report(result{Name: "ATPGGenerate", Metrics: map[string]float64{"ns/fault": 1e4}})
+	if rows, pass := compare(base, fresh, defaultTol()); !pass {
+		t.Fatalf("a 3x faster ns/fault must pass: %+v", failures(rows))
 	}
 }
 

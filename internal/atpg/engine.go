@@ -22,6 +22,7 @@ import (
 
 	"scap/internal/logic"
 	"scap/internal/netlist"
+	"scap/internal/parallel"
 	"scap/internal/sim"
 )
 
@@ -219,6 +220,12 @@ type engine struct {
 	backtracks int
 
 	stats genStats
+
+	// The dirty-set bounds, the trail header and stats are written on
+	// every mark, write and wave, and a generation worker's clone is
+	// allocated right after its original: the pad keeps 128 bytes between
+	// these fields and the next allocation (DESIGN.md §8).
+	_ parallel.Pad
 }
 
 // posSet is a set of gate positions, one bit each; lo and hi bound the

@@ -1,14 +1,29 @@
 package atpg
 
 import (
+	"reflect"
 	"testing"
 
 	"scap/internal/cell"
 	"scap/internal/fault"
 	"scap/internal/logic"
 	"scap/internal/netlist"
+	"scap/internal/parallel"
 	"scap/internal/sim"
 )
+
+// TestEngineEndsWithPad pins the engine's layout: its last field is a
+// parallel.Pad, so a generation worker's clone allocated right after
+// another engine stays off the cache lines of that engine's hot fields.
+// A deleted pad, or a field appended after it, fails here.
+func TestEngineEndsWithPad(t *testing.T) {
+	typ := reflect.TypeOf(engine{})
+	last := typ.Field(typ.NumField() - 1)
+	if last.Type != reflect.TypeOf(parallel.Pad{}) {
+		t.Fatalf("engine's last field is %s %s, want a parallel.Pad", last.Name, last.Type)
+	}
+	t.Logf("engine: %d B", typ.Size())
+}
 
 func TestEngineJustifiesAndTree(t *testing.T) {
 	d := netlist.New("tree", cell.New180nm())

@@ -343,45 +343,49 @@ func (fs *Sim) FailSlots(b *Batch, f *fault.Fault) ([]int, []uint64) {
 	return o.flops, o.masks
 }
 
+// detectBlock is how many consecutive faults of a subset DetectAll deals
+// to a worker at once. A Detect takes about a microsecond, so dealing
+// one fault at a time would pay the pool's shared-counter add, and a
+// result slot on a cache line the other workers write, for every fault.
+const detectBlock = 64
+
 // DetectAll computes the detection mask of every fault in subset against
 // the batch, writing dets[i] for subset[i] (len(dets) must equal
 // len(subset)). With undetectedOnly, faults whose status is not
 // Undetected are skipped and report a zero mask. The per-fault cone
 // propagations are independent, so the loop fans out across
-// Resolve(fs.Workers) cloned Sims; every task writes only its own
-// index-addressed slot, making the result bit-identical for any worker
-// count and any subset order. The fault list is read-only here — callers
-// merge dets into statuses afterwards (Drop, CompactReverse).
+// Resolve(fs.Workers) cloned Sims, capped at the number of blocks: each
+// parallel.For index is one block of detectBlock consecutive faults.
+// Every block writes only its own index-addressed slots, making the
+// result bit-identical for any worker count and any subset order. The
+// fault list is read-only here — callers merge dets into statuses
+// afterwards (Drop, CompactReverse).
 func (fs *Sim) DetectAll(l *fault.List, subset []int, b *Batch, dets []uint64, undetectedOnly bool) {
 	n := len(subset)
-	if n == 0 {
-		return
-	}
-	workers := parallel.Resolve(fs.Workers)
-	if workers > n {
-		workers = n
-	}
+	blocks := (n + detectBlock - 1) / detectBlock
+	workers := min(parallel.Resolve(fs.Workers), blocks)
 	if workers <= 1 {
-		for i, fi := range subset {
-			if undetectedOnly && l.Status[fi] != fault.Undetected {
-				dets[i] = 0
-				continue
-			}
-			dets[i] = fs.Detect(b, &l.Faults[fi])
-		}
+		fs.detectEach(l, subset, b, dets, undetectedOnly)
 		return
 	}
 	sims := fs.pool(workers)
 	// The body never fails; parallel.For's error plumbing is unused.
-	_ = parallel.For(workers, n, func(w, i int) error {
-		fi := subset[i]
-		if undetectedOnly && l.Status[fi] != fault.Undetected {
-			dets[i] = 0
-			return nil
-		}
-		dets[i] = sims[w].Detect(b, &l.Faults[fi])
+	_ = parallel.For(workers, blocks, func(w, k int) error {
+		lo, hi := k*detectBlock, min((k+1)*detectBlock, n)
+		sims[w].detectEach(l, subset[lo:hi], b, dets[lo:hi], undetectedOnly)
 		return nil
 	})
+}
+
+// detectEach is DetectAll's serial loop over one run of faults.
+func (fs *Sim) detectEach(l *fault.List, subset []int, b *Batch, dets []uint64, undetectedOnly bool) {
+	for i, fi := range subset {
+		if undetectedOnly && l.Status[fi] != fault.Undetected {
+			dets[i] = 0
+			continue
+		}
+		dets[i] = fs.Detect(b, &l.Faults[fi])
+	}
 }
 
 // Drop runs detection for every not-yet-detected fault in subset against

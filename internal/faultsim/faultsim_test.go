@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -368,6 +369,10 @@ func socHarness(t *testing.T, seed int64, nBatches int) (*netlist.Design, *Sim, 
 	return d, fs, batches
 }
 
+// blockEdgePrefixes are the subset lengths, taken as prefixes of a
+// domain's faults, that sit on the edges of DetectAll's blocks.
+var blockEdgePrefixes = []int{1, detectBlock - 1, detectBlock, detectBlock + 1, 2*detectBlock + 1}
+
 // TestDropParallelBitIdentical is the tentpole's concurrency contract:
 // sharding the fault-dropping sweep across any worker count — and feeding
 // the subset in any order — must reproduce the serial statuses and
@@ -392,6 +397,15 @@ func TestDropParallelBitIdentical(t *testing.T) {
 	rand.New(rand.NewSource(99)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
+	same := func(name string, got, want *fault.List) {
+		t.Helper()
+		for fi := range want.Status {
+			if got.Status[fi] != want.Status[fi] || got.DetectedBy[fi] != want.DetectedBy[fi] {
+				t.Fatalf("%s: fault %d: status %v by %d, want %v by %d", name, fi,
+					got.Status[fi], got.DetectedBy[fi], want.Status[fi], want.DetectedBy[fi])
+			}
+		}
+	}
 	cases := []struct {
 		name    string
 		workers int
@@ -402,16 +416,19 @@ func TestDropParallelBitIdentical(t *testing.T) {
 		{"workers=8", 8, baseSubset},
 		{"workers=8/shuffled", 8, shuffled},
 	}
-	detected := 0
 	for _, c := range cases {
-		got := run(c.workers, c.subset)
-		for fi := range want.Status {
-			if got.Status[fi] != want.Status[fi] || got.DetectedBy[fi] != want.DetectedBy[fi] {
-				t.Fatalf("%s: fault %d: status %v by %d, want %v by %d", c.name, fi,
-					got.Status[fi], got.DetectedBy[fi], want.Status[fi], want.DetectedBy[fi])
-			}
+		same(c.name, run(c.workers, c.subset), want)
+	}
+	// The edges of the blocks DetectAll deals (detectBlock faults each):
+	// one short of a block, an exact block, one fault over, and more
+	// workers than blocks.
+	for _, k := range blockEdgePrefixes {
+		wantK := run(1, baseSubset[:k])
+		for _, workers := range []int{2, 3, 8} {
+			same(fmt.Sprintf("prefix=%d/workers=%d", k, workers), run(workers, baseSubset[:k]), wantK)
 		}
 	}
+	detected := 0
 	for fi := range want.Status {
 		if want.Status[fi] == fault.Detected {
 			detected++
@@ -449,6 +466,17 @@ func TestDetectionCountsParallelBitIdentical(t *testing.T) {
 		for fi := range want {
 			if got[fi] != want[fi] {
 				t.Fatalf("workers=%d: fault %d: count %d, want %d", workers, fi, got[fi], want[fi])
+			}
+		}
+	}
+	for _, k := range blockEdgePrefixes {
+		wantK := run(1, subset[:k])
+		for _, workers := range []int{2, 3, 8} {
+			got := run(workers, subset[:k])
+			for fi := range wantK {
+				if got[fi] != wantK[fi] {
+					t.Fatalf("prefix=%d/workers=%d: fault %d: count %d, want %d", k, workers, fi, got[fi], wantK[fi])
+				}
 			}
 		}
 	}

@@ -51,13 +51,26 @@ func Resolve(workers int) int {
 	return workers
 }
 
+// Pad keeps a struct's last fields off the cache lines of the next
+// allocation. A worker-owned struct whose hot loop writes its own fields
+// ends with one (`_ parallel.Pad`), so whatever the heap allocates next,
+// often another worker's copy, starts at least 128 bytes past them. 128
+// is sync.Pool's rule for per-P state: "128 mod (cache line size) = 0",
+// which covers 64-byte lines and the pairs of them that adjacent-line
+// prefetchers fetch together. DESIGN.md §8 ("Worker-owned memory is kept
+// apart") names the structs that carry one and why the others do not.
+type Pad [128]byte
+
 // For runs body(worker, i) once for every i in [0, n), fanned across
 // Resolve(workers) goroutines. Worker ids are dense in
 // [0, min(workers, n)), so callers can pre-build one scratch state per
-// worker and index it by id. Indices are dealt from a shared counter,
-// so the i handled by a given worker is scheduling-dependent — bodies
-// must treat the worker id as "which scratch state" only, never as a
-// partition of the data.
+// worker and index it by id. Indices are dealt one at a time from a
+// shared counter, so the i handled by a given worker is
+// scheduling-dependent — bodies must treat the worker id as "which
+// scratch state" only, never as a partition of the data. Each index
+// costs an atomic add on that counter, which every worker writes: a
+// body of about a microsecond should deal blocks of indices itself, as
+// faultsim.DetectAll does.
 //
 // On error the pool drains: workers stop taking new indices, and the
 // error with the smallest index among those that failed is returned

@@ -24,6 +24,7 @@ import (
 
 	"scap/internal/netlist"
 	"scap/internal/obs"
+	"scap/internal/parallel"
 )
 
 // Meter observability: OnToggle sits in the timing simulator's event
@@ -90,6 +91,11 @@ type Meter struct {
 	// shared power.toggles_metered counter (kept local so the toggle hot
 	// path never touches an atomic).
 	unflushedToggles int64
+
+	// OnToggle writes unflushedToggles on every toggle; the pad keeps the
+	// next worker's meter, whose tables that worker's toggles read, off
+	// its cache line (DESIGN.md §8).
+	_ parallel.Pad
 }
 
 // NewMeter builds a meter for a design whose parasitics are extracted

@@ -4,18 +4,33 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"scap/internal/cell"
 	"scap/internal/logic"
 	"scap/internal/netlist"
+	"scap/internal/parallel"
 	"scap/internal/parasitic"
 	"scap/internal/place"
 	"scap/internal/sdf"
 	"scap/internal/sim"
 	"scap/internal/soc"
 )
+
+// TestMeterEndsWithPad pins the meter's layout: its last field is a
+// parallel.Pad, so the next worker's meter stays off the cache line of
+// the toggle count OnToggle writes. A deleted pad, or a field appended
+// after it, fails here.
+func TestMeterEndsWithPad(t *testing.T) {
+	typ := reflect.TypeOf(Meter{})
+	last := typ.Field(typ.NumField() - 1)
+	if last.Type != reflect.TypeOf(parallel.Pad{}) {
+		t.Fatalf("Meter's last field is %s %s, want a parallel.Pad", last.Name, last.Type)
+	}
+	t.Logf("Meter: %d B", typ.Size())
+}
 
 // chainDesign builds f1.Q -> INV a -> INV b -> f2.D in block 0.
 func chainDesign(t *testing.T) (*netlist.Design, *sim.Simulator, *sim.Timing) {
